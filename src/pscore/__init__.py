@@ -53,7 +53,7 @@ from .scoring import (
     ranking_to_tsv,
     venue_scores,
 )
-from .solver import StationaryDistribution, gth_steady_state, power_iteration
+from .solver import StationaryDistribution, gth_steady_state, steady_state
 
 __version__ = "0.1.0"
 
@@ -94,11 +94,11 @@ __all__ = [
     "normalize_name",
     "parse_author_counts",
     "parse_records",
-    "power_iteration",
     "rank_authors",
     "rank_groups",
     "ranking_to_json",
     "ranking_to_tsv",
     "serialize_records",
+    "steady_state",
     "venue_scores",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from .scoring import (
     ranking_to_tsv,
     venue_scores,
 )
-from .solver import StationaryDistribution, gth_steady_state
+from .solver import StationaryDistribution, steady_state
 
 log = logging.getLogger(__name__)
 
@@ -78,7 +79,6 @@ class PipelineResult:
 
     counts: CountsTable
     chain: ReputationChain
-    reduced: np.ndarray
     gamma: StationaryDistribution
     group_scores: np.ndarray
     nu_raw: ScoreVector
@@ -135,8 +135,7 @@ def solve_pipeline(
         used_counts = counts.restrict(kept)
         used_chain = build_chain(used_counts, d)
 
-    reduced = build_reduced(used_chain)
-    gamma = gth_steady_state(reduced)
+    gamma = steady_state(used_chain)
     nu_sub = venue_scores(gamma, used_chain, used_counts.venue_names)
     residual = group_consistency_check(gamma, nu_sub, used_chain)
     if residual > CONSISTENCY_TOL:
@@ -159,7 +158,6 @@ def solve_pipeline(
     return PipelineResult(
         counts=counts,
         chain=used_chain,
-        reduced=reduced,
         gamma=gamma,
         group_scores=group_scores,
         nu_raw=nu_raw,
@@ -242,16 +240,23 @@ def parse_year_range(text: str) -> tuple[int | None, int | None]:
 
 
 def load_venue_scores(path: str) -> ScoreVector:
-    """Read a venue-score file written by the ``venues`` command."""
+    """Read a venue-score file written by the ``venues`` command.
+
+    Every error names the TSV line or the JSON entry it comes from: a
+    malformed file, a ``raw_score`` that is not a finite nonnegative
+    number, and a venue listed twice (names compare case-insensitively).
+    """
     raw_text = Path(path).read_text(encoding="utf-8-sig")
-    names: list[str] = []
-    scores: list[float] = []
+    rows: list[tuple[str, str, object]] = []  # (where, venue, raw_score)
     if raw_text.lstrip().startswith("["):
-        for i, item in enumerate(json.loads(raw_text)):
+        try:
+            items = json.loads(raw_text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed JSON: {exc.msg}", line=exc.lineno) from None
+        for i, item in enumerate(items):
             if not isinstance(item, dict) or "venue" not in item or "raw_score" not in item:
                 raise ValidationError(f"venue-score entry {i} lacks venue/raw_score")
-            names.append(normalize_name(str(item["venue"])))
-            scores.append(float(item["raw_score"]))
+            rows.append((f"venue-score entry {i}", str(item["venue"]), item["raw_score"]))
     else:
         header: list[str] | None = None
         for lineno, line in enumerate(raw_text.splitlines(), start=1):
@@ -266,15 +271,28 @@ def load_venue_scores(path: str) -> ScoreVector:
             if len(cells) != len(header):
                 raise ParseError("venue-score row width does not match the header", line=lineno)
             row = dict(zip(header, cells))
-            names.append(normalize_name(row["venue"]))
-            try:
-                scores.append(float(row["raw_score"]))
-            except ValueError:
-                raise ValidationError(
-                    f"raw_score is not a number: {row['raw_score']!r}", line=lineno
-                ) from None
-    if not names:
+            rows.append((f"line {lineno}", row["venue"], row["raw_score"]))
+    if not rows:
         raise ValidationError(f"no venue scores found in {path}")
+
+    names: list[str] = []
+    scores: list[float] = []
+    first_seen: dict[str, str] = {}
+    for where, venue, raw_score in rows:
+        try:
+            score = float(raw_score)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{where}: raw_score is not a number: {raw_score!r}") from None
+        if not math.isfinite(score) or score < 0:
+            raise ValidationError(
+                f"{where}: raw_score must be finite and nonnegative, got {raw_score!r}"
+            )
+        name = normalize_name(venue)
+        earlier = first_seen.setdefault(fold(name), where)
+        if earlier != where:
+            raise ValidationError(f"{where}: venue {name!r} is listed twice (first at {earlier})")
+        names.append(name)
+        scores.append(score)
     return ScoreVector(entity_kind="venue", names=tuple(names), scores=scores, normalization="raw")
 
 
@@ -377,7 +395,7 @@ def _emit_debug_matrices(config: RunConfig, result: PipelineResult) -> None:
     for suffix, labels, matrix, comment in (
         (".alpha.tsv", solved_venues, result.chain.alpha, "venue -> group block (one venue per row)"),
         (".beta.tsv", solved_groups, result.chain.beta, "group -> venue block (one group per row)"),
-        (".reduced.tsv", solved_groups, result.reduced, "group -> group reduced chain"),
+        (".reduced.tsv", solved_groups, build_reduced(result.chain), "group -> group reduced chain"),
     ):
         target = base.with_name(base.name + suffix)
         target.write_text(format_matrix_tsv(labels, matrix, comment), encoding="utf-8", newline="\n")

@@ -25,7 +25,8 @@ log = logging.getLogger(__name__)
 
 VENUE_SUM_TOL = 1e-10
 CONSISTENCY_TOL = 1e-10
-TIE_RULE = "competition; ties ordered by case-folded name"
+PRINTED_DECIMALS = 6
+TIE_RULE = "competition on the score to 6 decimals; ties ordered by case-folded name"
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,8 @@ class ScoreVector:
             raise InternalError("score vector names and scores differ in length")
         if len({fold(n) for n in self.names}) != len(self.names):
             raise InternalError("score vector names are not duplicate-free")
+        if not np.all(np.isfinite(self.scores)):
+            raise InternalError("non-finite score")
         if np.any(self.scores < 0):
             raise InternalError("negative score")
         if self.normalization == "max_one":
@@ -76,9 +79,9 @@ class RankEntry(NamedTuple):
 class Ranking:
     """Deterministic ordering of a score vector.
 
-    Scores are nonincreasing down the list; equal scores share a rank
-    number and the next rank skips accordingly (1, 2, 2, 4), with tied
-    names in case-folded lexicographic order.
+    Scores are nonincreasing down the list; scores equal to 6 decimals
+    share a rank number and the next rank skips accordingly (1, 2, 2, 4),
+    with tied names in case-folded lexicographic order.
     """
 
     entries: tuple[RankEntry, ...]
@@ -86,19 +89,26 @@ class Ranking:
 
 
 def make_ranking(names: Sequence[str], scores: Sequence[float]) -> Ranking:
-    """Order names by descending score under the competition tie rule."""
+    """Order names by descending score under the competition tie rule.
+
+    Order and ties follow the score as printed, to 6 decimals: ``round``
+    rounds correctly, as ``format(x, ".6f")`` does, so two scores share a
+    rank exactly when their printed forms are equal. Entries keep the
+    unrounded score.
+    """
     values = [float(s) for s in scores]
-    order = sorted(range(len(names)), key=lambda i: (-values[i], fold(names[i]), names[i]))
+    order = sorted(
+        range(len(names)),
+        key=lambda i: (-round(values[i], PRINTED_DECIMALS), fold(names[i]), names[i]),
+    )
     entries = []
-    prev_score: float | None = None
+    prev_printed: float | None = None
     prev_rank = 0
     for position, i in enumerate(order, start=1):
-        if prev_score is not None and values[i] == prev_score:
-            rank = prev_rank
-        else:
-            rank = position
+        printed = round(values[i], PRINTED_DECIMALS)
+        rank = prev_rank if printed == prev_printed else position
         entries.append(RankEntry(rank=rank, name=names[i], score=values[i]))
-        prev_score, prev_rank = values[i], rank
+        prev_printed, prev_rank = printed, rank
     return Ranking(entries=tuple(entries))
 
 
@@ -241,14 +251,14 @@ def ranking_to_tsv(ranking: Ranking, comments: Sequence[str] = ()) -> str:
     lines = [f"# {c}" for c in comments]
     lines.append("rank\tname\tscore")
     for entry in ranking.entries:
-        lines.append(f"{entry.rank}\t{entry.name}\t{entry.score:.6f}")
+        lines.append(f"{entry.rank}\t{entry.name}\t{entry.score:.{PRINTED_DECIMALS}f}")
     return "".join(line + "\n" for line in lines)
 
 
 def ranking_to_json(ranking: Ranking) -> str:
     """JSON report: array of {rank, name, score} with scores at 6 decimals."""
     payload = [
-        {"rank": e.rank, "name": e.name, "score": round(e.score, 6)}
+        {"rank": e.rank, "name": e.name, "score": round(e.score, PRINTED_DECIMALS)}
         for e in ranking.entries
     ]
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"

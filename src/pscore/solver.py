@@ -1,24 +1,39 @@
 """Stationary distributions of the reduced group-to-group chain.
 
-The production path is Grassmann-Taksar-Heyman state elimination, which
-computes the stationary vector of an irreducible stochastic matrix using
-only additions, multiplications, and divisions by accumulated off-diagonal
-mass. Because no like-signed quantities are ever subtracted, the method is
-stable even for badly conditioned chains and needs no pivoting.
+Every row of beta is ``d * volume[w] + (1 - d) * breadth``, so for a
+probability vector gamma the reduced chain P = beta @ alpha acts as
 
-Power iteration is kept alongside as an independent oracle for testing and
-debugging; it is never the default path.
+    gamma @ P = d * (gamma @ volume) @ alpha + (1 - d) * breadth @ alpha
+
+which is PageRank with contraction rate ``d`` and teleport vector
+``breadth @ alpha``. For d < 1, :func:`steady_state` therefore applies
+``gamma <- (gamma @ beta) @ alpha`` a fixed number of times, chosen in
+advance from ``d`` so the 1-norm error is below :data:`SWEEP_EPS`; no
+tolerance loop is needed, and the T x T matrix is never formed. Each sweep
+runs over the nonzero counts only.
+
+Grassmann-Taksar-Heyman state elimination covers d = 1, where the sweep
+does not contract, and small chains where the sweeps would cost more than
+the elimination. It uses only additions, multiplications, and divisions by
+accumulated off-diagonal mass; because no like-signed quantities are ever
+subtracted, it is stable even for badly conditioned chains and needs no
+pivoting.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChainError, ConvergenceError, DisconnectedChainError
+from .chain import ReputationChain, build_reduced
+from .errors import ChainError, DisconnectedChainError
 
 STOCHASTIC_TOL = 1e-9
+
+# 1-norm error bound on the swept vector: ||gamma_k - gamma*||_1 <= 2 d^k
+SWEEP_EPS = 1e-17
 
 
 @dataclass(frozen=True)
@@ -86,31 +101,56 @@ def gth_steady_state(p_reduced) -> StationaryDistribution:
     return StationaryDistribution(gamma=gamma, residual=_residual(gamma, original), method="gth")
 
 
-def power_iteration(p_reduced, tol: float = 1e-12, max_iters: int = 100_000) -> StationaryDistribution:
-    """Iterate gamma <- gamma @ P from the uniform vector until it settles.
+def sweep_count(d: float) -> int:
+    """Sweeps that bring the 1-norm error 2 d^k down to SWEEP_EPS (d < 1)."""
+    if d == 0.0:
+        return 0
+    return math.ceil(math.log(SWEEP_EPS / 2) / math.log(d))
 
-    Requires an irreducible aperiodic matrix to converge; the reduced
-    chain of a connected dataset qualifies because every group keeps some
-    mass on itself through its own venues. Stops once the max-norm change
-    per sweep drops to ``tol``; raises :class:`ConvergenceError` carrying
-    the last residual if ``max_iters`` sweeps are not enough.
+
+def sweep_steady_state(chain: ReputationChain, sweeps: int) -> StationaryDistribution:
+    """Apply ``gamma <- (gamma @ beta) @ alpha`` ``sweeps`` times from ``breadth @ alpha``.
+
+    For d < 1 the 1-norm distance to the stationary vector is at most
+    ``2 d^sweeps``. The residual, max |gamma @ P - gamma|, costs one more
+    sweep; the T x T matrix P is never formed.
+
+    Each product runs over the nonzero counts only, splitting every row of
+    beta into its volume part, nonzero where alpha is, and the shared
+    breadth part. ``bincount`` sums them without BLAS, whose threaded
+    matrix-vector products, called twice per sweep, each wait for a
+    worker thread that a busy host may not schedule for milliseconds.
     """
-    p = _as_stochastic(p_reduced)
-    n = p.shape[0]
-    gamma = np.full(n, 1.0 / n)
+    t, v = chain.num_groups, chain.num_venues
+    venue, group = np.nonzero(chain.alpha)
+    to_group = chain.alpha[venue, group]
+    teleport = (1.0 - chain.d) * chain.breadth
+    to_venue = chain.beta[group, venue] - teleport[venue]  # d * n(w, j) / n(w)
 
-    delta = np.inf
-    for _ in range(max_iters):
-        nxt = gamma @ p
-        nxt /= nxt.sum()
-        delta = float(np.max(np.abs(nxt - gamma)))
-        gamma = nxt
-        if delta <= tol:
-            return StationaryDistribution(
-                gamma=gamma, residual=_residual(gamma, p), method="power"
-            )
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_iters} sweeps "
-        f"(last change {delta:.3e})",
-        residual=delta,
-    )
+    def sweep(gamma: np.ndarray) -> np.ndarray:
+        nu = np.bincount(venue, weights=gamma[group] * to_venue, minlength=v)
+        nu += gamma.sum() * teleport
+        return np.bincount(group, weights=nu[venue] * to_group, minlength=t)
+
+    gamma = np.bincount(group, weights=chain.breadth[venue] * to_group, minlength=t)
+    for _ in range(sweeps):
+        gamma = sweep(gamma)
+    gamma /= gamma.sum()  # rounding in the fixed block entries drifts the sum by ~1e-17 a sweep
+    residual = float(np.max(np.abs(sweep(gamma) - gamma)))
+    return StationaryDistribution(gamma=gamma, residual=residual, method="sweep")
+
+
+def steady_state(chain: ReputationChain) -> StationaryDistribution:
+    """Stationary group vector of ``chain``, by sweeps or by GTH.
+
+    For d < 1 the k = ``sweep_count(d)`` sweeps cost at most O(k T V);
+    they run when that is no more than GTH's O(T^3) elimination, i.e. when
+    k V <= T^2. Otherwise, and always at d = 1, GTH solves the reduced
+    matrix. The choice depends only on (d, T, V), so identical inputs take
+    the same path; ``method`` on the result names it.
+    """
+    if chain.d < 1.0:
+        k = sweep_count(chain.d)
+        if k * chain.num_venues <= chain.num_groups ** 2:
+            return sweep_steady_state(chain, k)
+    return gth_steady_state(build_reduced(chain))

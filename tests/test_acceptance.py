@@ -17,8 +17,8 @@ from pscore import (
     group_consistency_check,
     gth_steady_state,
     normalize_max_one,
-    power_iteration,
     rank_authors,
+    steady_state,
     venue_scores,
 )
 from pscore.cli import main, solve_pipeline
@@ -35,6 +35,7 @@ from conftest import (
     random_counts_table,
     random_stochastic_matrix,
 )
+from oracles import power_iteration
 
 GOLDEN_CLI_ARGS = [
     "--input", str(DATA_DIR / "golden_records.jsonl"),
@@ -61,7 +62,7 @@ def _golden_table() -> CountsTable:
 
 def _solve(table: CountsTable, d: float):
     chain = build_chain(table, d)
-    gamma = gth_steady_state(build_reduced(chain))
+    gamma = steady_state(chain)
     nu = venue_scores(gamma, chain, table.venue_names)
     return chain, gamma, nu
 

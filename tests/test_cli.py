@@ -165,6 +165,53 @@ class TestAuthorsCommand:
         assert "offbook" in caplog.text
 
 
+class TestVenueScoreFileErrors:
+    """Bad venue-score files end in an error naming the file and the line or entry."""
+
+    def run_authors(self, tmp_path, name, text):
+        scores = tmp_path / name
+        scores.write_text(text)
+        code = main(["authors", "--venue-scores", str(scores),
+                     "--author-pubs", str(DATA_DIR / "golden_author_pubs.jsonl"),
+                     "-o", str(tmp_path / "authors.tsv")])
+        assert not (tmp_path / "authors.tsv").exists()
+        return code, str(scores)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.5"])
+    def test_non_finite_or_negative_tsv_score(self, tmp_path, capsys, bad):
+        code, path = self.run_authors(tmp_path, "v.tsv", f"venue\traw_score\nv1\t{bad}\nv2\t1\n")
+        assert code == 1
+        assert f"{path}: line 2: raw_score must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_nan_json_score(self, tmp_path, capsys):
+        code, path = self.run_authors(tmp_path, "v.json", '[{"venue": "v1", "raw_score": NaN}]')
+        assert code == 1
+        assert f"{path}: venue-score entry 0: raw_score must be finite" in capsys.readouterr().err
+
+    def test_truncated_json(self, tmp_path, capsys):
+        code, path = self.run_authors(tmp_path, "v.json", '[{"venue": "v1",\n "raw_score": ')
+        assert code == 1
+        assert f"{path}: line 2: malformed JSON" in capsys.readouterr().err
+
+    def test_non_numeric_json_score(self, tmp_path, capsys):
+        text = '[{"venue": "v1", "raw_score": 1.0}, {"venue": "v2", "raw_score": "x"}]'
+        code, path = self.run_authors(tmp_path, "v.json", text)
+        assert code == 1
+        assert f"{path}: venue-score entry 1: raw_score is not a number: 'x'" in capsys.readouterr().err
+
+    def test_duplicate_tsv_venue(self, tmp_path, capsys):
+        code, path = self.run_authors(tmp_path, "v.tsv", "venue\traw_score\nv1\t0.5\nV1\t0.5\n")
+        assert code == 1
+        assert f"{path}: line 3: venue 'V1' is listed twice (first at line 2)" in capsys.readouterr().err
+
+    def test_duplicate_json_venue(self, tmp_path):
+        scores = tmp_path / "v.json"
+        scores.write_text('[{"venue": "v1", "raw_score": 0.5}, {"venue": " V1 ", "raw_score": 0.5}]')
+        with pytest.raises(ValidationError) as exc:
+            load_venue_scores(str(scores))
+        assert str(exc.value) == "venue-score entry 1: venue 'V1' is listed twice (first at venue-score entry 0)"
+
+
 class TestValidateCommand:
     def test_golden_statistics(self, capsys):
         assert main(["validate", *GOLDEN_ARGS]) == 0

@@ -252,6 +252,26 @@ class TestRankingFormats:
         ranking = make_ranking(["w", "x", "y", "z"], [0.4, 0.4, 0.4, 0.1])
         assert [e.rank for e in ranking.entries] == [1, 1, 1, 4]
 
+    def test_ties_on_printed_score(self):
+        # all three print 0.123456; the name decides their order, not the last digits
+        ranking = make_ranking(["c", "b", "a", "d"], [0.1234564, 0.1234561, 0.1234556, 0.1234554])
+        assert [(e.rank, e.name) for e in ranking.entries] == [(1, "a"), (1, "b"), (1, "c"), (4, "d")]
+        assert ranking.entries[0].score == 0.1234556  # unrounded
+        assert ranking_to_tsv(ranking).splitlines()[1:] == [
+            "1\ta\t0.123456", "1\tb\t0.123456", "1\tc\t0.123456", "4\td\t0.123455",
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 30), st.floats(-1e-6, 1e-6)), min_size=1, max_size=40))
+    def test_ranks_tie_exactly_where_printed_scores_do(self, draws):
+        scores = [max(0.0, k / 1000 + jitter) for k, jitter in draws]
+        ranking = make_ranking([f"n{i}" for i in range(len(scores))], scores)
+        rows = [line.split("\t") for line in ranking_to_tsv(ranking).splitlines()[1:]]
+        assert rows[0][0] == "1"
+        for position, (prev, cur) in enumerate(zip(rows, rows[1:]), start=2):
+            assert float(cur[2]) <= float(prev[2])
+            assert cur[0] == (prev[0] if cur[2] == prev[2] else str(position))
+
 
 class TestScoreVectorInvariants:
     def test_length_mismatch(self):
@@ -267,6 +287,15 @@ class TestScoreVectorInvariants:
     def test_negative_scores(self):
         with pytest.raises(InternalError):
             score_vector([-0.1, 1.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_scores(self, bad):
+        with pytest.raises(InternalError, match="non-finite"):
+            score_vector([bad, 1.0])
+        # abs(nan - 1) > tol is False, so the sum check alone would let nan through
+        with pytest.raises(InternalError, match="non-finite"):
+            ScoreVector(entity_kind="venue", names=("v1",), scores=np.array([bad]),
+                        normalization="raw")
 
     def test_raw_venue_vector_must_sum_to_one(self):
         with pytest.raises(InternalError):
