@@ -35,6 +35,7 @@ from .records import (
     PublicationRecord,
     build_dataset,
     filter_by_year,
+    ingest,
     normalize_name,
     parse_records,
     serialize_records,
@@ -89,6 +90,7 @@ __all__ = [
     "filter_by_year",
     "group_consistency_check",
     "gth_steady_state",
+    "ingest",
     "make_ranking",
     "normalize_max_one",
     "normalize_name",

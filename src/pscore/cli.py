@@ -30,9 +30,10 @@ from .errors import (
     PScoreError,
     ValidationError,
 )
-from .records import _ensure_text, build_dataset, filter_by_year, fold, normalize_name, parse_records
+from .records import fold, ingest, jsonl_objects, normalize_name, text_stream
 from .scoring import (
     CONSISTENCY_TOL,
+    VENUE_SUM_TOL,
     ScoreVector,
     group_consistency_check,
     make_ranking,
@@ -182,7 +183,9 @@ def _file_context(path: str):
     try:
         yield
     except (ParseError, ValidationError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        located = type(exc)(f"{path}: {exc}")
+        located.__dict__.update(vars(exc))  # keeps line and field
+        raise located from exc
 
 
 def _sniff_format(path: str) -> str:
@@ -192,7 +195,9 @@ def _sniff_format(path: str) -> str:
     if suffix in (".jsonl", ".json", ".ndjson"):
         return "jsonl"
     try:
-        head = Path(path).read_text(encoding="utf-8-sig", errors="replace")[:4096].lstrip()
+        with open(path, "rb") as fh:
+            # 4 bytes per character at most, so this holds the first 4096
+            head = fh.read(4 * 4096).decode("utf-8-sig", errors="replace")[:4096].lstrip()
     except OSError:
         return "jsonl"
     return "jsonl" if head.startswith("{") else "csv"
@@ -211,17 +216,16 @@ def _load_reference_groups(config: RunConfig) -> list[str]:
 
 
 def _load_dataset(config: RunConfig):
+    """Read the small inputs first, then count the records in one pass."""
     assert config.input is not None
-    fmt = config.input_format or _sniff_format(config.input)
-    with _file_context(config.input), open(config.input, "rb") as fh:
-        recs = parse_records(fh, fmt)
-    if config.years is not None:
-        recs = filter_by_year(recs, *config.years)
+    groups = _load_reference_groups(config)
     overrides = None
     if config.author_counts:
         with _file_context(config.author_counts), open(config.author_counts, "rb") as fh:
             overrides = parse_author_counts(fh, _sniff_format(config.author_counts))
-    return build_dataset(recs, _load_reference_groups(config), corpus_author_counts=overrides)
+    fmt = config.input_format or _sniff_format(config.input)
+    with _file_context(config.input), open(config.input, "rb") as fh:
+        return ingest(fh, fmt, groups, years=config.years, corpus_author_counts=overrides)
 
 
 def parse_year_range(text: str) -> tuple[int | None, int | None]:
@@ -293,6 +297,9 @@ def load_venue_scores(path: str) -> ScoreVector:
             raise ValidationError(f"{where}: venue {name!r} is listed twice (first at {earlier})")
         names.append(name)
         scores.append(score)
+    total = float(np.asarray(scores, dtype=np.float64).sum())
+    if abs(total - 1.0) > VENUE_SUM_TOL:
+        raise ValidationError(f"raw venue scores sum to {total!r}, not 1 (tolerance {VENUE_SUM_TOL})")
     return ScoreVector(entity_kind="venue", names=tuple(names), scores=scores, normalization="raw")
 
 
@@ -304,49 +311,43 @@ def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
     per-paper ``{"authors": [...], "venue": ...}`` records which credit
     every listed author with one paper at the venue.
     """
-    text = _ensure_text(stream)
     author_display: dict[str, str] = {}
     venue_display: dict[str, str] = {}
     pubs: dict[str, dict[str, int]] = {}
 
     def add(author: object, venue: object, count: int, lineno: int) -> None:
-        if not isinstance(author, str) or not normalize_name(author):
+        a = normalize_name(author) if isinstance(author, str) else ""
+        if not a:
             raise ValidationError("missing or empty 'author'", line=lineno, field="author")
-        if not isinstance(venue, str) or not normalize_name(venue):
+        v = normalize_name(venue) if isinstance(venue, str) else ""
+        if not v:
             raise ValidationError("missing or empty 'venue'", line=lineno, field="venue")
-        a = author_display.setdefault(fold(normalize_name(author)), normalize_name(author))
-        v = venue_display.setdefault(fold(normalize_name(venue)), normalize_name(venue))
+        a = author_display.setdefault(fold(a), a)
+        v = venue_display.setdefault(fold(v), v)
         per_author = pubs.setdefault(a, {})
         per_author[v] = per_author.get(v, 0) + count
 
-    for lineno, line in enumerate(text, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed JSON: {exc.msg}", line=lineno) from exc
-        if not isinstance(obj, dict):
-            raise ParseError("expected a JSON object", line=lineno)
-        if "count" in obj or "author" in obj:
-            count = obj.get("count")
-            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-                raise ValidationError(
-                    f"'count' must be a positive integer, got {count!r}", line=lineno, field="count"
+    with text_stream(stream) as text:
+        for lineno, obj in jsonl_objects(text):
+            if "count" in obj or "author" in obj:
+                count = obj.get("count")
+                if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                    raise ValidationError(
+                        f"'count' must be a positive integer, got {count!r}", line=lineno, field="count"
+                    )
+                add(obj.get("author"), obj.get("venue"), count, lineno)
+            elif "authors" in obj:
+                authors = obj.get("authors")
+                if not isinstance(authors, list) or not authors:
+                    raise ValidationError(
+                        "'authors' must be a nonempty array", line=lineno, field="authors"
+                    )
+                for author in authors:
+                    add(author, obj.get("venue"), 1, lineno)
+            else:
+                raise ParseError(
+                    "expected author/venue/count or authors/venue keys", line=lineno
                 )
-            add(obj.get("author"), obj.get("venue"), count, lineno)
-        elif "authors" in obj:
-            authors = obj.get("authors")
-            if not isinstance(authors, list) or not authors:
-                raise ValidationError(
-                    "'authors' must be a nonempty array", line=lineno, field="authors"
-                )
-            for author in authors:
-                add(author, obj.get("venue"), 1, lineno)
-        else:
-            raise ParseError(
-                "expected author/venue/count or authors/venue keys", line=lineno
-            )
     if not pubs:
         raise ValidationError("author publication file holds no entries")
     return pubs
@@ -455,7 +456,7 @@ def _cmd_validate(config: RunConfig) -> int:
     lines = [
         f"reference groups: {len(dataset.groups)}",
         f"venues: {len(dataset.venues)}",
-        f"records kept: {len(dataset.records)}",
+        f"records kept: {dataset.kept}",
         f"records dropped (outside reference set): {dataset.dropped_foreign}",
         f"duplicate records merged: {dataset.dedup_merged}",
     ]

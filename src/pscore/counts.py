@@ -9,7 +9,6 @@ when the chain blocks are built.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -17,7 +16,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import InternalError, ParseError, ValidationError
-from .records import Dataset, _ensure_text, fold, normalize_name
+from .records import Dataset, fold, jsonl_objects, normalize_name, text_stream
 
 log = logging.getLogger(__name__)
 
@@ -115,20 +114,9 @@ def aggregate(dataset: Dataset) -> CountsTable:
     dataset's ``corpus_author_counts`` overrides the count for that venue
     (overrides for unknown venues are ignored with a warning).
     """
-    group_index = {fold(name): w for w, name in enumerate(dataset.groups)}
-    venue_index = {fold(name): j for j, name in enumerate(dataset.venues)}
-    t, v = len(dataset.groups), len(dataset.venues)
-
-    matrix = np.zeros((t, v), dtype=np.int64)
-    authors_at: list[set[str]] = [set() for _ in range(v)]
-    for rec in dataset.records:
-        w = group_index[fold(rec.group)]
-        j = venue_index[fold(rec.venue)]
-        matrix[w, j] += 1
-        authors_at[j].update(fold(normalize_name(a)) for a in rec.authors)
-
-    d_venue = np.array([len(s) for s in authors_at], dtype=np.int64)
+    d_venue = dataset.d_venue.copy()
     if dataset.corpus_author_counts:
+        venue_index = {fold(name): j for j, name in enumerate(dataset.venues)}
         for name, count in dataset.corpus_author_counts.items():
             j = venue_index.get(fold(normalize_name(name)))
             if j is None:
@@ -140,7 +128,7 @@ def aggregate(dataset: Dataset) -> CountsTable:
                 raise ValidationError(f"author-count override for {name!r} must be >= 1, got {count}")
             d_venue[j] = count
 
-    return CountsTable.from_matrix(matrix, d_venue, dataset.groups, dataset.venues)
+    return CountsTable.from_matrix(dataset.n_group_venue, d_venue, dataset.groups, dataset.venues)
 
 
 def parse_author_counts(stream: IO[bytes] | IO[str], format: str) -> dict[str, int]:
@@ -150,7 +138,6 @@ def parse_author_counts(stream: IO[bytes] | IO[str], format: str) -> dict[str, i
     ``venue,count`` header. Returns a venue -> count mapping with
     normalized venue names.
     """
-    text = _ensure_text(stream)
     counts: dict[str, int] = {}
     seen: set[str] = set()
 
@@ -171,25 +158,18 @@ def parse_author_counts(stream: IO[bytes] | IO[str], format: str) -> dict[str, i
         seen.add(key)
         counts[name] = count
 
-    if format == "jsonl":
-        for lineno, line in enumerate(text, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"malformed JSON: {exc.msg}", line=lineno) from exc
-            if not isinstance(obj, dict):
-                raise ParseError("expected a JSON object", line=lineno)
-            put(obj.get("venue"), obj.get("count"), lineno)
-    elif format == "csv":
-        reader = csv.DictReader(text)
-        if reader.fieldnames is not None:
-            missing = [c for c in ("venue", "count") if c not in reader.fieldnames]
-            if missing:
-                raise ParseError(f"header is missing column(s): {', '.join(missing)}", line=1)
-            for row in reader:
-                put(row.get("venue"), row.get("count"), reader.line_num)
-    else:
+    if format not in ("jsonl", "csv"):
         raise ValidationError(f"unknown author-count format {format!r}; expected 'jsonl' or 'csv'")
+    with text_stream(stream) as text:
+        if format == "jsonl":
+            for lineno, obj in jsonl_objects(text):
+                put(obj.get("venue"), obj.get("count"), lineno)
+        else:
+            reader = csv.DictReader(text)
+            if reader.fieldnames is not None:
+                missing = [c for c in ("venue", "count") if c not in reader.fieldnames]
+                if missing:
+                    raise ParseError(f"header is missing column(s): {', '.join(missing)}", line=1)
+                for row in reader:
+                    put(row.get("venue"), row.get("count"), reader.line_num)
     return counts

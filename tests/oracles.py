@@ -1,8 +1,10 @@
-"""Independent stationary-vector solvers, used only to cross-check pscore.
+"""Independent references, used only to cross-check pscore.
 
-Neither shares code with ``pscore.solver``: power iteration repeats
+Neither solver shares code with ``pscore.solver``: power iteration repeats
 gamma <- gamma @ P from the uniform vector, and the LAPACK solve replaces
-one equation of gamma (I - P) = 0 by sum(gamma) = 1.
+one equation of gamma (I - P) = 0 by sum(gamma) = 1. ``count_records``
+counts a list of parsed records the way ingestion did before it became a
+single pass over integer ids, sharing no code with ``pscore.records``.
 """
 
 from __future__ import annotations
@@ -49,3 +51,50 @@ def stationary_by_solve(p: np.ndarray) -> np.ndarray:
     b = np.zeros(n)
     b[-1] = 1.0
     return np.linalg.solve(a, b)
+
+
+def count_records(records, reference_groups):
+    """Record-based reference for the one-pass ingest.
+
+    Keeps every surviving record as an object, as ingestion once did:
+    drop records outside the reference groups, drop repeats of a (paper
+    key, group) pair, sort the venues by (folded, first surviving
+    spelling), then count papers per cell and distinct folded author names
+    per venue. Returns (groups, venues, n_group_venue, d_venue, dropped,
+    merged).
+    """
+    def norm(name):
+        return " ".join(name.split())
+
+    groups = [norm(g) for g in reference_groups]
+    row_of = {g.casefold(): w for w, g in enumerate(groups)}
+    survivors, seen, shown = [], set(), {}
+    dropped = merged = 0
+    for rec in records:
+        w = row_of.get(norm(rec.group).casefold())
+        if w is None:
+            dropped += 1
+            continue
+        if rec.paper_id is not None:
+            key = ("id", rec.paper_id)
+        elif rec.title is not None and norm(rec.title):
+            key = ("title", norm(rec.title).casefold())
+        else:
+            key = None
+        if key is not None:
+            if (key, w) in seen:
+                merged += 1
+                continue
+            seen.add((key, w))
+        shown.setdefault(norm(rec.venue).casefold(), norm(rec.venue))
+        survivors.append((w, norm(rec.venue).casefold(), rec.authors))
+
+    venues = sorted(shown.values(), key=lambda v: (v.casefold(), v))
+    col_of = {v.casefold(): j for j, v in enumerate(venues)}
+    matrix = np.zeros((len(groups), len(venues)), dtype=np.int64)
+    authors_at = [set() for _ in venues]
+    for w, venue, authors in survivors:
+        matrix[w, col_of[venue]] += 1
+        authors_at[col_of[venue]].update(norm(a).casefold() for a in authors if norm(a))
+    d_venue = np.array([len(s) for s in authors_at], dtype=np.int64)
+    return tuple(groups), tuple(venues), matrix, d_venue, dropped, merged

@@ -1,10 +1,13 @@
+import gc
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pscore.cli import load_author_pubs, load_venue_scores, main, parse_year_range
+from pscore.cli import _file_context, _sniff_format, load_author_pubs, load_venue_scores, main, parse_year_range
 from pscore.errors import ParameterError, ParseError, ValidationError
 
 from conftest import DATA_DIR, GOLDEN_GAMMA, GOLDEN_NU, GOLDEN_NU_MAX1
@@ -204,6 +207,14 @@ class TestVenueScoreFileErrors:
         assert code == 1
         assert f"{path}: line 3: venue 'V1' is listed twice (first at line 2)" in capsys.readouterr().err
 
+    def test_scores_not_summing_to_one(self, tmp_path, capsys):
+        code, path = self.run_authors(tmp_path, "v.tsv", "venue\traw_score\nv1\t0.7\nv2\t0.7\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"pscore: error: {path}: raw venue scores sum to 1.4, not 1 (tolerance 1e-10)" in err
+        with pytest.raises(ValidationError, match="sum to 1.4"):
+            load_venue_scores(path)
+
     def test_duplicate_json_venue(self, tmp_path):
         scores = tmp_path / "v.json"
         scores.write_text('[{"venue": "v1", "raw_score": 0.5}, {"venue": " V1 ", "raw_score": 0.5}]')
@@ -319,14 +330,41 @@ class TestHelpers:
             load_venue_scores(str(empty))
 
     def test_load_author_pubs_validation(self, tmp_path):
-        import io
-
         with pytest.raises(ValidationError):
             load_author_pubs(io.StringIO('{"author": "A", "venue": "v1", "count": 0}\n'))
         with pytest.raises(ParseError):
             load_author_pubs(io.StringIO('{"venue": "v1"}\n'))
         with pytest.raises(ValidationError):
             load_author_pubs(io.StringIO(""))
+
+    def test_file_context_keeps_line_and_field(self, tmp_path):
+        pubs = tmp_path / "p2.jsonl"
+        pubs.write_text('{"author": "A", "venue": "v1", "count": 1}\n{"author": "A", "venue": "v1", "count": 0}\n')
+        with pytest.raises(ValidationError) as exc:
+            with _file_context(str(pubs)), open(pubs, "rb") as fh:
+                load_author_pubs(fh)
+        assert str(exc.value) == f"{pubs}: line 2: 'count' must be a positive integer, got 0"
+        assert exc.value.line == 2
+        assert exc.value.field == "count"
+
+    def test_sniff_format_without_suffix(self, tmp_path):
+        jsonl = tmp_path / "records"
+        jsonl.write_text("\ufeff  \n" + '{"group": "G"}\n' * 5000, encoding="utf-8")
+        assert _sniff_format(str(jsonl)) == "jsonl"
+        csv_file = tmp_path / "records.txt"
+        csv_file.write_text("id,title,group,authors,venue,year\n", encoding="utf-8")
+        assert _sniff_format(str(csv_file)) == "csv"
+
+    def test_inputs_are_closed(self, tmp_path):
+        scores = tmp_path / "venues.tsv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["venues", *GOLDEN_ARGS, "-o", str(scores)]) == 0
+            assert main(["authors", "--venue-scores", str(scores),
+                         "--author-pubs", str(DATA_DIR / "golden_author_pubs.jsonl"),
+                         "-o", str(tmp_path / "authors.tsv")]) == 0
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_missing_groups_flag(self, capsys):
         assert main(["venues", "--input", str(DATA_DIR / "golden_records.jsonl")]) == 1

@@ -25,10 +25,14 @@ def rec(group, venue, authors=("a",), paper_id=None):
 
 
 @pytest.fixture
-def golden_dataset():
+def golden_records():
     with open(DATA_DIR / "golden_records.jsonl", "rb") as fh:
-        records = parse_records(fh, "jsonl")
-    return build_dataset(records, ["Group 1", "Group 2"])
+        return parse_records(fh, "jsonl")
+
+
+@pytest.fixture
+def golden_dataset(golden_records):
+    return build_dataset(golden_records, ["Group 1", "Group 2"])
 
 
 class TestAggregate:
@@ -38,9 +42,9 @@ class TestAggregate:
         assert_array_equal(table.n_venue, [5, 6, 3])
         assert_array_equal(table.n_group, [6, 8])
 
-    def test_golden_with_overrides(self, golden_dataset):
+    def test_golden_with_overrides(self, golden_records, golden_dataset):
         ds = build_dataset(
-            golden_dataset.records,
+            golden_records,
             golden_dataset.groups,
             corpus_author_counts={"v1": 10, "v2": 60, "v3": 20},
         )
@@ -80,15 +84,15 @@ class TestAggregate:
         with pytest.raises(ValidationError):
             aggregate(ds)
 
-    def test_record_order_is_irrelevant(self, golden_dataset):
+    def test_record_order_is_irrelevant(self, golden_records, golden_dataset):
         table = aggregate(golden_dataset)
-        shuffled = build_dataset(golden_dataset.records[::-1], golden_dataset.groups)
+        shuffled = build_dataset(golden_records[::-1], golden_dataset.groups)
         assert_array_equal(aggregate(shuffled).n_group_venue, table.n_group_venue)
         assert_array_equal(aggregate(shuffled).d_venue, table.d_venue)
 
-    def test_group_order_permutes_rows(self, golden_dataset):
+    def test_group_order_permutes_rows(self, golden_records, golden_dataset):
         table = aggregate(golden_dataset)
-        flipped = build_dataset(golden_dataset.records, ("Group 2", "Group 1"))
+        flipped = build_dataset(golden_records, ("Group 2", "Group 1"))
         assert_array_equal(aggregate(flipped).n_group_venue, table.n_group_venue[::-1])
 
 

@@ -178,7 +178,7 @@ class TestBuildDataset:
         ds = build_dataset(recs, ["Group 1", "Group 2"])
         assert ds.groups == ("Group 1", "Group 2")
         assert ds.venues == ("v1", "v2", "v3")
-        assert len(ds.records) == 14
+        assert ds.kept == 14
 
     def test_filter_to_single_group(self):
         recs = [make(group="G1", venue="v1"), make(group="G2", venue="v2")]
@@ -190,23 +190,23 @@ class TestBuildDataset:
     def test_dedup_same_id_same_group(self):
         recs = [make(paper_id="x"), make(paper_id="x")]
         ds = build_dataset(recs, ["G1"])
-        assert len(ds.records) == 1
+        assert ds.kept == 1
         assert ds.dedup_merged == 1
 
     def test_dedup_by_title_casefold(self):
         recs = [make(title="On Things"), make(title="on  things")]
         ds = build_dataset(recs, ["G1"])
-        assert len(ds.records) == 1
+        assert ds.kept == 1
 
     def test_no_identity_never_merged(self):
         recs = [make(), make()]
         ds = build_dataset(recs, ["G1"])
-        assert len(ds.records) == 2
+        assert ds.kept == 2
 
     def test_coauthored_paper_counts_in_both_groups(self):
         recs = [make(group="G1", paper_id="x"), make(group="G2", paper_id="x")]
         ds = build_dataset(recs, ["G1", "G2"])
-        assert len(ds.records) == 2
+        assert ds.n_group_venue.tolist() == [[1], [1]]
 
     def test_empty_dataset_error(self):
         with pytest.raises(DatasetError):
@@ -226,13 +226,17 @@ class TestBuildDataset:
         recs = [make(venue="SIGIR"), make(group="g1", venue="sigir", paper_id="y")]
         ds = build_dataset(recs, ["G1"])
         assert ds.venues == ("SIGIR",)
-        assert {r.group for r in ds.records} == {"G1"}
+        # "g1" is the reference group "G1": both records count in its row
+        assert ds.groups == ("G1",)
+        assert ds.n_group_venue.tolist() == [[2]]
 
     def test_idempotent(self):
-        recs = [make(paper_id="a"), make(paper_id="a"), make(group="Other"), make(venue="v2", paper_id="b")]
-        ds = build_dataset(recs, ["G1"])
-        again = build_dataset(ds.records, ds.groups, corpus_author_counts=ds.corpus_author_counts)
-        assert again == ds
+        survivors = [make(paper_id="a"), make(venue="v2", paper_id="b")]
+        ds = build_dataset([survivors[0], *survivors, make(group="Other")], ["G1"])
+        again = build_dataset(survivors, ds.groups, corpus_author_counts=ds.corpus_author_counts)
+        assert (again.groups, again.venues) == (ds.groups, ds.venues)
+        assert again.n_group_venue.tolist() == ds.n_group_venue.tolist()
+        assert again.d_venue.tolist() == ds.d_venue.tolist()
 
     def test_venue_list_matches_surviving_records_exactly(self):
         recs = [make(venue="v2"), make(group="Other", venue="zzz")]
@@ -241,9 +245,9 @@ class TestBuildDataset:
 
     def test_venues_of(self):
         recs = [make(venue="v1"), make(venue="v2", paper_id="b"), make(group="G2", venue="v2")]
-        ds = build_dataset(recs, ["G1", "G2"])
-        assert ds.venues_of("G1") == ("v1", "v2")
-        assert ds.venues_of("g2") == ("v2",)
+        ds = build_dataset(recs, ["G1", "g2"])
+        assert ds.venues == ("v1", "v2")
+        assert ds.n_group_venue.tolist() == [[1, 1], [0, 1]]
 
 
 class TestFilterByYear:
