@@ -34,22 +34,19 @@ from .records import (
     Dataset,
     PublicationRecord,
     build_dataset,
-    filter_by_year,
     ingest,
     normalize_name,
     parse_records,
-    serialize_records,
 )
+from .pipeline import PipelineResult, solve_pipeline
 from .scoring import (
     Ranking,
     RankEntry,
     ScoreVector,
-    author_score,
     group_consistency_check,
     make_ranking,
     normalize_max_one,
     rank_authors,
-    rank_groups,
     ranking_to_json,
     ranking_to_tsv,
     venue_scores,
@@ -71,6 +68,7 @@ __all__ = [
     "ParameterError",
     "ParseError",
     "PScoreError",
+    "PipelineResult",
     "PublicationRecord",
     "RankEntry",
     "Ranking",
@@ -80,14 +78,12 @@ __all__ = [
     "ValidationError",
     "__version__",
     "aggregate",
-    "author_score",
     "build_alpha",
     "build_beta",
     "build_chain",
     "build_dataset",
     "build_reduced",
     "check_irreducible",
-    "filter_by_year",
     "group_consistency_check",
     "gth_steady_state",
     "ingest",
@@ -97,10 +93,9 @@ __all__ = [
     "parse_author_counts",
     "parse_records",
     "rank_authors",
-    "rank_groups",
     "ranking_to_json",
     "ranking_to_tsv",
-    "serialize_records",
+    "solve_pipeline",
     "steady_state",
     "venue_scores",
 ]

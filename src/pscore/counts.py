@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -26,34 +26,26 @@ class CountsTable:
     """Publication counts over fixed group (rows) and venue (columns) axes.
 
     ``n_group_venue[w, j]`` is the number of distinct papers group ``w``
-    published at venue ``j``; ``n_venue`` and ``n_group`` are its column
-    and row sums; ``d_venue[j]`` is the number of distinct authors
-    publishing at venue ``j``.
+    published at venue ``j``; ``d_venue[j]`` is the number of distinct
+    authors publishing at venue ``j``. The marginals ``n_venue`` and
+    ``n_group`` are the matrix's column and row sums.
     """
 
     n_group_venue: np.ndarray
-    n_venue: np.ndarray
-    n_group: np.ndarray
     d_venue: np.ndarray
     group_names: tuple[str, ...]
     venue_names: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "n_group_venue", np.asarray(self.n_group_venue, dtype=np.int64))
-        object.__setattr__(self, "n_venue", np.asarray(self.n_venue, dtype=np.int64))
-        object.__setattr__(self, "n_group", np.asarray(self.n_group, dtype=np.int64))
         object.__setattr__(self, "d_venue", np.asarray(self.d_venue, dtype=np.int64))
+        object.__setattr__(self, "group_names", tuple(self.group_names))
+        object.__setattr__(self, "venue_names", tuple(self.venue_names))
         t, v = self.n_group_venue.shape
-        if len(self.group_names) != t or len(self.venue_names) != v:
+        if len(self.group_names) != t or len(self.venue_names) != v or self.d_venue.shape != (v,):
             raise InternalError("counts table axes do not match the name lists")
-        if self.n_venue.shape != (v,) or self.n_group.shape != (t,) or self.d_venue.shape != (v,):
-            raise InternalError("counts table marginal shapes are inconsistent")
         if np.any(self.n_group_venue < 0):
             raise InternalError("negative publication count")
-        if np.any(self.n_venue != self.n_group_venue.sum(axis=0)):
-            raise InternalError("venue marginals do not match the count matrix")
-        if np.any(self.n_group != self.n_group_venue.sum(axis=1)):
-            raise InternalError("group marginals do not match the count matrix")
         if np.any(self.n_venue < 1):
             raise InternalError("venue with zero publications in the counts table")
         if np.any(self.n_group < 1):
@@ -61,24 +53,13 @@ class CountsTable:
         if np.any(self.d_venue < 1):
             raise InternalError("venue with zero distinct authors in the counts table")
 
-    @classmethod
-    def from_matrix(
-        cls,
-        n_group_venue,
-        d_venue,
-        group_names: Sequence[str],
-        venue_names: Sequence[str],
-    ) -> "CountsTable":
-        """Build a table from the count matrix, deriving both marginals."""
-        matrix = np.asarray(n_group_venue, dtype=np.int64)
-        return cls(
-            n_group_venue=matrix,
-            n_venue=matrix.sum(axis=0),
-            n_group=matrix.sum(axis=1),
-            d_venue=np.asarray(d_venue, dtype=np.int64),
-            group_names=tuple(group_names),
-            venue_names=tuple(venue_names),
-        )
+    @property
+    def n_venue(self) -> np.ndarray:
+        return self.n_group_venue.sum(axis=0)
+
+    @property
+    def n_group(self) -> np.ndarray:
+        return self.n_group_venue.sum(axis=1)
 
     @property
     def num_groups(self) -> int:
@@ -88,36 +69,39 @@ class CountsTable:
     def num_venues(self) -> int:
         return len(self.venue_names)
 
-    def restrict(self, group_indices: Sequence[int]) -> "CountsTable":
+    def restrict(self, group_indices: Sequence[int]) -> tuple["CountsTable", np.ndarray]:
         """Sub-table over a subset of groups and the venues they publish in.
 
         Venues that lose all their publications under the restriction are
         dropped, so the sub-table satisfies the same positivity invariants
-        as a full one.
+        as a full one. Returns the sub-table and the indices, in this
+        table, of the venues it keeps.
         """
         rows = sorted(group_indices)
         matrix = self.n_group_venue[rows, :]
         keep = np.flatnonzero(matrix.sum(axis=0) > 0)
-        return CountsTable.from_matrix(
+        sub = CountsTable(
             matrix[:, keep],
             self.d_venue[keep],
             [self.group_names[w] for w in rows],
             [self.venue_names[j] for j in keep],
         )
+        return sub, keep
 
 
-def aggregate(dataset: Dataset) -> CountsTable:
+def aggregate(dataset: Dataset, author_counts: Mapping[str, int] | None = None) -> CountsTable:
     """Aggregate a dataset into its counts table.
 
     Distinct-author counts default to the distinct normalized author names
-    observed at each venue within the dataset itself; an entry in the
-    dataset's ``corpus_author_counts`` overrides the count for that venue
-    (overrides for unknown venues are ignored with a warning).
+    observed at each venue within the dataset itself; an entry in
+    ``author_counts`` (venue -> count, as :func:`parse_author_counts`
+    reads it from a file) overrides the count for that venue. Overrides
+    for unknown venues are ignored with a warning.
     """
     d_venue = dataset.d_venue.copy()
-    if dataset.corpus_author_counts:
+    if author_counts:
         venue_index = {fold(name): j for j, name in enumerate(dataset.venues)}
-        for name, count in dataset.corpus_author_counts.items():
+        for name, count in author_counts.items():
             j = venue_index.get(fold(normalize_name(name)))
             if j is None:
                 log.warning("ignoring author-count override for unknown venue %r", name)
@@ -128,7 +112,7 @@ def aggregate(dataset: Dataset) -> CountsTable:
                 raise ValidationError(f"author-count override for {name!r} must be >= 1, got {count}")
             d_venue[j] = count
 
-    return CountsTable.from_matrix(dataset.n_group_venue, d_venue, dataset.groups, dataset.venues)
+    return CountsTable(dataset.n_group_venue, d_venue, dataset.groups, dataset.venues)
 
 
 def parse_author_counts(stream: IO[bytes] | IO[str], format: str) -> dict[str, int]:
@@ -152,6 +136,8 @@ def parse_author_counts(stream: IO[bytes] | IO[str], format: str) -> dict[str, i
                 raise ValidationError(f"'count' must be an integer, got {count!r}", line=lineno, field="count")
         if isinstance(count, bool) or not isinstance(count, int):
             raise ValidationError("'count' must be an integer", line=lineno, field="count")
+        if count < 1:
+            raise ValidationError(f"'count' must be >= 1, got {count}", line=lineno, field="count")
         key = fold(name)
         if key in seen:
             raise ValidationError(f"duplicate author-count entry for venue {name!r}", line=lineno)

@@ -17,7 +17,7 @@ import logging
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class Dataset:
     venues: tuple[str, ...]
     n_group_venue: np.ndarray
     d_venue: np.ndarray
-    corpus_author_counts: Mapping[str, int] | None = None
     dropped_foreign: int = 0
     dedup_merged: int = 0
 
@@ -251,66 +250,6 @@ def parse_records(stream: IO[bytes] | IO[str], format: str) -> list[PublicationR
         ]
 
 
-def serialize_records(records: Iterable[PublicationRecord], format: str) -> str:
-    """Serialize records so that re-parsing yields an identical list."""
-    records = list(records)
-    if format == "jsonl":
-        lines = []
-        for rec in records:
-            obj: dict[str, object] = {}
-            if rec.paper_id is not None:
-                obj["id"] = rec.paper_id
-            if rec.title is not None:
-                obj["title"] = rec.title
-            obj["group"] = rec.group
-            obj["authors"] = list(rec.authors)
-            obj["venue"] = rec.venue
-            if rec.year is not None:
-                obj["year"] = rec.year
-            lines.append(json.dumps(obj, ensure_ascii=False))
-        return "".join(line + "\n" for line in lines)
-    if format != "csv":
-        raise ValidationError(f"unknown record format {format!r}; expected 'jsonl' or 'csv'")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        for a in rec.authors:
-            if AUTHOR_SEP in a:
-                raise ValidationError(
-                    f"author name {a!r} contains {AUTHOR_SEP!r}, which CSV cannot represent; use JSONL"
-                )
-        writer.writerow([
-            rec.paper_id or "",
-            rec.title or "",
-            rec.group,
-            AUTHOR_SEP.join(rec.authors),
-            rec.venue,
-            rec.year if rec.year is not None else "",
-        ])
-    return buf.getvalue()
-
-
-def filter_by_year(
-    records: Iterable[PublicationRecord],
-    start: int | None = None,
-    end: int | None = None,
-) -> list[PublicationRecord]:
-    """Keep records whose year lies in the inclusive range [start, end].
-
-    Records without a year are excluded whenever a bound is given, since
-    their membership in the window cannot be established; the exclusion
-    count is reported on the diagnostic stream.
-    """
-    records = list(records)
-    if start is None and end is None:
-        return records
-    undated = sum(1 for rec in records if rec.year is None)
-    if undated:
-        log.warning("year filter excluded %d record(s) without a year", undated)
-    return [rec for rec in records if rec.year is not None and _in_years(rec.year, start, end)]
-
-
 _BLANK = -1  # author memo entry for a name that normalizes to nothing
 
 
@@ -419,7 +358,7 @@ class _Tally:
         self._cells.append(venue_id * len(self.groups) + row)
         self._pairs.extend([author << 32 | venue_id for author in ids])
 
-    def dataset(self, corpus_author_counts: Mapping[str, int] | None = None) -> Dataset:
+    def dataset(self) -> Dataset:
         """Check the tallies and lay them out on sorted venue axes."""
         if self.undated:
             log.warning("year filter excluded %d record(s) without a year", self.undated)
@@ -445,21 +384,11 @@ class _Tally:
         pairs = np.unique(np.frombuffer(self._pairs, dtype=np.int64))
         d_venue = np.bincount(column[pairs & 0xFFFFFFFF], minlength=v)
 
-        overrides: dict[str, int] | None = None
-        if corpus_author_counts is not None:
-            overrides = {}
-            for raw, count in corpus_author_counts.items():
-                name = normalize_name(raw)
-                if not name:
-                    raise ValidationError("author-count override has an empty venue name", field="venue")
-                overrides[name] = count
-
         return Dataset(
             groups=self.groups,
             venues=tuple(self._shown[j] for j in order),
             n_group_venue=matrix,
             d_venue=d_venue,
-            corpus_author_counts=overrides,
             dropped_foreign=self.dropped,
             dedup_merged=self.merged,
         )
@@ -471,29 +400,24 @@ def ingest(
     reference_groups: Sequence[str],
     *,
     years: tuple[int | None, int | None] | None = None,
-    corpus_author_counts: Mapping[str, int] | None = None,
 ) -> Dataset:
     """Read publication records and count them in one pass.
 
-    Equivalent to ``build_dataset(filter_by_year(parse_records(stream,
-    format), *years), reference_groups, ...)`` with the same errors, but
-    holds no record objects. ``years`` is an inclusive (start, end) window
-    where either bound may be ``None``.
+    Equivalent to :func:`parse_records`, keeping the records dated inside
+    ``years``, then :func:`build_dataset`, with the same errors, but holds
+    no record objects. ``years`` is an inclusive (start, end) window where
+    either bound may be ``None``; undated records fall outside any window
+    and are counted in a warning.
     """
     tally = _Tally(reference_groups, years)
     add = tally.add
     with text_stream(stream) as text:
         for fields in _decode(text, format):
             add(*fields)
-    return tally.dataset(corpus_author_counts)
+    return tally.dataset()
 
 
-def build_dataset(
-    records: Iterable[PublicationRecord],
-    reference_groups: Sequence[str],
-    *,
-    corpus_author_counts: Mapping[str, int] | None = None,
-) -> Dataset:
+def build_dataset(records: Iterable[PublicationRecord], reference_groups: Sequence[str]) -> Dataset:
     """Filter to the reference groups, deduplicate, and fix index spaces.
 
     Records from groups outside ``reference_groups`` are dropped (count
@@ -508,4 +432,4 @@ def build_dataset(
     tally = _Tally(reference_groups, None)
     for rec in records:
         tally.add(None, rec.paper_id, rec.authors, rec.group, rec.venue, rec.title, rec.year)
-    return tally.dataset(corpus_author_counts)
+    return tally.dataset()

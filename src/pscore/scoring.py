@@ -16,17 +16,14 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .chain import ReputationChain
+from .chain import TOL, ReputationChain
 from .errors import DegenerateInputError, InternalError, ValidationError
 from .records import fold, normalize_name
 from .solver import StationaryDistribution
 
 log = logging.getLogger(__name__)
 
-VENUE_SUM_TOL = 1e-10
-CONSISTENCY_TOL = 1e-10
 PRINTED_DECIMALS = 6
-TIE_RULE = "competition on the score to 6 decimals; ties ordered by case-folded name"
 
 
 @dataclass(frozen=True)
@@ -53,20 +50,10 @@ class ScoreVector:
             if self.scores.max(initial=0.0) != 1.0:
                 raise InternalError("max_one score vector whose maximum is not exactly 1")
         elif self.normalization == "raw":
-            if self.entity_kind == "venue" and abs(self.scores.sum() - 1.0) > VENUE_SUM_TOL:
+            if self.entity_kind == "venue" and abs(self.scores.sum() - 1.0) > TOL:
                 raise InternalError("raw venue scores do not sum to 1")
         else:
             raise InternalError(f"unknown normalization {self.normalization!r}")
-
-    def score_of(self, name: str) -> float:
-        key = fold(normalize_name(name))
-        for n, s in zip(self.names, self.scores):
-            if fold(n) == key:
-                return float(s)
-        raise KeyError(name)
-
-    def as_dict(self) -> dict[str, float]:
-        return {n: float(s) for n, s in zip(self.names, self.scores)}
 
 
 class RankEntry(NamedTuple):
@@ -85,7 +72,6 @@ class Ranking:
     """
 
     entries: tuple[RankEntry, ...]
-    tie_rule: str = TIE_RULE
 
 
 def make_ranking(names: Sequence[str], scores: Sequence[float]) -> Ranking:
@@ -160,43 +146,12 @@ def group_consistency_check(
     return float(np.max(np.abs(gamma.gamma - nu.scores @ chain.alpha)))
 
 
-def _score_map(nu: ScoreVector) -> dict[str, float]:
-    return {fold(n): float(s) for n, s in zip(nu.names, nu.scores)}
-
-
-def _check_count(count: object, author: str | None = None) -> int:
+def _check_count(count: object, author: str) -> int:
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        who = f" for author {author!r}" if author else ""
-        raise ValidationError(f"publication count{who} must be an integer, got {count!r}")
+        raise ValidationError(f"publication count for author {author!r} must be an integer, got {count!r}")
     if count < 0:
-        who = f" for author {author!r}" if author else ""
-        raise ValidationError(f"publication count{who} must be nonnegative, got {count}")
+        raise ValidationError(f"publication count for author {author!r} must be nonnegative, got {count}")
     return int(count)
-
-
-def author_score(author_pubs: Iterable[tuple[str, int]], nu: ScoreVector) -> float:
-    """Score-weighted publication count of one author.
-
-    Venues absent from the score vector contribute 0; they are reported on
-    the diagnostic stream so users can see what the reference set missed.
-    """
-    smap = _score_map(nu)
-    total = 0.0
-    unknown: list[str] = []
-    for venue, count in author_pubs:
-        count = _check_count(count)
-        weight = smap.get(fold(normalize_name(venue)))
-        if weight is None:
-            if count:
-                unknown.append(venue)
-            continue
-        total += weight * count
-    if unknown:
-        log.warning(
-            "%d venue(s) outside the scored set contributed nothing: %s",
-            len(unknown), ", ".join(sorted(unknown, key=fold)),
-        )
-    return total
 
 
 def rank_authors(
@@ -211,7 +166,7 @@ def rank_authors(
     """
     if not author_pub_lists:
         raise DegenerateInputError("no authors to rank")
-    smap = _score_map(nu)
+    smap = {fold(n): float(x) for n, x in zip(nu.names, nu.scores)}
     names: list[str] = []
     totals: list[float] = []
     unknown: set[str] = set()
@@ -237,13 +192,6 @@ def rank_authors(
     if top <= 0.0:
         raise DegenerateInputError("every author scored zero; nothing to rank against")
     return make_ranking(names, [t / top for t in totals])
-
-
-def rank_groups(gamma: StationaryDistribution, group_names: Sequence[str]) -> Ranking:
-    """Rank the reference groups by stationary reputation."""
-    if len(group_names) != gamma.gamma.shape[0]:
-        raise InternalError("group name list does not match the reputation vector")
-    return make_ranking(group_names, gamma.gamma)
 
 
 def ranking_to_tsv(ranking: Ranking, comments: Sequence[str] = ()) -> str:

@@ -27,10 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ReputationChain, build_reduced
+from .chain import ReputationChain, build_reduced, check_stochastic
 from .errors import ChainError, DisconnectedChainError
-
-STOCHASTIC_TOL = 1e-9
 
 # 1-norm error bound on the swept vector: ||gamma_k - gamma*||_1 <= 2 d^k
 SWEEP_EPS = 1e-17
@@ -49,22 +47,6 @@ class StationaryDistribution:
     method: str
 
 
-def _as_stochastic(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ChainError(f"expected a square matrix, got shape {p.shape}")
-    if np.any(p < 0):
-        raise ChainError("negative transition probability")
-    drift = float(np.max(np.abs(p.sum(axis=1) - 1.0)))
-    if drift > STOCHASTIC_TOL:
-        raise ChainError(f"matrix is not row-stochastic: rows drift from 1 by {drift:.3e}")
-    return p
-
-
-def _residual(gamma: np.ndarray, p: np.ndarray) -> float:
-    return float(np.max(np.abs(gamma @ p - gamma)))
-
-
 def gth_steady_state(p_reduced) -> StationaryDistribution:
     """Solve gamma = gamma @ P by state elimination.
 
@@ -78,7 +60,10 @@ def gth_steady_state(p_reduced) -> StationaryDistribution:
     has no outgoing mass towards the surviving states, which can only
     happen if the chain is reducible.
     """
-    original = _as_stochastic(p_reduced)
+    original = np.asarray(p_reduced, dtype=np.float64)
+    if original.ndim != 2 or original.shape[0] != original.shape[1]:
+        raise ChainError(f"expected a square matrix, got shape {original.shape}")
+    check_stochastic(original, "transition matrix rows")
     p = original.copy()
     n = p.shape[0]
 
@@ -98,7 +83,8 @@ def gth_steady_state(p_reduced) -> StationaryDistribution:
         gamma[k] = gamma[:k] @ p[:k, k]
     gamma /= gamma.sum()
 
-    return StationaryDistribution(gamma=gamma, residual=_residual(gamma, original), method="gth")
+    residual = float(np.max(np.abs(gamma @ original - gamma)))
+    return StationaryDistribution(gamma=gamma, residual=residual, method="gth")
 
 
 def sweep_count(d: float) -> int:

@@ -46,7 +46,7 @@ GOLDEN_MAX1_3DP = np.array([0.320, 1.000, 0.375])
 
 @pytest.fixture
 def golden_counts() -> CountsTable:
-    return CountsTable.from_matrix(
+    return CountsTable(
         GOLDEN_MATRIX, GOLDEN_AUTHOR_COUNTS, GOLDEN_GROUPS, GOLDEN_VENUES
     )
 
@@ -62,7 +62,7 @@ def random_counts_table(
     v = int(rng.integers(1, max_venues + 1))
     matrix = rng.integers(1, max_count + 1, size=(t, v))
     d_venue = rng.integers(1, 1000, size=v)
-    return CountsTable.from_matrix(
+    return CountsTable(
         matrix,
         d_venue,
         [f"g{w}" for w in range(t)],

@@ -4,14 +4,24 @@ Neither solver shares code with ``pscore.solver``: power iteration repeats
 gamma <- gamma @ P from the uniform vector, and the LAPACK solve replaces
 one equation of gamma (I - P) = 0 by sum(gamma) = 1. ``count_records``
 counts a list of parsed records the way ingestion did before it became a
-single pass over integer ids, sharing no code with ``pscore.records``.
+single pass over integer ids, sharing no code with ``pscore.records``;
+``filter_by_year`` is the year window it applies first. ``serialize_records``
+writes records back out as JSONL or CSV for ``parse_records`` to read.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import logging
+
 import numpy as np
 
-from pscore import ConvergenceError, StationaryDistribution
+from pscore import ConvergenceError, StationaryDistribution, ValidationError
+from pscore.records import AUTHOR_SEP, CSV_COLUMNS
+
+log = logging.getLogger(__name__)
 
 
 def power_iteration(p_reduced, tol: float = 1e-12, max_iters: int = 100_000) -> StationaryDistribution:
@@ -98,3 +108,62 @@ def count_records(records, reference_groups):
         authors_at[col_of[venue]].update(norm(a).casefold() for a in authors if norm(a))
     d_venue = np.array([len(s) for s in authors_at], dtype=np.int64)
     return tuple(groups), tuple(venues), matrix, d_venue, dropped, merged
+
+
+def filter_by_year(records, start=None, end=None):
+    """Keep records whose year lies in the inclusive range [start, end].
+
+    Records without a year are excluded whenever a bound is given, since
+    their membership in the window cannot be established; the exclusion
+    count is logged as a warning, worded as ``ingest`` words it.
+    """
+    records = list(records)
+    if start is None and end is None:
+        return records
+    undated = sum(1 for rec in records if rec.year is None)
+    if undated:
+        log.warning("year filter excluded %d record(s) without a year", undated)
+    return [
+        rec for rec in records
+        if rec.year is not None and (start is None or rec.year >= start) and (end is None or rec.year <= end)
+    ]
+
+
+def serialize_records(records, format):
+    """Serialize records so that re-parsing yields an identical list."""
+    records = list(records)
+    if format == "jsonl":
+        lines = []
+        for rec in records:
+            obj = {}
+            if rec.paper_id is not None:
+                obj["id"] = rec.paper_id
+            if rec.title is not None:
+                obj["title"] = rec.title
+            obj["group"] = rec.group
+            obj["authors"] = list(rec.authors)
+            obj["venue"] = rec.venue
+            if rec.year is not None:
+                obj["year"] = rec.year
+            lines.append(json.dumps(obj, ensure_ascii=False))
+        return "".join(line + "\n" for line in lines)
+    if format != "csv":
+        raise ValidationError(f"unknown record format {format!r}; expected 'jsonl' or 'csv'")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for rec in records:
+        for a in rec.authors:
+            if AUTHOR_SEP in a:
+                raise ValidationError(
+                    f"author name {a!r} contains {AUTHOR_SEP!r}, which CSV cannot represent; use JSONL"
+                )
+        writer.writerow([
+            rec.paper_id or "",
+            rec.title or "",
+            rec.group,
+            AUTHOR_SEP.join(rec.authors),
+            rec.venue,
+            rec.year if rec.year is not None else "",
+        ])
+    return buf.getvalue()

@@ -33,7 +33,7 @@ from conftest import (
 
 def counts(matrix, d_venue):
     t, v = len(matrix), len(matrix[0])
-    return CountsTable.from_matrix(
+    return CountsTable(
         matrix, d_venue, [f"g{w}" for w in range(t)], [f"v{j}" for j in range(v)]
     )
 

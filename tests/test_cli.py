@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pscore import parse_records
 from pscore.cli import _file_context, _sniff_format, load_author_pubs, load_venue_scores, main, parse_year_range
 from pscore.errors import ParameterError, ParseError, ValidationError
 
 from conftest import DATA_DIR, GOLDEN_GAMMA, GOLDEN_NU, GOLDEN_NU_MAX1
+from oracles import serialize_records
 
 GOLDEN_ARGS = [
     "--input", str(DATA_DIR / "golden_records.jsonl"),
@@ -215,6 +217,14 @@ class TestVenueScoreFileErrors:
         with pytest.raises(ValidationError, match="sum to 1.4"):
             load_venue_scores(path)
 
+    def test_empty_score_file_named_once(self, tmp_path, capsys):
+        scores = tmp_path / "empty.tsv"
+        scores.write_text("venue\traw_score\n")
+        code = main(["authors", "--venue-scores", str(scores),
+                     "--author-pubs", str(DATA_DIR / "golden_author_pubs.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == f"pscore: error: {scores}: no venue scores found\n"
+
     def test_duplicate_json_venue(self, tmp_path):
         scores = tmp_path / "v.json"
         scores.write_text('[{"venue": "v1", "raw_score": 0.5}, {"venue": " V1 ", "raw_score": 0.5}]')
@@ -241,6 +251,13 @@ class TestValidateCommand:
                      "--groups-file", str(DATA_DIR / "golden_groups.txt")])
         assert code == 1
         assert "empty dataset" in capsys.readouterr().err
+
+    def test_author_count_below_one_names_file_and_line(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("venue,count\nv1,0\n")
+        args = GOLDEN_ARGS[:4] + ["--author-counts", str(counts)]
+        assert main(["validate", *args]) == 1
+        assert capsys.readouterr().err == f"pscore: error: {counts}: line 2: 'count' must be >= 1, got 0\n"
 
     def test_year_filter_changes_counts(self, capsys):
         assert main(["validate", *GOLDEN_ARGS, "--years", "2013:2014"]) == 0
@@ -281,6 +298,32 @@ class TestDisconnectionHandling:
         assert lines[-2] == "1\tG1\t1.000000"
         assert lines[-1] == "2\tG2\t0.000000"
 
+    @pytest.mark.parametrize("command", ["venues", "groups"])
+    def test_largest_component_debug_matrices(self, tmp_path, command):
+        out = tmp_path / "report.tsv"
+        code = main([command, *DISJOINT_ARGS, "--allow-largest-component",
+                     "--emit-debug-matrices", "-o", str(out)])
+        assert code == 0
+        # only the solved component's rows: venue v1, group G1
+        for suffix, label in ((".alpha.tsv", "v1"), (".beta.tsv", "G1"), (".reduced.tsv", "G1")):
+            rows = (tmp_path / f"report.tsv{suffix}").read_text().splitlines()[1:]
+            assert rows == [f"{label}\t1"]
+
+    def test_debug_matrices_label_a_later_component(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            '{"id":"a","group":"G1","authors":["x"],"venue":"v1"}\n'
+            '{"id":"b","group":"G2","authors":["y"],"venue":"v2"}\n'
+            '{"id":"c","group":"G2","authors":["y"],"venue":"v2"}\n'
+        )
+        out = tmp_path / "report.tsv"
+        code = main(["venues", "--input", str(records), "--group", "G1", "--group", "G2", "--d", "1",
+                     "--allow-largest-component", "--emit-debug-matrices", "-o", str(out)])
+        assert code == 0
+        for suffix, label in ((".alpha.tsv", "v2"), (".beta.tsv", "G2"), (".reduced.tsv", "G2")):
+            rows = (tmp_path / f"report.tsv{suffix}").read_text().splitlines()[1:]
+            assert rows == [f"{label}\t1"]
+
     def test_below_d_one_not_affected(self, tmp_path):
         out = tmp_path / "venues.tsv"
         args = DISJOINT_ARGS[:-1] + ["0.9"]
@@ -289,8 +332,6 @@ class TestDisconnectionHandling:
 
 class TestCsvIngestion:
     def test_csv_records_match_jsonl(self, tmp_path):
-        from pscore import parse_records, serialize_records
-
         with open(DATA_DIR / "golden_records.jsonl", "rb") as fh:
             records = parse_records(fh, "jsonl")
         csv_path = tmp_path / "records.csv"

@@ -42,13 +42,8 @@ class TestAggregate:
         assert_array_equal(table.n_venue, [5, 6, 3])
         assert_array_equal(table.n_group, [6, 8])
 
-    def test_golden_with_overrides(self, golden_records, golden_dataset):
-        ds = build_dataset(
-            golden_records,
-            golden_dataset.groups,
-            corpus_author_counts={"v1": 10, "v2": 60, "v3": 20},
-        )
-        table = aggregate(ds)
+    def test_golden_with_overrides(self, golden_dataset):
+        table = aggregate(golden_dataset, {"v1": 10, "v2": 60, "v3": 20})
         assert_array_equal(table.d_venue, GOLDEN_AUTHOR_COUNTS)
 
     def test_singleton(self):
@@ -68,21 +63,21 @@ class TestAggregate:
         assert table.d_venue[0] == 3
 
     def test_override_unknown_venue_ignored_with_warning(self, caplog):
-        ds = build_dataset([rec("G1", "v1")], ["G1"], corpus_author_counts={"nowhere": 5})
+        ds = build_dataset([rec("G1", "v1")], ["G1"])
         with caplog.at_level("WARNING", logger="pscore.counts"):
-            table = aggregate(ds)
+            table = aggregate(ds, {"nowhere": 5})
         assert "nowhere" in caplog.text
         assert_array_equal(table.d_venue, [1])
 
     def test_override_below_one_rejected(self):
-        ds = build_dataset([rec("G1", "v1")], ["G1"], corpus_author_counts={"v1": 0})
+        ds = build_dataset([rec("G1", "v1")], ["G1"])
         with pytest.raises(ValidationError):
-            aggregate(ds)
+            aggregate(ds, {"v1": 0})
 
     def test_override_non_integer_rejected(self):
-        ds = build_dataset([rec("G1", "v1")], ["G1"], corpus_author_counts={"v1": "ten"})
+        ds = build_dataset([rec("G1", "v1")], ["G1"])
         with pytest.raises(ValidationError):
-            aggregate(ds)
+            aggregate(ds, {"v1": "ten"})
 
     def test_record_order_is_irrelevant(self, golden_records, golden_dataset):
         table = aggregate(golden_dataset)
@@ -97,22 +92,16 @@ class TestAggregate:
 
 
 class TestCountsTable:
-    def test_marginals_validated(self):
-        with pytest.raises(InternalError):
-            CountsTable(
-                n_group_venue=[[1, 1]], n_venue=[1, 2], n_group=[2],
-                d_venue=[1, 1], group_names=("g",), venue_names=("a", "b"),
-            )
-
     def test_zero_venue_rejected(self):
         with pytest.raises(InternalError):
-            CountsTable.from_matrix([[1, 0]], [1, 1], ("g",), ("a", "b"))
+            CountsTable([[1, 0]], [1, 1], ("g",), ("a", "b"))
 
     def test_restrict_drops_empty_venues(self):
-        table = CountsTable.from_matrix(
+        table = CountsTable(
             [[2, 0, 1], [0, 3, 0]], [5, 6, 7], ("g0", "g1"), ("a", "b", "c")
         )
-        sub = table.restrict([0])
+        sub, venues = table.restrict([0])
+        assert_array_equal(venues, [0, 2])
         assert sub.group_names == ("g0",)
         assert sub.venue_names == ("a", "c")
         assert_array_equal(sub.n_group_venue, [[2, 1]])
@@ -132,7 +121,7 @@ class TestCountsTable:
 )
 def test_marginal_identities(matrix):
     t, v = len(matrix), len(matrix[0])
-    table = CountsTable.from_matrix(
+    table = CountsTable(
         matrix, [1] * v, [f"g{i}" for i in range(t)], [f"v{j}" for j in range(v)]
     )
     assert table.n_venue.sum() == table.n_group.sum() == np.asarray(matrix).sum()
@@ -157,6 +146,15 @@ class TestParseAuthorCounts:
         with pytest.raises(ValidationError) as exc:
             parse_author_counts(io.StringIO("venue,count\nv1,many\n"), "csv")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("fmt, text, line", [
+        ("csv", "venue,count\nv1,10\nv2,0\n", 3),
+        ("jsonl", '{"venue": "v1", "count": -2}\n', 1),
+    ])
+    def test_count_below_one_names_the_line(self, fmt, text, line):
+        with pytest.raises(ValidationError, match=">= 1") as exc:
+            parse_author_counts(io.StringIO(text), fmt)
+        assert (exc.value.line, exc.value.field) == (line, "count")
 
     def test_missing_column(self):
         from pscore import ParseError

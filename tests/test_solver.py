@@ -136,7 +136,7 @@ class TestProperties:
 
 def _table(n: np.ndarray, d_venue) -> CountsTable:
     t, v = n.shape
-    return CountsTable.from_matrix(n, d_venue, [f"g{w}" for w in range(t)], [f"v{j}" for j in range(v)])
+    return CountsTable(n, d_venue, [f"g{w}" for w in range(t)], [f"v{j}" for j in range(v)])
 
 
 def _uniform_table(t: int, v: int) -> CountsTable:
