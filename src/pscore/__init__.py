@@ -20,7 +20,6 @@ from .chain import (
 from .counts import CountsTable, aggregate, parse_author_counts
 from .errors import (
     ChainError,
-    ConvergenceError,
     DatasetError,
     DegenerateInputError,
     DisconnectedChainError,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChainError",
     "ConnectivityReport",
-    "ConvergenceError",
     "CountsTable",
     "Dataset",
     "DatasetError",

@@ -58,8 +58,7 @@ class ReputationChain:
             )
         if self.breadth.shape != (v,):
             raise ChainError("breadth vector length does not match the venue count")
-        if not 0.0 <= self.d <= 1.0:
-            raise ParameterError(f"mixing parameter d must lie in [0, 1], got {self.d}")
+        check_d(self.d)
         check_stochastic(self.alpha, "venue-to-group rows")
         check_stochastic(self.beta, "group-to-venue rows")
         check_stochastic(self.breadth, "breadth shares")
@@ -88,6 +87,12 @@ class ConnectivityReport:
         return f"{len(self.components)} components: {parts}"
 
 
+def check_d(d: float) -> None:
+    """Raise :class:`ParameterError` unless 0 <= d <= 1; NaN fails too."""
+    if not 0.0 <= d <= 1.0:
+        raise ParameterError(f"mixing parameter d must lie in [0, 1], got {d}")
+
+
 def check_stochastic(matrix: np.ndarray, what: str) -> None:
     """Raise :class:`ChainError` unless ``matrix`` is nonnegative and its
     rows sum to 1 within :data:`TOL`; a vector counts as one row."""
@@ -109,8 +114,7 @@ def build_beta(counts: CountsTable, d: float) -> np.ndarray:
     At d = 1 the result is exactly the per-group publication fractions;
     at d = 0 every row equals the breadth vector.
     """
-    if not np.isfinite(d) or not 0.0 <= d <= 1.0:
-        raise ParameterError(f"mixing parameter d must lie in [0, 1], got {d}")
+    check_d(d)
     volume = counts.n_group_venue / counts.n_group[:, np.newaxis]
     breadth = counts.d_venue / counts.d_venue.sum()
     return d * volume + (1.0 - d) * breadth[np.newaxis, :]
@@ -148,27 +152,18 @@ def check_irreducible(chain: ReputationChain) -> ConnectivityReport:
     if chain.d < 1.0:
         return ConnectivityReport(irreducible=True, components=(frozenset(range(t)),))
 
-    parent = list(range(t))
-
-    def find(w: int) -> int:
-        while parent[w] != w:
-            parent[w] = parent[parent[w]]
-            w = parent[w]
-        return w
-
-    for j in range(chain.num_venues):
-        touching = np.flatnonzero(chain.beta[:, j] > 0)
-        for w in touching[1:]:
-            root_a, root_b = find(int(touching[0])), find(int(w))
-            if root_a != root_b:
-                parent[root_b] = root_a
-
-    buckets: dict[int, set[int]] = {}
-    for w in range(t):
-        buckets.setdefault(find(w), set()).add(w)
-    components = tuple(
-        frozenset(members) for members in sorted(buckets.values(), key=min)
-    )
+    group, venue = np.nonzero(chain.beta)
+    label = np.arange(t)  # ends as the lowest group index of each component
+    while True:
+        lowest = np.full(chain.num_venues, t)
+        np.minimum.at(lowest, venue, label[group])
+        spread = label.copy()
+        np.minimum.at(spread, group, lowest[venue])
+        spread = spread[spread]  # a label is a group of the same component
+        if np.array_equal(spread, label):
+            break
+        label = spread
+    components = tuple(frozenset(np.flatnonzero(label == root).tolist()) for root in np.unique(label))
     return ConnectivityReport(irreducible=len(components) == 1, components=components)
 
 

@@ -107,10 +107,11 @@ def load_venue_scores(path: str) -> ScoreVector:
 
     Every error names the TSV line or the JSON entry it comes from: a
     malformed file, a ``raw_score`` that is not a finite nonnegative
-    number, and a venue listed twice (names compare case-insensitively).
+    number, a missing or empty venue name, and a venue listed twice (names
+    compare case-insensitively).
     """
     raw_text = Path(path).read_text(encoding="utf-8-sig")
-    rows: list[tuple[str, str, object]] = []  # (where, venue, raw_score)
+    rows: list[tuple[str, object, object]] = []  # (where, venue, raw_score)
     if raw_text.lstrip().startswith("["):
         try:
             items = json.loads(raw_text)
@@ -119,7 +120,7 @@ def load_venue_scores(path: str) -> ScoreVector:
         for i, item in enumerate(items):
             if not isinstance(item, dict) or "venue" not in item or "raw_score" not in item:
                 raise ValidationError(f"venue-score entry {i} lacks venue/raw_score")
-            rows.append((f"venue-score entry {i}", str(item["venue"]), item["raw_score"]))
+            rows.append((f"venue-score entry {i}", item["venue"], item["raw_score"]))
     else:
         header: list[str] | None = None
         for lineno, line in enumerate(raw_text.splitlines(), start=1):
@@ -143,6 +144,8 @@ def load_venue_scores(path: str) -> ScoreVector:
     first_seen: dict[str, str] = {}
     for where, venue, raw_score in rows:
         try:
+            if isinstance(raw_score, bool):
+                raise TypeError("JSON true and false are not scores")
             score = float(raw_score)
         except (TypeError, ValueError):
             raise ValidationError(f"{where}: raw_score is not a number: {raw_score!r}") from None
@@ -150,7 +153,9 @@ def load_venue_scores(path: str) -> ScoreVector:
             raise ValidationError(
                 f"{where}: raw_score must be finite and nonnegative, got {raw_score!r}"
             )
-        name = normalize_name(venue)
+        name = normalize_name(venue) if isinstance(venue, str) else ""
+        if not name:
+            raise ValidationError(f"{where}: missing or empty venue name: {venue!r}")
         earlier = first_seen.setdefault(fold(name), where)
         if earlier != where:
             raise ValidationError(f"{where}: venue {name!r} is listed twice (first at {earlier})")

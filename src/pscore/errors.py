@@ -53,14 +53,6 @@ class DisconnectedChainError(PScoreError):
         super().__init__(message)
 
 
-class ConvergenceError(PScoreError):
-    """Iterative solve did not reach the tolerance within the iteration cap."""
-
-    def __init__(self, message: str, residual: float):
-        self.residual = residual
-        super().__init__(message)
-
-
 class DegenerateInputError(PScoreError):
     """All scores are zero, so normalization is undefined."""
 

@@ -84,7 +84,7 @@ def solve_pipeline(
         solved, venues = counts.restrict(groups)
         chain = build_chain(solved, d)
 
-    gamma = steady_state(chain)
+    gamma = steady_state(solved, d)
     nu = venue_scores(gamma, chain, solved.venue_names)
     residual = group_consistency_check(gamma, nu, chain)
     if residual > TOL:

@@ -1,23 +1,24 @@
-"""Stationary distributions of the reduced group-to-group chain.
+"""Stationary group vector of the reputation chain, from the counts alone.
 
-Every row of beta is ``d * volume[w] + (1 - d) * breadth``, so for a
-probability vector gamma the reduced chain P = beta @ alpha acts as
+Every row of beta is ``d * volume[w] + (1 - d) * breadth``, so gamma = gamma
+@ beta @ alpha solves ``gamma (I - d R) = (1 - d) t`` with t = breadth @ alpha
+and R = volume @ alpha. R is reversible with respect to the group sizes N(w),
+since ``N(w) R(w, w') = sum_j N(w, j) N(w', j) / N(j)`` is symmetric, so:
 
-    gamma @ P = d * (gamma @ volume) @ alpha + (1 - d) * breadth @ alpha
+- at d = 1, gamma = N(w) / sum N exactly (``method="closed_form"``);
+- for d < 1, y = gamma / sqrt(N(w)) solves a symmetric system whose spectrum
+  lies in [1 - d, 1]. Chebyshev iteration on that interval (Golub and Varga
+  1961; Saad, *Iterative Methods for Sparse Linear Systems*, section 12)
+  commutes with the diagonal scaling, so it runs on gamma itself
+  (``method="chebyshev"``). From y_0 = 0 the error obeys ||y_k - y*||_2 <=
+  2 rho^k ||y*||_2 with rho = (1 - sqrt(1 - d)) / (1 + sqrt(1 - d)), and
+  ||y*||_2^2 <= 1 / min N(w); Cauchy-Schwarz gives ||gamma_k - gamma*||_1 <=
+  sqrt(sum N) ||y_k - y*||_2. That fixes the step count before the first
+  step (:func:`iteration_count`); it grows like 1 / sqrt(1 - d).
 
-which is PageRank with contraction rate ``d`` and teleport vector
-``breadth @ alpha``. For d < 1, :func:`steady_state` therefore applies
-``gamma <- (gamma @ beta) @ alpha`` a fixed number of times, chosen in
-advance from ``d`` so the 1-norm error is below :data:`SWEEP_EPS`; no
-tolerance loop is needed, and the T x T matrix is never formed. Each sweep
-runs over the nonzero counts only.
-
-Grassmann-Taksar-Heyman state elimination covers d = 1, where the sweep
-does not contract, and small chains where the sweeps would cost more than
-the elimination. It uses only additions, multiplications, and divisions by
-accumulated off-diagonal mass; because no like-signed quantities are ever
-subtracted, it is stable even for badly conditioned chains and needs no
-pivoting.
+Grassmann-Taksar-Heyman state elimination, :func:`gth_steady_state`, solves
+any dense row-stochastic matrix independently. It only adds, multiplies and
+divides by accumulated off-diagonal mass, so it is stable without pivoting.
 """
 
 from __future__ import annotations
@@ -27,19 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ReputationChain, build_reduced, check_stochastic
+from .chain import check_d, check_stochastic
+from .counts import CountsTable
 from .errors import ChainError, DisconnectedChainError
 
-# 1-norm error bound on the swept vector: ||gamma_k - gamma*||_1 <= 2 d^k
-SWEEP_EPS = 1e-17
+# 1-norm error bound on the Chebyshev iterate: ||gamma_k - gamma*||_1 <= EPS
+EPS = 1e-17
 
 
 @dataclass(frozen=True)
 class StationaryDistribution:
     """A solved stationary vector and the residual it achieves.
 
-    ``residual`` is the max norm of (gamma @ P - gamma) against the input
-    matrix; ``method`` records which solver produced the vector.
+    ``residual`` is the max norm of (gamma @ P - gamma) for the reduced
+    matrix P; ``method`` records which solver produced the vector.
     """
 
     gamma: np.ndarray
@@ -87,56 +89,63 @@ def gth_steady_state(p_reduced) -> StationaryDistribution:
     return StationaryDistribution(gamma=gamma, residual=residual, method="gth")
 
 
-def sweep_count(d: float) -> int:
-    """Sweeps that bring the 1-norm error 2 d^k down to SWEEP_EPS (d < 1)."""
-    if d == 0.0:
-        return 0
-    return math.ceil(math.log(SWEEP_EPS / 2) / math.log(d))
+def iteration_count(n_group: np.ndarray, d: float) -> int:
+    """Chebyshev steps k with 2 rho^k sqrt(sum N / min N(w)) <= EPS (d < 1).
 
-
-def sweep_steady_state(chain: ReputationChain, sweeps: int) -> StationaryDistribution:
-    """Apply ``gamma <- (gamma @ beta) @ alpha`` ``sweeps`` times from ``breadth @ alpha``.
-
-    For d < 1 the 1-norm distance to the stationary vector is at most
-    ``2 d^sweeps``. The residual, max |gamma @ P - gamma|, costs one more
-    sweep; the T x T matrix P is never formed.
-
-    Each product runs over the nonzero counts only, splitting every row of
-    beta into its volume part, nonzero where alpha is, and the shared
-    breadth part. ``bincount`` sums them without BLAS, whose threaded
-    matrix-vector products, called twice per sweep, each wait for a
-    worker thread that a busy host may not schedule for milliseconds.
+    At d = 0 one step gives the exact answer, ``breadth @ alpha``; so does
+    any d for which 1 - d rounds to 1.
     """
-    t, v = chain.num_groups, chain.num_venues
-    venue, group = np.nonzero(chain.alpha)
-    to_group = chain.alpha[venue, group]
-    teleport = (1.0 - chain.d) * chain.breadth
-    to_venue = chain.beta[group, venue] - teleport[venue]  # d * n(w, j) / n(w)
-
-    def sweep(gamma: np.ndarray) -> np.ndarray:
-        nu = np.bincount(venue, weights=gamma[group] * to_venue, minlength=v)
-        nu += gamma.sum() * teleport
-        return np.bincount(group, weights=nu[venue] * to_group, minlength=t)
-
-    gamma = np.bincount(group, weights=chain.breadth[venue] * to_group, minlength=t)
-    for _ in range(sweeps):
-        gamma = sweep(gamma)
-    gamma /= gamma.sum()  # rounding in the fixed block entries drifts the sum by ~1e-17 a sweep
-    residual = float(np.max(np.abs(sweep(gamma) - gamma)))
-    return StationaryDistribution(gamma=gamma, residual=residual, method="sweep")
+    root = math.sqrt(1.0 - d)
+    rho = (1.0 - root) / (1.0 + root)
+    if rho == 0.0:
+        return 1
+    scale = 2.0 * math.sqrt(int(n_group.sum()) / int(n_group.min()))
+    return math.ceil(math.log(EPS / scale) / math.log(rho))
 
 
-def steady_state(chain: ReputationChain) -> StationaryDistribution:
-    """Stationary group vector of ``chain``, by sweeps or by GTH.
+def steady_state(counts: CountsTable, d: float) -> StationaryDistribution:
+    """Stationary group vector of the chain on ``counts`` mixed at ``d``.
 
-    For d < 1 the k = ``sweep_count(d)`` sweeps cost at most O(k T V);
-    they run when that is no more than GTH's O(T^3) elimination, i.e. when
-    k V <= T^2. Otherwise, and always at d = 1, GTH solves the reduced
-    matrix. The choice depends only on (d, T, V), so identical inputs take
-    the same path; ``method`` on the result names it.
+    The closed form at d = 1 holds on a connected group-venue graph, which
+    :func:`~pscore.chain.check_irreducible` decides; below 1 the chain is
+    always irreducible.
     """
-    if chain.d < 1.0:
-        k = sweep_count(chain.d)
-        if k * chain.num_venues <= chain.num_groups ** 2:
-            return sweep_steady_state(chain, k)
-    return gth_steady_state(build_reduced(chain))
+    check_d(d)
+    group, venue = np.nonzero(counts.n_group_venue)  # the cells, group-major
+    by_venue = np.argsort(venue, kind="stable")  # the same cells, venue-major
+    n = counts.n_group_venue[group, venue].astype(np.float64)
+    n_group = counts.n_group
+    from_group = group[by_venue]
+    to_venue = (n / n_group[group])[by_venue]  # volume[w, j]
+    to_group = n / counts.n_venue[venue]  # alpha[j, w]
+    group_starts = np.flatnonzero(np.diff(group, prepend=-1))
+    venue_starts = np.flatnonzero(np.diff(venue[by_venue], prepend=-1))
+    breadth = counts.d_venue / counts.d_venue.sum()
+
+    def walk(gamma: np.ndarray) -> np.ndarray:
+        """gamma @ volume @ alpha. ``reduceat`` sums each segment pairwise;
+        ``bincount``'s sequential sums moved 12th printed digits."""
+        nu = np.add.reduceat(gamma[from_group] * to_venue, venue_starts)
+        return np.add.reduceat(nu[venue] * to_group, group_starts)
+
+    teleport = (1.0 - d) * np.add.reduceat(breadth[venue] * to_group, group_starts)
+    if d == 1.0:
+        gamma, method = n_group / n_group.sum(), "closed_form"
+    else:
+        # Chebyshev iteration for gamma (I - d R) = teleport from gamma = 0,
+        # on the interval [1 - d, 1]: centre 1 - d/2, half-width d/2
+        centre, half = 1.0 - d / 2, d / 2
+        gamma, residual = np.zeros(counts.num_groups), teleport.copy()
+        step, ratio = residual / centre, half / centre
+        for _ in range(iteration_count(n_group, d) - 1):
+            gamma += step
+            residual -= step - d * walk(step)
+            denom = 2.0 * centre - half * ratio
+            ratio, previous = half / denom, ratio
+            step = (ratio * previous) * step + (2.0 / denom) * residual
+        gamma += step
+        # one sweep damps the rounding the recurrence leaves in fast-mixing directions
+        gamma = d * walk(gamma / gamma.sum()) + teleport
+        gamma, method = gamma / gamma.sum(), "chebyshev"
+    residual = float(np.max(np.abs(d * walk(gamma) + teleport - gamma)))
+    return StationaryDistribution(gamma=gamma, residual=residual, method=method)

@@ -1,8 +1,9 @@
 """Independent references, used only to cross-check pscore.
 
-Neither solver shares code with ``pscore.solver``: power iteration repeats
-gamma <- gamma @ P from the uniform vector, and the LAPACK solve replaces
-one equation of gamma (I - P) = 0 by sum(gamma) = 1. ``count_records``
+None of the solvers shares code with ``pscore.solver``: power iteration
+repeats gamma <- gamma @ P from the uniform vector, the LAPACK solve
+replaces one equation of gamma (I - P) = 0 by sum(gamma) = 1, and
+``stationary_extended`` eliminates states in ``np.longdouble``. ``count_records``
 counts a list of parsed records the way ingestion did before it became a
 single pass over integer ids, sharing no code with ``pscore.records``;
 ``filter_by_year`` is the year window it applies first. ``serialize_records``
@@ -18,10 +19,18 @@ import logging
 
 import numpy as np
 
-from pscore import ConvergenceError, StationaryDistribution, ValidationError
+from pscore import PScoreError, StationaryDistribution, ValidationError
 from pscore.records import AUTHOR_SEP, CSV_COLUMNS
 
 log = logging.getLogger(__name__)
+
+
+class ConvergenceError(PScoreError):
+    """Power iteration did not settle within its iteration cap."""
+
+    def __init__(self, message: str, residual: float):
+        self.residual = residual
+        super().__init__(message)
 
 
 def power_iteration(p_reduced, tol: float = 1e-12, max_iters: int = 100_000) -> StationaryDistribution:
@@ -61,6 +70,30 @@ def stationary_by_solve(p: np.ndarray) -> np.ndarray:
     b = np.zeros(n)
     b[-1] = 1.0
     return np.linalg.solve(a, b)
+
+
+def stationary_extended(counts, d: float) -> np.ndarray:
+    """Stationary group vector in ``np.longdouble``, by state elimination.
+
+    Forms the reduced matrix d R + (1 - d) 1 t from the integer counts in
+    extended precision, then eliminates states as GTH does. Where
+    ``longdouble`` is the 80-bit format this is about 2000 times more
+    precise than float64, enough to judge the last bits of a float64 solve.
+    """
+    ld = np.longdouble
+    n = counts.n_group_venue.astype(ld)
+    volume = n / n.sum(axis=1, keepdims=True)
+    alpha = (n / n.sum(axis=0, keepdims=True)).T
+    breadth = counts.d_venue.astype(ld) / ld(int(counts.d_venue.sum()))
+    p = ld(d) * (volume @ alpha) + (ld(1) - ld(d)) * (breadth @ alpha)[np.newaxis, :]
+    for k in range(p.shape[0] - 1, 0, -1):
+        p[:k, k] /= p[k, :k].sum()
+        p[:k, :k] += np.outer(p[:k, k], p[k, :k])
+    gamma = np.zeros(p.shape[0], dtype=ld)
+    gamma[0] = 1
+    for k in range(1, p.shape[0]):
+        gamma[k] = gamma[:k] @ p[:k, k]
+    return gamma / gamma.sum()
 
 
 def count_records(records, reference_groups):

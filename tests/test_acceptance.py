@@ -63,7 +63,7 @@ def _golden_table() -> CountsTable:
 
 def _solve(table: CountsTable, d: float):
     chain = build_chain(table, d)
-    gamma = steady_state(chain)
+    gamma = steady_state(table, d)
     nu = venue_scores(gamma, chain, table.venue_names)
     return chain, gamma, nu
 

@@ -16,6 +16,8 @@ from pscore import (
     build_chain,
     build_reduced,
     check_irreducible,
+    solve_pipeline,
+    steady_state,
 )
 from pscore.chain import format_matrix_tsv
 
@@ -74,6 +76,19 @@ class TestBuildBeta:
     def test_d_out_of_range(self, golden_counts, bad):
         with pytest.raises(ParameterError):
             build_beta(golden_counts, bad)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
+    def test_every_entry_point_checks_d(self, golden_counts, bad):
+        chain = build_chain(golden_counts, 0.5)
+        calls = (
+            lambda: build_chain(golden_counts, bad),
+            lambda: ReputationChain(alpha=chain.alpha, beta=chain.beta, d=bad, breadth=chain.breadth),
+            lambda: steady_state(golden_counts, bad),
+            lambda: solve_pipeline(golden_counts, bad),
+        )
+        for call in calls:
+            with pytest.raises(ParameterError, match=r"mixing parameter d must lie in \[0, 1\]"):
+                call()
 
     def test_convex_in_d(self, golden_counts):
         for d in (0.25, 0.5, 0.75, 1 / 3):

@@ -204,6 +204,23 @@ class TestVenueScoreFileErrors:
         assert code == 1
         assert f"{path}: venue-score entry 1: raw_score is not a number: 'x'" in capsys.readouterr().err
 
+    def test_json_boolean_score(self, tmp_path, capsys):
+        text = '[{"venue": "v1", "raw_score": true}]'
+        code, path = self.run_authors(tmp_path, "v.json", text)
+        assert code == 1
+        assert f"{path}: venue-score entry 0: raw_score is not a number: True" in capsys.readouterr().err
+
+    def test_empty_tsv_venue(self, tmp_path, capsys):
+        code, path = self.run_authors(tmp_path, "v.tsv", "venue\traw_score\nv1\t0.5\n\t0.5\n")
+        assert code == 1
+        assert f"{path}: line 3: missing or empty venue name: ''" in capsys.readouterr().err
+
+    def test_null_json_venue(self, tmp_path, capsys):
+        text = '[{"venue": "v1", "raw_score": 0.5}, {"venue": null, "raw_score": 0.5}]'
+        code, path = self.run_authors(tmp_path, "v.json", text)
+        assert code == 1
+        assert f"{path}: venue-score entry 1: missing or empty venue name: None" in capsys.readouterr().err
+
     def test_duplicate_tsv_venue(self, tmp_path, capsys):
         code, path = self.run_authors(tmp_path, "v.tsv", "venue\traw_score\nv1\t0.5\nV1\t0.5\n")
         assert code == 1
