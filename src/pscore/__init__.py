@@ -8,6 +8,19 @@ breadth. Venue scores are the stationary flow into each venue; groups and
 arbitrary author sets are ranked against those scores.
 """
 
+import os
+
+# No product here is large enough for BLAS threads to pay off, while
+# OpenBLAS starts one spinning worker per core when numpy loads. Load
+# numpy with one thread unless the caller chose a count, and leave the
+# environment as found, so child processes inherit nothing.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .chain import (
     ConnectivityReport,
     ReputationChain,

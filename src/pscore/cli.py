@@ -23,7 +23,7 @@ from .chain import TOL, build_chain, build_reduced, check_irreducible, format_ma
 from .counts import CountsTable, aggregate, parse_author_counts
 from .errors import ParameterError, ParseError, PScoreError, ValidationError
 from .pipeline import PipelineResult, solve_pipeline
-from .records import Dataset, fold, ingest, jsonl_objects, normalize_name, text_stream
+from .records import Dataset, fold, ingest, json_loads, jsonl_objects, normalize_name, text_stream
 from .scoring import ScoreVector, make_ranking, rank_authors, ranking_to_json, ranking_to_tsv
 
 DEFAULT_D = 0.5
@@ -113,11 +113,7 @@ def load_venue_scores(path: str) -> ScoreVector:
     raw_text = Path(path).read_text(encoding="utf-8-sig")
     rows: list[tuple[str, object, object]] = []  # (where, venue, raw_score)
     if raw_text.lstrip().startswith("["):
-        try:
-            items = json.loads(raw_text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed JSON: {exc.msg}", line=exc.lineno) from None
-        for i, item in enumerate(items):
+        for i, item in enumerate(json_loads(raw_text)):
             if not isinstance(item, dict) or "venue" not in item or "raw_score" not in item:
                 raise ValidationError(f"venue-score entry {i} lacks venue/raw_score")
             rows.append((f"venue-score entry {i}", item["venue"], item["raw_score"]))
@@ -173,41 +169,61 @@ def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
     Two line shapes are accepted and may be mixed: pre-aggregated
     ``{"author": ..., "venue": ..., "count": n}`` entries, and raw
     per-paper ``{"authors": [...], "venue": ...}`` records which credit
-    every listed author with one paper at the venue.
+    every distinct listed author (compared case-insensitively) with one
+    paper at the venue. Authors and venues come back in first-seen order,
+    under their first-seen spelling.
     """
-    author_display: dict[str, str] = {}
-    venue_display: dict[str, str] = {}
+    author_display: dict[str, str] = {}  # folded author -> display name
+    venue_display: dict[str, str] = {}   # folded venue -> display name
+    # raw venue -> display name; raw author strings are too many to be worth a memo
+    venue_of: dict[str, str] = {}
     pubs: dict[str, dict[str, int]] = {}
 
-    def add(author: object, venue: object, count: int, lineno: int) -> None:
+    def author_name(author: object, lineno: int) -> str:
         a = normalize_name(author) if isinstance(author, str) else ""
         if not a:
             raise ValidationError("missing or empty 'author'", line=lineno, field="author")
+        return author_display.setdefault(fold(a), a)
+
+    def venue_name(venue: object, lineno: int) -> str:
+        try:
+            return venue_of[venue]
+        except (KeyError, TypeError):
+            pass
         v = normalize_name(venue) if isinstance(venue, str) else ""
         if not v:
             raise ValidationError("missing or empty 'venue'", line=lineno, field="venue")
-        a = author_display.setdefault(fold(a), a)
-        v = venue_display.setdefault(fold(v), v)
-        per_author = pubs.setdefault(a, {})
-        per_author[v] = per_author.get(v, 0) + count
+        v = venue_of[venue] = venue_display.setdefault(fold(v), v)
+        return v
+
+    def add(author: str, venue: str, count: int) -> None:
+        per_author = pubs.setdefault(author, {})
+        per_author[venue] = per_author.get(venue, 0) + count
 
     with text_stream(stream) as text:
         for lineno, obj in jsonl_objects(text):
             if "count" in obj or "author" in obj:
                 count = obj.get("count")
-                if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                if count.__class__ is not int or count < 1:
                     raise ValidationError(
                         f"'count' must be a positive integer, got {count!r}", line=lineno, field="count"
                     )
-                add(obj.get("author"), obj.get("venue"), count, lineno)
+                author = author_name(obj.get("author"), lineno)
+                add(author, venue_name(obj.get("venue"), lineno), count)
             elif "authors" in obj:
                 authors = obj.get("authors")
                 if not isinstance(authors, list) or not authors:
                     raise ValidationError(
                         "'authors' must be a nonempty array", line=lineno, field="authors"
                     )
-                for author in authors:
-                    add(author, obj.get("venue"), 1, lineno)
+                venue = obj.get("venue")
+                credited = set()
+                for raw in authors:
+                    author = author_name(raw, lineno)
+                    display = venue_name(venue, lineno)  # a bad venue is reported after a bad first author
+                    if author not in credited:
+                        credited.add(author)
+                        add(author, display, 1)
             else:
                 raise ParseError(
                     "expected author/venue/count or authors/venue keys", line=lineno

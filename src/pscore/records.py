@@ -112,15 +112,45 @@ def text_stream(stream: IO[bytes] | IO[str]) -> Iterator[IO[str]]:
         text.detach()
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+_LINE_ENDS = frozenset(("", "\n", "\r\n"))
+
+
+def json_loads(text: str, line: int | None = None) -> object:
+    """``json.loads(text)``, with every way it can fail as a :class:`ParseError`.
+
+    Besides the decoder's own errors, that covers an integer too long to
+    convert (``ValueError``) and nesting too deep to recurse through
+    (``RecursionError``). The error carries ``line``, or, when that is
+    ``None``, the line of ``text`` the decoder stopped at, if it names one.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc.msg}", line=line or exc.lineno) from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"malformed JSON: {exc}", line=line) from exc
+
+
 def jsonl_objects(text: IO[str]) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for each nonblank line of a JSONL stream."""
+    """Yield (line number, object) for each nonblank line of a JSONL stream.
+
+    Each line is decoded by one C call. A line that call does not end
+    exactly at the newline (leading or trailing whitespace, extra data, or
+    any decoding error) is decoded again by ``json.loads``, which accepts
+    it or reports why, so every line is accepted or rejected as
+    ``json.loads`` alone would.
+    """
     for lineno, line in enumerate(text, start=1):
-        if line.isspace():
-            continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed JSON: {exc.msg}", line=lineno) from exc
+            obj, end = _raw_decode(line)
+            tail = line[end:]
+        except (ValueError, RecursionError):
+            tail = None
+        if tail not in _LINE_ENDS:
+            if line.isspace():
+                continue
+            obj = json_loads(line, lineno)
         if not isinstance(obj, dict):
             raise ParseError("expected a JSON object", line=lineno)
         yield lineno, obj

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import logging
+from array import array
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,18 +85,16 @@ def make_ranking(names: Sequence[str], scores: Sequence[float]) -> Ranking:
     unrounded score.
     """
     values = [float(s) for s in scores]
-    order = sorted(
-        range(len(names)),
-        key=lambda i: (-round(values[i], PRINTED_DECIMALS), fold(names[i]), names[i]),
-    )
+    # negated printed scores for the sort keys and the tie test, unboxed
+    printed = array("d", [-round(v, PRINTED_DECIMALS) for v in values])
+    order = sorted(range(len(names)), key=lambda i: (printed[i], fold(names[i]), names[i]))
     entries = []
     prev_printed: float | None = None
     prev_rank = 0
     for position, i in enumerate(order, start=1):
-        printed = round(values[i], PRINTED_DECIMALS)
-        rank = prev_rank if printed == prev_printed else position
+        rank = prev_rank if printed[i] == prev_printed else position
         entries.append(RankEntry(rank=rank, name=names[i], score=values[i]))
-        prev_printed, prev_rank = printed, rank
+        prev_printed, prev_rank = printed[i], rank
     return Ranking(entries=tuple(entries))
 
 
@@ -167,6 +167,7 @@ def rank_authors(
     if not author_pub_lists:
         raise DegenerateInputError("no authors to rank")
     smap = {fold(n): float(x) for n, x in zip(nu.names, nu.scores)}
+    weight_of: dict[str, float | None] = {}  # venue as given -> its score, None if unscored
     names: list[str] = []
     totals: list[float] = []
     unknown: set[str] = set()
@@ -174,8 +175,12 @@ def rank_authors(
         items = pubs.items() if isinstance(pubs, Mapping) else pubs
         total = 0.0
         for venue, count in items:
-            count = _check_count(count, author)
-            weight = smap.get(fold(normalize_name(venue)))
+            if count.__class__ is not int or count < 0:
+                count = _check_count(count, author)
+            try:
+                weight = weight_of[venue]
+            except (KeyError, TypeError):
+                weight = weight_of[venue] = smap.get(fold(normalize_name(venue)))
             if weight is None:
                 if count:
                     unknown.add(venue)

@@ -8,6 +8,10 @@ counts a list of parsed records the way ingestion did before it became a
 single pass over integer ids, sharing no code with ``pscore.records``;
 ``filter_by_year`` is the year window it applies first. ``serialize_records``
 writes records back out as JSONL or CSV for ``parse_records`` to read.
+``jsonl_objects``, ``load_author_pubs`` and ``rank_authors`` are the JSONL
+reader and the author path as they were before lines were decoded in one C
+call and venue names memoized: every line goes through ``json.loads``, and
+every name is normalized and folded where it is met.
 """
 
 from __future__ import annotations
@@ -16,10 +20,17 @@ import csv
 import io
 import json
 import logging
+from collections.abc import Mapping
 
 import numpy as np
 
-from pscore import PScoreError, StationaryDistribution, ValidationError
+from pscore import (
+    DegenerateInputError,
+    ParseError,
+    PScoreError,
+    StationaryDistribution,
+    ValidationError,
+)
 from pscore.records import AUTHOR_SEP, CSV_COLUMNS
 
 log = logging.getLogger(__name__)
@@ -200,3 +211,110 @@ def serialize_records(records, format):
             rec.year if rec.year is not None else "",
         ])
     return buf.getvalue()
+
+
+def _norm(name):
+    return " ".join(name.split())
+
+
+def jsonl_objects(text):
+    """(line number, object) per nonblank line, each decoded by ``json.loads``."""
+    for lineno, line in enumerate(text, start=1):
+        if line.isspace():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed JSON: {exc.msg}", line=lineno) from exc
+        if not isinstance(obj, dict):
+            raise ParseError("expected a JSON object", line=lineno)
+        yield lineno, obj
+
+
+def load_author_pubs(text):
+    """Author publication lists from a JSONL text stream, one name lookup per mention.
+
+    A per-paper line credits each distinct folded author once.
+    """
+    author_display, venue_display, pubs = {}, {}, {}
+
+    def add(author, venue, count, lineno):
+        a = _norm(author) if isinstance(author, str) else ""
+        if not a:
+            raise ValidationError("missing or empty 'author'", line=lineno, field="author")
+        v = _norm(venue) if isinstance(venue, str) else ""
+        if not v:
+            raise ValidationError("missing or empty 'venue'", line=lineno, field="venue")
+        a = author_display.setdefault(a.casefold(), a)
+        v = venue_display.setdefault(v.casefold(), v)
+        per_author = pubs.setdefault(a, {})
+        per_author[v] = per_author.get(v, 0) + count
+
+    for lineno, obj in jsonl_objects(text):
+        if "count" in obj or "author" in obj:
+            count = obj.get("count")
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise ValidationError(
+                    f"'count' must be a positive integer, got {count!r}", line=lineno, field="count"
+                )
+            add(obj.get("author"), obj.get("venue"), count, lineno)
+        elif "authors" in obj:
+            authors = obj.get("authors")
+            if not isinstance(authors, list) or not authors:
+                raise ValidationError("'authors' must be a nonempty array", line=lineno, field="authors")
+            credited = set()
+            for author in authors:
+                a = _norm(author).casefold() if isinstance(author, str) else None
+                add(author, obj.get("venue"), 0 if a in credited else 1, lineno)  # a repeat is checked, not counted
+                credited.add(a)
+        else:
+            raise ParseError("expected author/venue/count or authors/venue keys", line=lineno)
+    if not pubs:
+        raise ValidationError("author publication file holds no entries")
+    return pubs
+
+
+def _check_count(count, author):
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValidationError(f"publication count for author {author!r} must be an integer, got {count!r}")
+    if count < 0:
+        raise ValidationError(f"publication count for author {author!r} must be nonnegative, got {count}")
+    return int(count)
+
+
+def rank_authors(author_pub_lists, nu):
+    """(rank, name, score) rows, under the competition rule on 6-decimal scores."""
+    if not author_pub_lists:
+        raise DegenerateInputError("no authors to rank")
+    smap = {n.casefold(): float(x) for n, x in zip(nu.names, nu.scores)}
+    names, totals, unknown = [], [], set()
+    for author, pubs in author_pub_lists.items():
+        items = pubs.items() if isinstance(pubs, Mapping) else pubs
+        total = 0.0
+        for venue, count in items:
+            count = _check_count(count, author)
+            weight = smap.get(_norm(venue).casefold())
+            if weight is None:
+                if count:
+                    unknown.add(venue)
+                continue
+            total += weight * count
+        names.append(author)
+        totals.append(total)
+    if unknown:
+        log.warning(
+            "%d venue(s) outside the scored set were ignored: %s",
+            len(unknown), ", ".join(sorted(unknown, key=str.casefold)),
+        )
+    top = max(totals)
+    if top <= 0.0:
+        raise DegenerateInputError("every author scored zero; nothing to rank against")
+    values = [t / top for t in totals]
+    order = sorted(range(len(names)), key=lambda i: (-round(values[i], 6), names[i].casefold(), names[i]))
+    rows, prev_printed, prev_rank = [], None, 0
+    for position, i in enumerate(order, start=1):
+        printed = round(values[i], 6)
+        rank = prev_rank if printed == prev_printed else position
+        rows.append((rank, names[i], values[i]))
+        prev_printed, prev_rank = printed, rank
+    return rows

@@ -1,0 +1,158 @@
+"""The author path against the oracle in ``tests/oracles.py``.
+
+Hypothesis writes small author-publication files in both line shapes, with
+case and whitespace variants of every name, unscored venues, repeated
+authors on a per-paper line, ill-typed and unhashable fields, and
+malformed lines. ``load_author_pubs`` and ``rank_authors`` must agree
+with ``oracles.load_author_pubs`` and ``oracles.rank_authors`` on the
+dict (key order included at both levels), bit for bit on the scores, on
+the warnings, and on the error class, line, field and message.
+"""
+
+import io
+import json
+import logging
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from pscore import PScoreError, ScoreVector, rank_authors
+from pscore.cli import load_author_pubs
+from test_ingest import Warnings, spelling
+
+SCORED = ["SIGIR", "Venue X", "kdd"]
+UNSCORED = ["offbook"]
+AUTHORS = ["Ana Silva", "Bo Costa", "dee"]
+BAD_NAMES = [None, 1, True, "", "  ", ["kdd"], {"name": "kdd"}]
+BAD_COUNTS = [0, -1, True, 2.0, "2", None, [1]]
+MALFORMED = [
+    "{oops",
+    "[1]",
+    '{"venue": "kdd"}',
+    '{"author": "dee", "venue": "kdd", "count": 1} x',
+    '  {"author": "dee", "venue": "kdd", "count": 1}\t',
+    "",
+    " \t",
+]
+
+
+def sometimes_bad(good, bad):
+    return st.integers(0, 15).flatmap(lambda k: st.sampled_from(bad) if k == 0 else good)
+
+
+@st.composite
+def line(draw):
+    shape = draw(st.integers(0, 12))
+    venue = sometimes_bad(spelling(SCORED + UNSCORED), BAD_NAMES)
+    if shape == 0:
+        return draw(st.sampled_from(MALFORMED))
+    if shape <= 6:
+        obj = {
+            "author": draw(sometimes_bad(spelling(AUTHORS), BAD_NAMES)),
+            "venue": draw(venue),
+            "count": draw(sometimes_bad(st.integers(1, 4), BAD_COUNTS)),
+        }
+    else:
+        authors = st.lists(sometimes_bad(spelling(AUTHORS), BAD_NAMES), max_size=4)
+        obj = {"authors": draw(sometimes_bad(authors, [None, "Ana Silva"])), "venue": draw(venue)}
+    for key in list(obj):
+        if draw(st.integers(0, 20)) == 0:
+            del obj[key]
+    return json.dumps(obj)
+
+
+def pub_file(lines, crlf):
+    end = "\r\n" if crlf else "\n"
+    return "".join(text + end for text in lines)
+
+
+def score_vector(weights):
+    raw = np.asarray(weights, dtype=np.float64)
+    return ScoreVector(entity_kind="venue", names=SCORED, scores=raw / raw.sum(), normalization="raw")
+
+
+def outcome(run):
+    """What a run produced: its result and warnings, or its error."""
+    handler = Warnings()
+    logger = logging.getLogger()
+    logger.addHandler(handler)
+    try:
+        return "ok", run(), handler.messages
+    except PScoreError as exc:
+        error = (type(exc), getattr(exc, "line", None), getattr(exc, "field", None), str(exc))
+        return "error", error, handler.messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def as_rows(ranking):
+    return [(e.rank, e.name, e.score.hex()) for e in ranking.entries]
+
+
+def by_library(text, nu):
+    pubs = load_author_pubs(io.StringIO(text, newline=""))
+    return [(a, list(v.items())) for a, v in pubs.items()], as_rows(rank_authors(pubs, nu))
+
+
+def by_oracle(text, nu):
+    pubs = oracles.load_author_pubs(io.StringIO(text, newline=""))
+    rows = [(rank, name, score.hex()) for rank, name, score in oracles.rank_authors(pubs, nu)]
+    return [(a, list(v.items())) for a, v in pubs.items()], rows
+
+
+WEIGHTS = st.lists(st.floats(0.01, 1.0), min_size=len(SCORED), max_size=len(SCORED))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(line(), min_size=1, max_size=20), st.booleans(), WEIGHTS)
+# a bad venue after the same good one was memoized
+@example(['{"author": "dee", "venue": "kdd", "count": 1}',
+          '{"author": "dee", "venue": ["kdd"], "count": 1}'], False, [1.0, 1.0, 1.0])
+@example(['{"authors": ["dee"], "venue": "kdd"}', '{"authors": ["dee"], "venue": " "}'],
+         False, [1.0, 1.0, 1.0])
+# unhashable author and venue fields
+@example(['{"author": ["dee"], "venue": "kdd", "count": 1}'], False, [1.0, 1.0, 1.0])
+@example(['{"authors": ["dee", {"a": 1}], "venue": "kdd"}'], False, [1.0, 1.0, 1.0])
+@example(['{"authors": ["dee"], "venue": {"a": 1}}'], False, [1.0, 1.0, 1.0])
+# a repeated author, then a bad one, on a per-paper line
+@example(['{"authors": ["Dee", "dee ", 7], "venue": "kdd"}'], False, [1.0, 1.0, 1.0])
+def test_author_path_matches_oracle(lines, crlf, weights):
+    text, nu = pub_file(lines, crlf), score_vector(weights)
+    assert outcome(lambda: by_library(text, nu)) == outcome(lambda: by_oracle(text, nu))
+
+
+COUNTS = st.one_of(st.integers(-2, 5), st.integers(0, 5).map(np.int64), st.sampled_from([True, 1.0, "1"]))
+PUB_LISTS = st.dictionaries(
+    spelling(AUTHORS),
+    st.one_of(
+        st.dictionaries(spelling(SCORED + UNSCORED), COUNTS, max_size=4),
+        st.lists(st.tuples(spelling(SCORED + UNSCORED), COUNTS), max_size=4),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PUB_LISTS, WEIGHTS)
+def test_rank_authors_matches_oracle_on_library_input(pub_lists, weights):
+    nu = score_vector(weights)
+    library = outcome(lambda: as_rows(rank_authors(pub_lists, nu)))
+    oracle = outcome(lambda: [(r, n, s.hex()) for r, n, s in oracles.rank_authors(pub_lists, nu)])
+    assert library == oracle
+
+
+def test_per_paper_line_credits_a_repeated_author_once():
+    pubs = load_author_pubs(io.StringIO('{"authors": ["Ana", "ana ", "Bo"], "venue": "v1"}\n'))
+    assert pubs == {"Ana": {"v1": 1}, "Bo": {"v1": 1}}
+    assert list(pubs) == ["Ana", "Bo"]
+
+
+def test_repeated_author_still_counts_once_per_line():
+    text = (
+        '{"authors": ["Ana", "ANA"], "venue": "v1"}\n'
+        '{"authors": ["ana"], "venue": "V1"}\n'
+        '{"author": " Ana", "venue": "v1", "count": 2}\n'
+    )
+    assert load_author_pubs(io.StringIO(text)) == {"Ana": {"v1": 4}}
