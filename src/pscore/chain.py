@@ -13,9 +13,9 @@ venue (publication volume) and the venue's share of all distinct authors
 
     beta[w, j] = d * n(w, j) / n(w) + (1 - d) * D(j) / sum_k D(k)
 
-Both blocks are row-stochastic by construction; drift beyond :data:`TOL`
-is treated as a counting bug, not numerical noise, and raises instead of
-being silently renormalized.
+Both blocks are row-stochastic by construction; drift beyond :data:`TOL` is
+treated as a counting bug, not numerical noise, and raises instead of being
+silently renormalized. Only the debugging builders below form them densely.
 """
 
 from __future__ import annotations
@@ -35,41 +35,43 @@ TOL = 1e-10
 
 @dataclass(frozen=True)
 class ReputationChain:
-    """The two stochastic blocks plus the mixing parameter.
+    """The counts' cells, the mixing parameter and the breadth shares.
 
-    ``alpha`` is venue-major (V x T) so both blocks iterate their rows
-    contiguously; ``beta`` is group-major (T x V). ``breadth`` is the
-    normalized distinct-author share per venue, D(j) / sum_k D(k).
+    ``breadth`` is the distinct-author share per venue, D(j) / sum_k D(k).
+    The cells of alpha are kept group-major and those of the volume venue-major,
+    so a product with a block sums segments with ``np.add.reduceat``, pairwise;
+    ``bincount``'s sequential sums moved 12th printed digits.
     """
 
-    alpha: np.ndarray
-    beta: np.ndarray
+    counts: CountsTable
     d: float
     breadth: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=np.float64))
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=np.float64))
         object.__setattr__(self, "breadth", np.asarray(self.breadth, dtype=np.float64))
-        v, t = self.alpha.shape
-        if self.beta.shape != (t, v):
-            raise ChainError(
-                f"block shapes disagree: alpha is {self.alpha.shape}, beta is {self.beta.shape}"
-            )
-        if self.breadth.shape != (v,):
-            raise ChainError("breadth vector length does not match the venue count")
         check_d(self.d)
-        check_stochastic(self.alpha, "venue-to-group rows")
-        check_stochastic(self.beta, "group-to-venue rows")
+        if self.breadth.shape != (self.counts.num_venues,):
+            raise ChainError("breadth vector length does not match the venue count")
         check_stochastic(self.breadth, "breadth shares")
+        c, by_venue = self.counts, np.argsort(self.counts.venue, kind="stable")
+        alpha, volume = c.n_group_venue / c.n_venue[c.venue], c.n_group_venue / c.n_group[c.group]
+        group_starts = np.flatnonzero(np.diff(c.group, prepend=-1))
+        venue_starts = np.flatnonzero(np.diff(c.venue[by_venue], prepend=-1))
+        check_stochastic(alpha, "venue-to-group rows", np.add.reduceat(alpha[by_venue], venue_starts))
+        volume_rows = self.d * np.add.reduceat(volume, group_starts) + (1.0 - self.d) * self.breadth.sum()
+        check_stochastic(volume, "group-to-venue rows", volume_rows)
+        object.__setattr__(self, "_alpha", (c.venue, alpha, group_starts))
+        object.__setattr__(self, "_volume", (c.group[by_venue], volume[by_venue], venue_starts))
 
-    @property
-    def num_groups(self) -> int:
-        return self.beta.shape[0]
+    def to_groups(self, nu: np.ndarray) -> np.ndarray:
+        """``nu @ alpha``: a vector over the venues pushed onto the groups."""
+        venue, alpha, starts = self._alpha
+        return np.add.reduceat(nu[venue] * alpha, starts)
 
-    @property
-    def num_venues(self) -> int:
-        return self.beta.shape[1]
+    def to_venues(self, gamma: np.ndarray) -> np.ndarray:
+        """``gamma @ volume``: a vector over the groups pushed onto the venues."""
+        group, volume, starts = self._volume
+        return np.add.reduceat(gamma[group] * volume, starts)
 
 
 @dataclass(frozen=True)
@@ -93,50 +95,52 @@ def check_d(d: float) -> None:
         raise ParameterError(f"mixing parameter d must lie in [0, 1], got {d}")
 
 
-def check_stochastic(matrix: np.ndarray, what: str) -> None:
+def check_stochastic(matrix: np.ndarray, what: str, sums: np.ndarray | None = None) -> None:
     """Raise :class:`ChainError` unless ``matrix`` is nonnegative and its
-    rows sum to 1 within :data:`TOL`; a vector counts as one row."""
+    rows sum to 1 within :data:`TOL`; a vector counts as one row. For a
+    block kept as its nonzero entries, pass those and the row ``sums``."""
     if np.any(matrix < 0):
         raise ChainError("negative transition probability")
-    drift = float(np.max(np.abs(matrix.sum(axis=-1) - 1.0)))
-    if drift > TOL:
+    drift = float(np.max(np.abs((matrix.sum(axis=-1) if sums is None else sums) - 1.0), initial=0.0))
+    if not drift <= TOL:
         raise ChainError(f"{what} drift from 1 by {drift:.3e}")
 
 
+def _dense(counts: CountsTable) -> np.ndarray:
+    n = np.zeros((counts.num_groups, counts.num_venues), dtype=np.int64)
+    n[counts.group, counts.venue] = counts.n_group_venue
+    return n
+
+
 def build_alpha(counts: CountsTable) -> np.ndarray:
-    """Venue-to-group block: each venue splits its mass by paper share."""
-    return (counts.n_group_venue / counts.n_venue[np.newaxis, :]).T
+    """Dense venue-to-group block: each venue splits its mass by paper share."""
+    return (_dense(counts) / counts.n_venue[np.newaxis, :]).T
 
 
 def build_beta(counts: CountsTable, d: float) -> np.ndarray:
-    """Group-to-venue block: volume and breadth mixed by ``d``.
+    """Dense group-to-venue block: volume and breadth mixed by ``d``.
 
     At d = 1 the result is exactly the per-group publication fractions;
     at d = 0 every row equals the breadth vector.
     """
     check_d(d)
-    volume = counts.n_group_venue / counts.n_group[:, np.newaxis]
+    volume = _dense(counts) / counts.n_group[:, np.newaxis]
     breadth = counts.d_venue / counts.d_venue.sum()
     return d * volume + (1.0 - d) * breadth[np.newaxis, :]
 
 
 def build_chain(counts: CountsTable, d: float) -> ReputationChain:
-    """Build and validate both blocks for one counts table."""
-    return ReputationChain(
-        alpha=build_alpha(counts),
-        beta=build_beta(counts, d),
-        d=float(d),
-        breadth=counts.d_venue / counts.d_venue.sum(),
-    )
+    """Build and validate the chain on one counts table."""
+    return ReputationChain(counts=counts, d=float(d), breadth=counts.d_venue / counts.d_venue.sum())
 
 
 def build_reduced(chain: ReputationChain) -> np.ndarray:
-    """Collapse the alternating chain onto the groups: beta @ alpha.
+    """The dense reduced chain P' = beta @ alpha, for debugging.
 
     The product of two row-stochastic blocks is row-stochastic; its
     stationary vector is the group reputation vector.
     """
-    return chain.beta @ chain.alpha
+    return (chain.d * build_beta(chain.counts, 1.0) + (1.0 - chain.d) * chain.breadth) @ build_alpha(chain.counts)
 
 
 def check_irreducible(chain: ReputationChain) -> ConnectivityReport:
@@ -148,14 +152,14 @@ def check_irreducible(chain: ReputationChain) -> ConnectivityReport:
     group-venue graph induced by the nonzero counts; the partition of the
     groups is reported so callers can decide what to do about it.
     """
-    t = chain.num_groups
+    t = chain.counts.num_groups
     if chain.d < 1.0:
         return ConnectivityReport(irreducible=True, components=(frozenset(range(t)),))
 
-    group, venue = np.nonzero(chain.beta)
+    group, venue = chain.counts.group, chain.counts.venue
     label = np.arange(t)  # ends as the lowest group index of each component
     while True:
-        lowest = np.full(chain.num_venues, t)
+        lowest = np.full(chain.counts.num_venues, t)
         np.minimum.at(lowest, venue, label[group])
         spread = label.copy()
         np.minimum.at(spread, group, lowest[venue])

@@ -19,7 +19,7 @@ from typing import IO
 
 import numpy as np
 
-from .chain import TOL, build_chain, build_reduced, check_irreducible, format_matrix_tsv
+from .chain import TOL, build_alpha, build_beta, build_chain, build_reduced, check_irreducible, format_matrix_tsv
 from .counts import CountsTable, aggregate, parse_author_counts
 from .errors import ParameterError, ParseError, PScoreError, ValidationError
 from .pipeline import PipelineResult, solve_pipeline
@@ -266,12 +266,11 @@ def _write_output(text: str, path: str | None) -> None:
 def _emit_debug_matrices(output: str | None, result: PipelineResult) -> None:
     if output is None or output == "-":
         raise ParameterError("--emit-debug-matrices requires -o FILE to name the siblings")
-    base = Path(output)
-    venues = [result.counts.venue_names[j] for j in result.venues]
-    groups = [result.counts.group_names[w] for w in result.groups]
+    base, solved = Path(output), result.chain.counts
+    venues, groups = solved.venue_names, solved.group_names
     for suffix, labels, matrix, comment in (
-        (".alpha.tsv", venues, result.chain.alpha, "venue -> group block (one venue per row)"),
-        (".beta.tsv", groups, result.chain.beta, "group -> venue block (one group per row)"),
+        (".alpha.tsv", venues, build_alpha(solved), "venue -> group block (one venue per row)"),
+        (".beta.tsv", groups, build_beta(solved, result.chain.d), "group -> venue block (one group per row)"),
         (".reduced.tsv", groups, build_reduced(result.chain), "group -> group reduced chain"),
     ):
         target = base.with_name(base.name + suffix)
@@ -322,12 +321,11 @@ def _cmd_authors(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     dataset, table = _load_counts(args)
     report = check_irreducible(build_chain(table, args.d))
-    status = "irreducible"
-    if not report.irreducible:
-        status = f"disconnected into {report.describe(table.group_names)}"
+    status = "irreducible" if report.irreducible else f"disconnected into {report.describe(table.group_names)}"
     lines = [
         f"reference groups: {len(dataset.groups)}",
         f"venues: {len(dataset.venues)}",
+        f"nonzero (group, venue) cells: {len(table.n_group_venue)}",
         f"records kept: {dataset.kept}",
         f"records dropped (outside reference set): {dataset.dropped_foreign}",
         f"duplicate records merged: {dataset.dedup_merged}",

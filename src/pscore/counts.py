@@ -1,16 +1,16 @@
 """Aggregation of the dataset into the count statistics the model consumes.
 
 Four statistics drive everything downstream: the per-group-per-venue
-distinct paper counts, their two marginals, and the per-venue distinct
-author counts. Counts stay exact integers here; fractions are formed only
-when the chain blocks are built.
+distinct paper counts, kept as a sparse list of nonzero cells, their two
+marginals, and the per-venue distinct author counts. Counts stay exact
+integers here; fractions are formed only when the chain is built.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Mapping, Sequence
 
 import numpy as np
@@ -23,43 +23,45 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CountsTable:
-    """Publication counts over fixed group (rows) and venue (columns) axes.
+    """Publication counts as a sorted, group-major coordinate list.
 
-    ``n_group_venue[w, j]`` is the number of distinct papers group ``w``
-    published at venue ``j``; ``d_venue[j]`` is the number of distinct
-    authors publishing at venue ``j``. The marginals ``n_venue`` and
-    ``n_group`` are the matrix's column and row sums.
+    Cell ``k`` says group ``group[k]`` published ``n_group_venue[k]``
+    distinct papers at venue ``venue[k]``. Only nonzero counts are stored,
+    in strictly increasing (group, venue) order. ``d_venue[j]`` is the
+    number of distinct authors publishing at venue ``j``. The marginals
+    ``n_group`` and ``n_venue`` are computed once, from the cells.
     """
 
+    group: np.ndarray
+    venue: np.ndarray
     n_group_venue: np.ndarray
     d_venue: np.ndarray
     group_names: tuple[str, ...]
     venue_names: tuple[str, ...]
+    n_group: np.ndarray = field(init=False, repr=False)
+    n_venue: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_group_venue", np.asarray(self.n_group_venue, dtype=np.int64))
-        object.__setattr__(self, "d_venue", np.asarray(self.d_venue, dtype=np.int64))
+        for name in ("group", "venue", "n_group_venue", "d_venue"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
         object.__setattr__(self, "group_names", tuple(self.group_names))
         object.__setattr__(self, "venue_names", tuple(self.venue_names))
-        t, v = self.n_group_venue.shape
-        if len(self.group_names) != t or len(self.venue_names) != v or self.d_venue.shape != (v,):
-            raise InternalError("counts table axes do not match the name lists")
-        if np.any(self.n_group_venue < 0):
-            raise InternalError("negative publication count")
-        if np.any(self.n_venue < 1):
-            raise InternalError("venue with zero publications in the counts table")
-        if np.any(self.n_group < 1):
-            raise InternalError("group with zero publications in the counts table")
-        if np.any(self.d_venue < 1):
-            raise InternalError("venue with zero distinct authors in the counts table")
-
-    @property
-    def n_venue(self) -> np.ndarray:
-        return self.n_group_venue.sum(axis=0)
-
-    @property
-    def n_group(self) -> np.ndarray:
-        return self.n_group_venue.sum(axis=1)
+        t, v, cells = self.num_groups, self.num_venues, self.n_group_venue.shape
+        if len(cells) != 1 or not self.group.shape == self.venue.shape == cells or self.d_venue.shape != (v,):
+            raise InternalError("counts table cells and axes do not match the name lists")
+        if np.any((self.group < 0) | (self.group >= t) | (self.venue < 0) | (self.venue >= v)):
+            raise InternalError("counts table cell outside the group or venue axis")
+        if np.any(np.diff(self.group * v + self.venue) <= 0):
+            raise InternalError("counts table cells are not sorted group-major without repeats")
+        for name, axis, size in (("n_group", self.group, t), ("n_venue", self.venue, v)):
+            total = np.bincount(axis, weights=self.n_group_venue, minlength=size)
+            object.__setattr__(self, name, total.astype(np.int64))
+        for values, what in ((self.n_group_venue, "cell with no publications"),
+                             (self.n_venue, "venue with zero publications"),
+                             (self.n_group, "group with zero publications"),
+                             (self.d_venue, "venue with zero distinct authors")):
+            if np.any(values < 1):
+                raise InternalError(f"{what} in the counts table")
 
     @property
     def num_groups(self) -> int:
@@ -77,15 +79,13 @@ class CountsTable:
         as a full one. Returns the sub-table and the indices, in this
         table, of the venues it keeps.
         """
-        rows = sorted(group_indices)
-        matrix = self.n_group_venue[rows, :]
-        keep = np.flatnonzero(matrix.sum(axis=0) > 0)
-        sub = CountsTable(
-            matrix[:, keep],
-            self.d_venue[keep],
-            [self.group_names[w] for w in rows],
-            [self.venue_names[j] for j in keep],
-        )
+        rows = np.array(sorted(set(group_indices)), dtype=np.int64)
+        kept = np.flatnonzero(np.isin(self.group, rows))  # still group-major
+        keep = np.unique(self.venue[kept])
+        # a cell's new index on either axis is its rank among the kept ones
+        sub = CountsTable(np.searchsorted(rows, self.group[kept]), np.searchsorted(keep, self.venue[kept]),
+                          self.n_group_venue[kept], self.d_venue[keep],
+                          [self.group_names[w] for w in rows], [self.venue_names[j] for j in keep])
         return sub, keep
 
 
@@ -112,7 +112,8 @@ def aggregate(dataset: Dataset, author_counts: Mapping[str, int] | None = None) 
                 raise ValidationError(f"author-count override for {name!r} must be >= 1, got {count}")
             d_venue[j] = count
 
-    return CountsTable(dataset.n_group_venue, d_venue, dataset.groups, dataset.venues)
+    return CountsTable(dataset.group, dataset.venue, dataset.n_group_venue, d_venue,
+                       dataset.groups, dataset.venues)
 
 
 def parse_author_counts(stream: IO[bytes] | IO[str], format: str) -> dict[str, int]:

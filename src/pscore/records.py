@@ -76,14 +76,16 @@ class Dataset:
     ``groups`` preserves caller order; ``venues`` is the sorted list of
     venues that actually received publications from the reference groups,
     so every venue is guaranteed a positive publication count downstream.
-    ``n_group_venue[w, j]`` counts the distinct papers of group ``w`` at
-    venue ``j``; ``d_venue[j]`` counts the distinct author names seen at
-    venue ``j``. ``dropped_foreign`` and ``dedup_merged`` are ingestion
-    diagnostics.
+    Cell ``k`` counts the ``n_group_venue[k]`` distinct papers of group
+    ``group[k]`` at venue ``venue[k]``, group-major as in a counts table;
+    ``d_venue[j]`` counts the distinct author names seen at venue ``j``.
+    ``dropped_foreign`` and ``dedup_merged`` are ingestion diagnostics.
     """
 
     groups: tuple[str, ...]
     venues: tuple[str, ...]
+    group: np.ndarray
+    venue: np.ndarray
     n_group_venue: np.ndarray
     d_venue: np.ndarray
     dropped_foreign: int = 0
@@ -389,13 +391,14 @@ class _Tally:
         self._pairs.extend([author << 32 | venue_id for author in ids])
 
     def dataset(self) -> Dataset:
-        """Check the tallies and lay them out on sorted venue axes."""
+        """Check the tallies and lay them out as group-major cells; once only, as it frees the memos."""
         if self.undated:
             log.warning("year filter excluded %d record(s) without a year", self.undated)
         if self.dropped:
             log.info("dropped %d record(s) from groups outside the reference set", self.dropped)
         if not self._cells:
             raise DatasetError("empty dataset: no records remain for the reference groups")
+        self._seen = self._group_of = self._venue_of = self._author_of = self._author_id = None  # spent
         t = len(self.groups)
         cells = np.frombuffer(self._cells, dtype=np.int64)
         rows, venue_ids = cells % t, cells // t
@@ -410,14 +413,15 @@ class _Tally:
         column[order] = np.arange(len(order))
         v = len(order)
 
-        matrix = np.bincount(rows * v + column[venue_ids], minlength=t * v).reshape(t, v)
+        cell, n_group_venue = np.unique(rows * v + column[venue_ids], return_counts=True)
         pairs = np.unique(np.frombuffer(self._pairs, dtype=np.int64))
         d_venue = np.bincount(column[pairs & 0xFFFFFFFF], minlength=v)
 
         return Dataset(
             groups=self.groups,
             venues=tuple(self._shown[j] for j in order),
-            n_group_venue=matrix,
+            group=cell // v, venue=cell % v,
+            n_group_venue=n_group_venue,
             d_venue=d_venue,
             dropped_foreign=self.dropped,
             dedup_merged=self.merged,

@@ -108,14 +108,12 @@ def venue_scores(
     The raw result is a probability vector over venues: nu_j is the
     stationary share of reputation that flows to venue j.
     """
-    if gamma.gamma.shape != (chain.num_groups,):
-        raise InternalError(
-            f"gamma has {gamma.gamma.shape[0]} entries but the chain has "
-            f"{chain.num_groups} groups"
-        )
-    if len(venue_names) != chain.num_venues:
+    if gamma.gamma.shape != (chain.counts.num_groups,):
+        raise InternalError(f"gamma has {gamma.gamma.shape[0]} entries but the chain has "
+                            f"{chain.counts.num_groups} groups")
+    if len(venue_names) != chain.counts.num_venues:
         raise InternalError("venue name list does not match the chain width")
-    nu = gamma.gamma @ chain.beta
+    nu = chain.d * chain.to_venues(gamma.gamma) + (1.0 - chain.d) * gamma.gamma.sum() * chain.breadth
     return ScoreVector(entity_kind="venue", names=tuple(venue_names), scores=nu, normalization="raw")
 
 
@@ -143,7 +141,7 @@ def group_consistency_check(
     reproduce the group reputations; this restates the stationary
     equation, so the residual is a pipeline-wide sanity value.
     """
-    return float(np.max(np.abs(gamma.gamma - nu.scores @ chain.alpha)))
+    return float(np.max(np.abs(gamma.gamma - chain.to_groups(nu.scores))))
 
 
 def _check_count(count: object, author: str) -> int:

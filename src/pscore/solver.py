@@ -14,7 +14,8 @@ since ``N(w) R(w, w') = sum_j N(w, j) N(w', j) / N(j)`` is symmetric, so:
   2 rho^k ||y*||_2 with rho = (1 - sqrt(1 - d)) / (1 + sqrt(1 - d)), and
   ||y*||_2^2 <= 1 / min N(w); Cauchy-Schwarz gives ||gamma_k - gamma*||_1 <=
   sqrt(sum N) ||y_k - y*||_2. That fixes the step count before the first
-  step (:func:`iteration_count`); it grows like 1 / sqrt(1 - d).
+  step (:func:`iteration_count`); it grows like 1 / sqrt(1 - d), and a d
+  that would need more than :data:`MAX_STEPS` is refused.
 
 Grassmann-Taksar-Heyman state elimination, :func:`gth_steady_state`, solves
 any dense row-stochastic matrix independently. It only adds, multiplies and
@@ -28,12 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import check_d, check_stochastic
+from .chain import build_chain, check_stochastic
 from .counts import CountsTable
-from .errors import ChainError, DisconnectedChainError
+from .errors import ChainError, DisconnectedChainError, ParameterError
 
 # 1-norm error bound on the Chebyshev iterate: ||gamma_k - gamma*||_1 <= EPS
 EPS = 1e-17
+# Chebyshev steps allowed before a d this close to 1 is refused (about 10 s at T = 1000)
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -108,36 +111,28 @@ def steady_state(counts: CountsTable, d: float) -> StationaryDistribution:
 
     The closed form at d = 1 holds on a connected group-venue graph, which
     :func:`~pscore.chain.check_irreducible` decides; below 1 the chain is
-    always irreducible.
+    always irreducible. A d that needs over :data:`MAX_STEPS` steps raises :class:`ParameterError`.
     """
-    check_d(d)
-    group, venue = np.nonzero(counts.n_group_venue)  # the cells, group-major
-    by_venue = np.argsort(venue, kind="stable")  # the same cells, venue-major
-    n = counts.n_group_venue[group, venue].astype(np.float64)
-    n_group = counts.n_group
-    from_group = group[by_venue]
-    to_venue = (n / n_group[group])[by_venue]  # volume[w, j]
-    to_group = n / counts.n_venue[venue]  # alpha[j, w]
-    group_starts = np.flatnonzero(np.diff(group, prepend=-1))
-    venue_starts = np.flatnonzero(np.diff(venue[by_venue], prepend=-1))
-    breadth = counts.d_venue / counts.d_venue.sum()
+    chain, n_group = build_chain(counts, d), counts.n_group
 
     def walk(gamma: np.ndarray) -> np.ndarray:
-        """gamma @ volume @ alpha. ``reduceat`` sums each segment pairwise;
-        ``bincount``'s sequential sums moved 12th printed digits."""
-        nu = np.add.reduceat(gamma[from_group] * to_venue, venue_starts)
-        return np.add.reduceat(nu[venue] * to_group, group_starts)
+        """gamma @ volume @ alpha."""
+        return chain.to_groups(chain.to_venues(gamma))
 
-    teleport = (1.0 - d) * np.add.reduceat(breadth[venue] * to_group, group_starts)
+    teleport = (1.0 - d) * chain.to_groups(chain.breadth)
     if d == 1.0:
         gamma, method = n_group / n_group.sum(), "closed_form"
     else:
+        steps = iteration_count(n_group, d)
+        if steps > MAX_STEPS:
+            raise ParameterError(f"d = {d!r} needs {steps} Chebyshev steps, more than the cap of "
+                                 f"{MAX_STEPS}; take d further from 1, or d = 1, which has a closed form")
         # Chebyshev iteration for gamma (I - d R) = teleport from gamma = 0,
         # on the interval [1 - d, 1]: centre 1 - d/2, half-width d/2
         centre, half = 1.0 - d / 2, d / 2
         gamma, residual = np.zeros(counts.num_groups), teleport.copy()
         step, ratio = residual / centre, half / centre
-        for _ in range(iteration_count(n_group, d) - 1):
+        for _ in range(steps - 1):
             gamma += step
             residual -= step - d * walk(step)
             denom = 2.0 * centre - half * ratio

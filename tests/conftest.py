@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from pscore import CountsTable
 
@@ -44,11 +45,27 @@ GOLDEN_NU_3DP = np.array([0.189, 0.590, 0.221])
 GOLDEN_MAX1_3DP = np.array([0.320, 1.000, 0.375])
 
 
+def table_from_matrix(matrix, d_venue, group_names=None, venue_names=None) -> CountsTable:
+    """The counts table whose cells are the nonzero entries of a dense T x V matrix.
+
+    Names default to ``g0, g1, ...`` and ``v0, v1, ...``.
+    """
+    matrix = np.asarray(matrix, dtype=np.int64)
+    t, v = matrix.shape
+    group, venue = np.nonzero(matrix)  # row-major, so group-major
+    return CountsTable(
+        group,
+        venue,
+        matrix[group, venue],
+        d_venue,
+        [f"g{w}" for w in range(t)] if group_names is None else group_names,
+        [f"v{j}" for j in range(v)] if venue_names is None else venue_names,
+    )
+
+
 @pytest.fixture
 def golden_counts() -> CountsTable:
-    return CountsTable(
-        GOLDEN_MATRIX, GOLDEN_AUTHOR_COUNTS, GOLDEN_GROUPS, GOLDEN_VENUES
-    )
+    return table_from_matrix(GOLDEN_MATRIX, GOLDEN_AUTHOR_COUNTS, GOLDEN_GROUPS, GOLDEN_VENUES)
 
 
 def random_counts_table(
@@ -61,16 +78,22 @@ def random_counts_table(
     t = int(rng.integers(1, max_groups + 1))
     v = int(rng.integers(1, max_venues + 1))
     matrix = rng.integers(1, max_count + 1, size=(t, v))
-    d_venue = rng.integers(1, 1000, size=v)
-    return CountsTable(
-        matrix,
-        d_venue,
-        [f"g{w}" for w in range(t)],
-        [f"v{j}" for j in range(v)],
-    )
+    return table_from_matrix(matrix, rng.integers(1, 1000, size=v))
 
 
 def random_stochastic_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     """Strictly positive row-stochastic matrix (irreducible and aperiodic)."""
     m = rng.uniform(0.01, 1.0, size=(n, n))
     return m / m.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def count_tables(draw):
+    """Count tables with T, V in 1..40, sparse cells, and positive marginals."""
+    t, v = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = rng.integers(1, 10, size=(t, v)) * (rng.random((t, v)) < density)
+    n[np.arange(t), np.arange(t) % v] += 1  # every group publishes somewhere
+    n[np.arange(v) % t, np.arange(v)] += 1  # every venue has a paper
+    return table_from_matrix(n, rng.integers(1, 1000, size=v))

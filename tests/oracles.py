@@ -3,7 +3,10 @@
 None of the solvers shares code with ``pscore.solver``: power iteration
 repeats gamma <- gamma @ P from the uniform vector, the LAPACK solve
 replaces one equation of gamma (I - P) = 0 by sum(gamma) = 1, and
-``stationary_extended`` eliminates states in ``np.longdouble``. ``count_records``
+``stationary_extended`` eliminates states in ``np.longdouble``. ``dense_blocks``
+forms alpha and beta as dense matrices from a counts table's cells, for the
+sparse chain to be checked against; ``components`` finds the connected
+components of the group-venue graph by breadth-first search. ``count_records``
 counts a list of parsed records the way ingestion did before it became a
 single pass over integer ids, sharing no code with ``pscore.records``;
 ``filter_by_year`` is the year window it applies first. ``serialize_records``
@@ -31,6 +34,7 @@ from pscore import (
     StationaryDistribution,
     ValidationError,
 )
+from pscore.chain import TOL
 from pscore.records import AUTHOR_SEP, CSV_COLUMNS
 
 log = logging.getLogger(__name__)
@@ -83,6 +87,57 @@ def stationary_by_solve(p: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
+def dense_counts(table) -> np.ndarray:
+    """The T x V count matrix of a ``CountsTable`` or a ``Dataset``, from its cells."""
+    if hasattr(table, "group_names"):
+        groups, venues = table.group_names, table.venue_names
+    else:
+        groups, venues = table.groups, table.venues
+    n = np.zeros((len(groups), len(venues)), dtype=np.int64)
+    n[table.group, table.venue] = table.n_group_venue
+    return n
+
+
+def dense_blocks(counts, d: float, breadth, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks alpha (V x T) and beta (T x V), formed densely from the cells.
+
+    Takes nothing from ``pscore`` but the table's fields: alpha divides
+    each column of the count matrix by its sum, beta mixes the row shares
+    with ``breadth`` under ``d``, in ``dtype``.
+    """
+    n = dense_counts(counts).astype(dtype)
+    alpha = (n / n.sum(axis=0, keepdims=True)).T
+    beta = dtype(d) * (n / n.sum(axis=1, keepdims=True)) + (dtype(1) - dtype(d)) * np.asarray(breadth, dtype)
+    return alpha, beta
+
+
+def rejects_rows(*blocks, tol: float = TOL) -> bool:
+    """Whether some block has a negative entry or a row whose sum is not 1 within ``tol``."""
+    return any(np.any(b < 0) or np.max(np.abs(b.sum(axis=-1) - 1.0)) > tol for b in blocks)
+
+
+def components(counts) -> tuple[frozenset[int], ...]:
+    """Connected components of the bipartite group-venue graph, as sets of groups.
+
+    Breadth-first search over the dense count matrix, ordered by each
+    component's lowest group.
+    """
+    n = dense_counts(counts)
+    unseen, found = set(range(n.shape[0])), []
+    while unseen:
+        frontier, component = [min(unseen)], set()
+        while frontier:
+            w = frontier.pop()
+            if w in component:
+                continue
+            component.add(w)
+            venues = np.flatnonzero(n[w])
+            frontier.extend(np.flatnonzero(n[:, venues].any(axis=1)).tolist())
+        unseen -= component
+        found.append(frozenset(component))
+    return tuple(found)
+
+
 def stationary_extended(counts, d: float) -> np.ndarray:
     """Stationary group vector in ``np.longdouble``, by state elimination.
 
@@ -92,7 +147,7 @@ def stationary_extended(counts, d: float) -> np.ndarray:
     precise than float64, enough to judge the last bits of a float64 solve.
     """
     ld = np.longdouble
-    n = counts.n_group_venue.astype(ld)
+    n = dense_counts(counts).astype(ld)
     volume = n / n.sum(axis=1, keepdims=True)
     alpha = (n / n.sum(axis=0, keepdims=True)).T
     breadth = counts.d_venue.astype(ld) / ld(int(counts.d_venue.sum()))

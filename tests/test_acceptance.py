@@ -12,6 +12,8 @@ from numpy.testing import assert_allclose
 
 from pscore import (
     CountsTable,
+    build_alpha,
+    build_beta,
     build_chain,
     build_reduced,
     group_consistency_check,
@@ -35,8 +37,9 @@ from conftest import (
     GOLDEN_VENUES,
     random_counts_table,
     random_stochastic_matrix,
+    table_from_matrix,
 )
-from oracles import power_iteration
+from oracles import dense_counts, power_iteration
 
 GOLDEN_CLI_ARGS = [
     "--input", str(DATA_DIR / "golden_records.jsonl"),
@@ -56,9 +59,7 @@ def _passed(number: int, label: str) -> None:
 
 
 def _golden_table() -> CountsTable:
-    return CountsTable(
-        GOLDEN_MATRIX, GOLDEN_AUTHOR_COUNTS, GOLDEN_GROUPS, GOLDEN_VENUES
-    )
+    return table_from_matrix(GOLDEN_MATRIX, GOLDEN_AUTHOR_COUNTS, GOLDEN_GROUPS, GOLDEN_VENUES)
 
 
 def _solve(table: CountsTable, d: float):
@@ -125,7 +126,7 @@ def test_criterion_4_limit_behaviors():
 
     single, _ = table.restrict([1])
     _, _, nu_single = _solve(single, 1.0)
-    volume = single.n_group_venue[0] / single.n_group[0]
+    volume = dense_counts(single)[0] / single.n_group[0]
     assert_allclose(nu_single.scores, volume, rtol=0, atol=1e-12)
     _passed(4, "limit behaviors at d=0 and d=1")
 
@@ -135,7 +136,7 @@ def test_criterion_5_stochasticity_suite():
     for table, d in _corpus(seed=20260811, count=60):
         chain, _, nu = _solve(table, d)
         reduced = build_reduced(chain)
-        for matrix in (chain.alpha, chain.beta, reduced):
+        for matrix in (build_alpha(table), build_beta(table, d), reduced):
             worst_row = max(worst_row, float(np.max(np.abs(matrix.sum(axis=1) - 1.0))))
         worst_nu = max(worst_nu, abs(float(nu.scores.sum()) - 1.0))
     assert worst_row <= 1e-9
@@ -148,7 +149,7 @@ def test_criterion_6_scaling_and_permutation():
     _, _, nu = _solve(table, GOLDEN_D)
 
     for k in (2, 3, 10):
-        scaled = CountsTable(
+        scaled = table_from_matrix(
             np.asarray(GOLDEN_MATRIX) * k,
             np.asarray(GOLDEN_AUTHOR_COUNTS) * k,
             GOLDEN_GROUPS,
@@ -159,10 +160,10 @@ def test_criterion_6_scaling_and_permutation():
 
     rng = np.random.default_rng(99)
     for table_base in (table, random_counts_table(rng, max_groups=8, max_venues=15, max_count=9)):
-        matrix = table_base.n_group_venue
+        matrix = dense_counts(table_base)
         sigma = rng.permutation(table_base.num_groups)
         tau = rng.permutation(table_base.num_venues)
-        permuted = CountsTable(
+        permuted = table_from_matrix(
             matrix[np.ix_(sigma, tau)],
             table_base.d_venue[tau],
             [table_base.group_names[w] for w in sigma],

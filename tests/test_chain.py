@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -11,13 +11,16 @@ from pscore import (
     CountsTable,
     ParameterError,
     ReputationChain,
+    StationaryDistribution,
     build_alpha,
     build_beta,
     build_chain,
     build_reduced,
     check_irreducible,
+    group_consistency_check,
     solve_pipeline,
     steady_state,
+    venue_scores,
 )
 from pscore.chain import format_matrix_tsv
 
@@ -29,15 +32,15 @@ from conftest import (
     GOLDEN_D,
     GOLDEN_MATRIX,
     GOLDEN_REDUCED,
+    count_tables,
     random_counts_table,
+    table_from_matrix,
 )
+from oracles import components, dense_blocks, rejects_rows
 
 
 def counts(matrix, d_venue):
-    t, v = len(matrix), len(matrix[0])
-    return CountsTable(
-        matrix, d_venue, [f"g{w}" for w in range(t)], [f"v{j}" for j in range(v)]
-    )
+    return table_from_matrix(matrix, d_venue)
 
 
 DISJOINT = counts([[2, 0], [0, 3]], [4, 5])
@@ -82,7 +85,7 @@ class TestBuildBeta:
         chain = build_chain(golden_counts, 0.5)
         calls = (
             lambda: build_chain(golden_counts, bad),
-            lambda: ReputationChain(alpha=chain.alpha, beta=chain.beta, d=bad, breadth=chain.breadth),
+            lambda: ReputationChain(counts=golden_counts, d=bad, breadth=chain.breadth),
             lambda: steady_state(golden_counts, bad),
             lambda: solve_pipeline(golden_counts, bad),
         )
@@ -133,19 +136,20 @@ class TestBuildReduced:
 class TestChainInvariants:
     def test_row_sum_drift_raises(self):
         with pytest.raises(ChainError, match="drift"):
-            ReputationChain(
-                alpha=[[0.6, 0.3]], beta=[[0.5], [0.5]], d=0.5, breadth=[1.0]
-            )
+            ReputationChain(counts=DISJOINT, d=0.5, breadth=[0.6, 0.3])
 
     def test_negative_entry_raises(self):
         with pytest.raises(ChainError):
-            ReputationChain(
-                alpha=[[1.5, -0.5]], beta=[[1.0], [1.0]], d=0.5, breadth=[1.0]
-            )
+            ReputationChain(counts=DISJOINT, d=0.5, breadth=[1.5, -0.5])
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ChainError):
-            ReputationChain(alpha=[[1.0]], beta=[[0.5, 0.5]], d=0.5, breadth=[1.0])
+            ReputationChain(counts=DISJOINT, d=0.5, breadth=[1.0])
+
+    def test_nan_share_raises(self):
+        # NaN compares false both ways, so "drift > TOL" let it through
+        with pytest.raises(ChainError, match="drift"):
+            ReputationChain(counts=DISJOINT, d=0.5, breadth=[float("nan"), 1.0])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
@@ -153,10 +157,11 @@ class TestChainInvariants:
         rng = np.random.default_rng(seed)
         table = random_counts_table(rng, max_groups=6, max_venues=12, max_count=9)
         chain = build_chain(table, d)
-        assert np.max(np.abs(chain.alpha.sum(axis=1) - 1.0)) <= 1e-9
-        assert np.max(np.abs(chain.beta.sum(axis=1) - 1.0)) <= 1e-9
+        alpha, beta = build_alpha(table), build_beta(table, d)
+        assert np.max(np.abs(alpha.sum(axis=1) - 1.0)) <= 1e-9
+        assert np.max(np.abs(beta.sum(axis=1) - 1.0)) <= 1e-9
         assert np.max(np.abs(build_reduced(chain).sum(axis=1) - 1.0)) <= 1e-9
-        assert chain.alpha.min() >= 0 and chain.beta.min() >= 0
+        assert alpha.min() >= 0 and beta.min() >= 0
 
 
 class TestCheckIrreducible:
@@ -179,6 +184,64 @@ class TestCheckIrreducible:
         table = counts([[1, 1, 0], [0, 1, 0], [0, 0, 2]], [1, 1, 1])
         report = check_irreducible(build_chain(table, 1.0))
         assert report.components == (frozenset({0, 1}), frozenset({2}))
+
+
+class TestSparseAgainstDense:
+    """The chain's sums over the count cells against blocks formed densely from them.
+
+    The dense reference is built in ``np.longdouble``, so it measures the
+    float64 error of the sparse path alone.
+    """
+
+    D = st.one_of(st.floats(0.0, 1.0), st.just(0.0), st.just(1.0))
+    # a table that d = 1 splits into {g0, g1} and {g2}
+    SPLIT = table_from_matrix([[1, 2, 0], [0, 1, 0], [0, 0, 3]], [4, 5, 6])
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_tables(), D, st.integers(0, 2**32 - 1))
+    @example(SPLIT, 1.0, 0)
+    def test_venue_scores_and_consistency(self, table, d, seed):
+        chain = build_chain(table, d)
+        ld = np.longdouble
+        alpha, beta = dense_blocks(table, d, chain.breadth.astype(ld), dtype=ld)
+        # any group vector will do, stationary or not: both sides are linear maps of it
+        g = np.random.default_rng(seed).dirichlet(np.ones(table.num_groups))
+        gamma = StationaryDistribution(gamma=g, residual=0.0, method="given")
+        nu = venue_scores(gamma, chain, table.venue_names)
+        assert_allclose(nu.scores, (g.astype(ld) @ beta).astype(float), rtol=1e-15, atol=0)
+        back = nu.scores.astype(ld) @ alpha
+        assert_allclose(chain.to_groups(nu.scores), back.astype(float), rtol=1e-15, atol=0)
+        # the residual is a difference of two vectors of size max(gamma), so it is
+        # judged on that scale
+        expected = float(np.max(np.abs(g.astype(ld) - back)))
+        assert abs(group_consistency_check(gamma, nu, chain) - expected) <= 1e-15 * g.max()
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_tables(), D, st.sampled_from([0.0, 1e-13, -1e-13, 1e-6, -1e-6, None]))
+    def test_row_checks_reject_the_same_chains(self, table, d, drift):
+        breadth = table.d_venue / table.d_venue.sum()
+        if drift is None:  # a negative share; with two venues or more the sum stays 1
+            breadth[0] -= 2.0
+            breadth[1:] += 2.0 / max(len(breadth) - 1, 1)
+        else:
+            breadth *= 1.0 + drift
+        alpha, beta = dense_blocks(table, d, breadth)
+        try:
+            ReputationChain(counts=table, d=d, breadth=breadth)
+            rejected = False
+        except ChainError:
+            rejected = True
+        assert rejected == rejects_rows(alpha, beta, breadth)
+        assert rejected == (drift is None or abs(drift) > 1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_tables())
+    @example(SPLIT)
+    @example(DISJOINT)
+    def test_components_match_breadth_first_search(self, table):
+        report = check_irreducible(build_chain(table, 1.0))
+        assert report.components == components(table)
+        assert report.irreducible == (len(report.components) == 1)
 
 
 def test_format_matrix_tsv():

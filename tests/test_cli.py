@@ -77,6 +77,24 @@ class TestVenuesCommand:
         reduced = (tmp_path / "venues.tsv.reduced.tsv").read_text().splitlines()
         assert len(reduced) == 3  # comment + two group rows
 
+    @pytest.mark.parametrize("dataset, args", [
+        ("golden", GOLDEN_ARGS),
+        ("disjoint", DISJOINT_ARGS[:-1] + ["0.5"]),
+    ])
+    def test_debug_matrices_match_the_dense_release(self, tmp_path, dataset, args):
+        # written by the release that still held the blocks as dense matrices
+        out = tmp_path / "venues.tsv"
+        assert main(["venues", *args, "-o", str(out), "--emit-debug-matrices"]) == 0
+        for block in ("alpha", "beta", "reduced"):
+            expected = (DATA_DIR / "debug_matrices" / f"{dataset}.{block}.tsv").read_bytes()
+            assert (tmp_path / f"venues.tsv.{block}.tsv").read_bytes() == expected
+
+    def test_d_too_close_to_one_fails_fast(self, capsys):
+        args = GOLDEN_ARGS[:-1] + ["0.999999999999"]
+        assert main(["venues", *args]) == 1
+        err = capsys.readouterr().err
+        assert "Chebyshev steps, more than the cap of 100000" in err and "d = 1" in err
+
     def test_debug_matrices_need_output_path(self, capsys):
         assert main(["venues", *GOLDEN_ARGS, "--emit-debug-matrices"]) == 1
         assert "requires -o" in capsys.readouterr().err
@@ -255,7 +273,7 @@ class TestValidateCommand:
         assert main(["validate", *GOLDEN_ARGS]) == 0
         out = capsys.readouterr().out.splitlines()
         assert "reference groups: 2" in out
-        assert "venues: 3" in out
+        assert out[1:3] == ["venues: 3", "nonzero (group, venue) cells: 6"]
         assert "records kept: 14" in out
         assert "records dropped (outside reference set): 0" in out
         assert "duplicate records merged: 0" in out
@@ -281,6 +299,7 @@ class TestValidateCommand:
         out = capsys.readouterr().out.splitlines()
         assert "records kept: 9" in out
         assert "venues: 2" in out
+        assert "nonzero (group, venue) cells: 4" in out
 
     def test_reports_disconnection(self, capsys):
         assert main(["validate", *DISJOINT_ARGS]) == 0

@@ -17,7 +17,8 @@ from pscore import (
     parse_records,
 )
 
-from conftest import DATA_DIR, GOLDEN_AUTHOR_COUNTS, GOLDEN_MATRIX
+from conftest import DATA_DIR, GOLDEN_AUTHOR_COUNTS, GOLDEN_MATRIX, table_from_matrix
+from oracles import dense_counts
 
 
 def rec(group, venue, authors=("a",), paper_id=None):
@@ -38,7 +39,7 @@ def golden_dataset(golden_records):
 class TestAggregate:
     def test_golden_counts(self, golden_dataset):
         table = aggregate(golden_dataset)
-        assert_array_equal(table.n_group_venue, GOLDEN_MATRIX)
+        assert_array_equal(dense_counts(table), GOLDEN_MATRIX)
         assert_array_equal(table.n_venue, [5, 6, 3])
         assert_array_equal(table.n_group, [6, 8])
 
@@ -49,7 +50,7 @@ class TestAggregate:
     def test_singleton(self):
         ds = build_dataset([rec("G1", "v1", authors=("a1",))], ["G1"])
         table = aggregate(ds)
-        assert_array_equal(table.n_group_venue, [[1]])
+        assert_array_equal(dense_counts(table), [[1]])
         assert_array_equal(table.n_venue, [1])
         assert_array_equal(table.n_group, [1])
         assert_array_equal(table.d_venue, [1])
@@ -82,30 +83,58 @@ class TestAggregate:
     def test_record_order_is_irrelevant(self, golden_records, golden_dataset):
         table = aggregate(golden_dataset)
         shuffled = build_dataset(golden_records[::-1], golden_dataset.groups)
-        assert_array_equal(aggregate(shuffled).n_group_venue, table.n_group_venue)
+        assert_array_equal(dense_counts(aggregate(shuffled)), dense_counts(table))
         assert_array_equal(aggregate(shuffled).d_venue, table.d_venue)
 
     def test_group_order_permutes_rows(self, golden_records, golden_dataset):
         table = aggregate(golden_dataset)
         flipped = build_dataset(golden_records, ("Group 2", "Group 1"))
-        assert_array_equal(aggregate(flipped).n_group_venue, table.n_group_venue[::-1])
+        assert_array_equal(dense_counts(aggregate(flipped)), dense_counts(table)[::-1])
 
 
 class TestCountsTable:
     def test_zero_venue_rejected(self):
         with pytest.raises(InternalError):
-            CountsTable([[1, 0]], [1, 1], ("g",), ("a", "b"))
+            table_from_matrix([[1, 0]], [1, 1], ("g",), ("a", "b"))
+
+    @pytest.mark.parametrize("group, venue, n, match", [
+        ([0, 0], [1, 0], [1, 1], "not sorted group-major"),
+        ([0, 0], [0, 0], [1, 1], "not sorted group-major"),
+        ([0, 1], [0, 1], [1, 1], "outside the group or venue axis"),
+        ([0, 0], [0, 2], [1, 1], "outside the group or venue axis"),
+        ([0, 0], [0, 1], [1, 0], "cell with no publications"),
+        ([0, 0], [0, 1], [1, -1], "cell with no publications"),
+        ([0], [0, 1], [1, 1], "cells and axes do not match"),
+    ])
+    def test_malformed_cells_rejected(self, group, venue, n, match):
+        with pytest.raises(InternalError, match=match):
+            CountsTable(group, venue, n, [1, 1], ("g",), ("a", "b"))
+
+    def test_marginals_come_from_the_cells(self):
+        table = CountsTable([0, 0, 1], [0, 2, 1], [2, 1, 3], [5, 6, 7], ("g0", "g1"), ("a", "b", "c"))
+        assert_array_equal(table.n_group, [3, 3])
+        assert_array_equal(table.n_venue, [2, 3, 1])
+        assert table.n_group.dtype == table.n_venue.dtype == np.int64
 
     def test_restrict_drops_empty_venues(self):
-        table = CountsTable(
+        table = table_from_matrix(
             [[2, 0, 1], [0, 3, 0]], [5, 6, 7], ("g0", "g1"), ("a", "b", "c")
         )
         sub, venues = table.restrict([0])
         assert_array_equal(venues, [0, 2])
         assert sub.group_names == ("g0",)
         assert sub.venue_names == ("a", "c")
-        assert_array_equal(sub.n_group_venue, [[2, 1]])
+        assert_array_equal(dense_counts(sub), [[2, 1]])
         assert_array_equal(sub.d_venue, [5, 7])
+
+    def test_restrict_keeps_cells_sorted(self):
+        matrix = [[1, 0, 2, 0], [0, 3, 0, 4], [5, 0, 0, 6]]
+        table = table_from_matrix(matrix, [1, 2, 3, 4])
+        sub, venues = table.restrict([2, 0])
+        assert_array_equal(venues, [0, 2, 3])
+        assert sub.group_names == ("g0", "g2")
+        assert_array_equal(dense_counts(sub), [[1, 2, 0], [5, 0, 6]])
+        assert_array_equal(sub.n_group_venue, [1, 2, 5, 6])
 
 
 @settings(max_examples=50)
@@ -121,9 +150,7 @@ class TestCountsTable:
 )
 def test_marginal_identities(matrix):
     t, v = len(matrix), len(matrix[0])
-    table = CountsTable(
-        matrix, [1] * v, [f"g{i}" for i in range(t)], [f"v{j}" for j in range(v)]
-    )
+    table = table_from_matrix(matrix, [1] * v)
     assert table.n_venue.sum() == table.n_group.sum() == np.asarray(matrix).sum()
     assert_array_equal(table.n_venue, np.asarray(matrix).sum(axis=0))
     assert_array_equal(table.n_group, np.asarray(matrix).sum(axis=1))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from pscore import DatasetError, PScoreError, aggregate, ingest, parse_records
 
-from oracles import count_records, filter_by_year
+from oracles import count_records, dense_counts, filter_by_year
 
 REFERENCE = ["Group A", "Group B"]
 FOREIGN = ["Outside Lab"]
@@ -144,7 +144,7 @@ def by_oracle(text, fmt, window):
 def by_ingest(text, fmt, window):
     dataset = ingest(io.StringIO(text), fmt, REFERENCE, years=window)
     table = aggregate(dataset)
-    return (table.group_names, table.venue_names, table.n_group_venue.tolist(), table.d_venue.tolist(),
+    return (table.group_names, table.venue_names, dense_counts(table).tolist(), table.d_venue.tolist(),
             dataset.dropped_foreign, dataset.dedup_merged)
 
 

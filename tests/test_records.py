@@ -15,7 +15,7 @@ from pscore import (
 from pscore.records import normalize_name
 
 from conftest import DATA_DIR
-from oracles import filter_by_year, serialize_records
+from oracles import dense_counts, filter_by_year, serialize_records
 
 
 def jsonl(text: str) -> io.BytesIO:
@@ -205,7 +205,7 @@ class TestBuildDataset:
     def test_coauthored_paper_counts_in_both_groups(self):
         recs = [make(group="G1", paper_id="x"), make(group="G2", paper_id="x")]
         ds = build_dataset(recs, ["G1", "G2"])
-        assert ds.n_group_venue.tolist() == [[1], [1]]
+        assert dense_counts(ds).tolist() == [[1], [1]]
 
     def test_empty_dataset_error(self):
         with pytest.raises(DatasetError):
@@ -227,14 +227,14 @@ class TestBuildDataset:
         assert ds.venues == ("SIGIR",)
         # "g1" is the reference group "G1": both records count in its row
         assert ds.groups == ("G1",)
-        assert ds.n_group_venue.tolist() == [[2]]
+        assert dense_counts(ds).tolist() == [[2]]
 
     def test_idempotent(self):
         survivors = [make(paper_id="a"), make(venue="v2", paper_id="b")]
         ds = build_dataset([survivors[0], *survivors, make(group="Other")], ["G1"])
         again = build_dataset(survivors, ds.groups)
         assert (again.groups, again.venues) == (ds.groups, ds.venues)
-        assert again.n_group_venue.tolist() == ds.n_group_venue.tolist()
+        assert dense_counts(again).tolist() == dense_counts(ds).tolist()
         assert again.d_venue.tolist() == ds.d_venue.tolist()
 
     def test_venue_list_matches_surviving_records_exactly(self):
@@ -246,7 +246,7 @@ class TestBuildDataset:
         recs = [make(venue="v1"), make(venue="v2", paper_id="b"), make(group="G2", venue="v2")]
         ds = build_dataset(recs, ["G1", "g2"])
         assert ds.venues == ("v1", "v2")
-        assert ds.n_group_venue.tolist() == [[1, 1], [0, 1]]
+        assert dense_counts(ds).tolist() == [[1, 1], [0, 1]]
 
 
 class TestFilterByYear:

@@ -12,6 +12,7 @@ from pscore import (
     RankEntry,
     ScoreVector,
     ValidationError,
+    build_beta,
     build_chain,
     build_reduced,
     group_consistency_check,
@@ -32,6 +33,7 @@ from conftest import (
     GOLDEN_NU_3DP,
     GOLDEN_NU_MAX1,
     random_counts_table,
+    table_from_matrix,
 )
 
 
@@ -73,7 +75,7 @@ class TestVenueScores:
         chain = build_chain(sub, GOLDEN_D)
         gamma = gth_steady_state(build_reduced(chain))
         nu = venue_scores(gamma, chain, sub.venue_names)
-        assert_allclose(nu.scores, chain.beta[0], rtol=0, atol=1e-15)
+        assert_allclose(nu.scores, build_beta(sub, GOLDEN_D)[0], rtol=0, atol=1e-15)
 
     def test_d_zero_gives_breadth_regardless_of_gamma(self, golden_counts):
         chain = build_chain(golden_counts, 0.0)
@@ -220,9 +222,7 @@ class TestRankGroups:
         assert [(e.rank, e.name) for e in ranking.entries] == [(1, "Group 2"), (2, "Group 1")]
 
     def test_symmetric_tie(self):
-        from pscore import CountsTable
-
-        table = CountsTable([[2, 1], [1, 2]], [3, 3], ("gb", "ga"), ("v1", "v2"))
+        table = table_from_matrix([[2, 1], [1, 2]], [3, 3], ("gb", "ga"), ("v1", "v2"))
         chain = build_chain(table, 0.5)
         gamma = gth_steady_state(build_reduced(chain))
         ranking = make_ranking(table.group_names, gamma.gamma)

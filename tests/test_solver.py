@@ -10,6 +10,10 @@ from pscore import (
     ChainError,
     CountsTable,
     DisconnectedChainError,
+    ParameterError,
+    ReputationChain,
+    build_alpha,
+    build_beta,
     build_chain,
     build_reduced,
     check_irreducible,
@@ -17,9 +21,16 @@ from pscore import (
     steady_state,
 )
 from pscore import solver
-from pscore.solver import EPS, iteration_count
+from pscore.solver import EPS, MAX_STEPS, iteration_count
 
-from conftest import GOLDEN_D, GOLDEN_GAMMA, GOLDEN_REDUCED, random_stochastic_matrix
+from conftest import (
+    GOLDEN_D,
+    GOLDEN_GAMMA,
+    GOLDEN_REDUCED,
+    count_tables,
+    random_stochastic_matrix,
+    table_from_matrix,
+)
 from oracles import ConvergenceError, power_iteration, stationary_by_solve, stationary_extended
 
 # hand-solved two-state chain: pi1 * 0.4 = pi2 * 0.3  =>  pi = [3/7, 4/7]
@@ -138,8 +149,7 @@ class TestProperties:
 
 
 def _table(n: np.ndarray, d_venue) -> CountsTable:
-    t, v = n.shape
-    return CountsTable(n, d_venue, [f"g{w}" for w in range(t)], [f"v{j}" for j in range(v)])
+    return table_from_matrix(n, d_venue)
 
 
 def _uniform_table(t: int, v: int) -> CountsTable:
@@ -147,24 +157,12 @@ def _uniform_table(t: int, v: int) -> CountsTable:
     return _table(np.ones((t, v), dtype=int), [1] * v)
 
 
-@st.composite
-def count_tables(draw):
-    """Count tables with T, V in 1..40, sparse cells, and positive marginals."""
-    t, v = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    density = draw(st.floats(0.0, 1.0))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = rng.integers(1, 10, size=(t, v)) * (rng.random((t, v)) < density)
-    n[np.arange(t), np.arange(t) % v] += 1  # every group publishes somewhere
-    n[np.arange(v) % t, np.arange(v)] += 1  # every venue has a paper
-    return _table(n, rng.integers(1, 1000, size=v))
-
-
 class TestSteadyState:
     def test_d_zero_is_breadth_through_alpha(self, golden_counts):
         chain = build_chain(golden_counts, 0.0)
         result = steady_state(golden_counts, 0.0)
         assert result.method == "chebyshev"
-        assert_allclose(result.gamma, chain.breadth @ chain.alpha, rtol=1e-15, atol=0)
+        assert_allclose(result.gamma, chain.breadth @ build_alpha(golden_counts), rtol=1e-15, atol=0)
         assert result.residual <= 1e-15
 
     def test_d_one_is_the_closed_form(self, golden_counts):
@@ -172,7 +170,7 @@ class TestSteadyState:
         assert result.method == "closed_form"
         n_group, n_venue = golden_counts.n_group, golden_counts.n_venue
         assert_array_equal(result.gamma, n_group / n_group.sum())
-        nu = result.gamma @ build_chain(golden_counts, 1.0).beta
+        nu = result.gamma @ build_beta(golden_counts, 1.0)
         assert_allclose(nu, n_venue / n_venue.sum(), rtol=0, atol=1e-15)
         assert result.residual <= 1e-15
 
@@ -187,6 +185,29 @@ class TestSteadyState:
             scale = 2 * math.sqrt(1000 / 1)
             assert scale * rho**k <= EPS < scale * rho ** (k - 1)
         assert iteration_count(n_group, 0.0) == 1
+
+    def test_d_too_close_to_one_is_refused_before_the_first_step(self, golden_counts, monkeypatch):
+        # 1 - 1e-12 once ran 21.8 million steps, about 50 minutes, on a 1000-group input
+        d = 0.999999999999
+        steps = iteration_count(golden_counts.n_group, d)
+        assert steps > MAX_STEPS
+
+        def no_step(self, gamma):
+            raise AssertionError("a Chebyshev step ran")
+
+        monkeypatch.setattr(ReputationChain, "to_venues", no_step)
+        message = (rf"d = 0\.999999999999 needs {steps} Chebyshev steps, "
+                   rf"more than the cap of {MAX_STEPS}; .*d = 1,")
+        with pytest.raises(ParameterError, match=message):
+            steady_state(golden_counts, d)
+
+    def test_step_cap_is_inclusive(self, golden_counts, monkeypatch):
+        steps = iteration_count(golden_counts.n_group, 0.9)
+        monkeypatch.setattr(solver, "MAX_STEPS", steps)
+        assert steady_state(golden_counts, 0.9).method == "chebyshev"
+        monkeypatch.setattr(solver, "MAX_STEPS", steps - 1)
+        with pytest.raises(ParameterError, match=f"needs {steps} Chebyshev steps"):
+            steady_state(golden_counts, 0.9)
 
     def test_d_near_one_uniform_chain(self):
         result = steady_state(_uniform_table(40, 1), 0.999)
