@@ -125,13 +125,13 @@ def build_beta(counts: CountsTable, d: float) -> np.ndarray:
     """
     check_d(d)
     volume = _dense(counts) / counts.n_group[:, np.newaxis]
-    breadth = counts.d_venue / counts.d_venue.sum()
+    breadth = counts.d_venue / counts.d_venue.sum(dtype=np.float64)
     return d * volume + (1.0 - d) * breadth[np.newaxis, :]
 
 
 def build_chain(counts: CountsTable, d: float) -> ReputationChain:
-    """Build and validate the chain on one counts table."""
-    return ReputationChain(counts=counts, d=float(d), breadth=counts.d_venue / counts.d_venue.sum())
+    """Build and validate the chain on one counts table; the breadth total is a float64 sum, which cannot wrap."""
+    return ReputationChain(counts=counts, d=float(d), breadth=counts.d_venue / counts.d_venue.sum(dtype=np.float64))
 
 
 def build_reduced(chain: ReputationChain) -> np.ndarray:

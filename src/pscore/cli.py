@@ -23,7 +23,7 @@ from .chain import TOL, build_alpha, build_beta, build_chain, build_reduced, che
 from .counts import CountsTable, aggregate, parse_author_counts
 from .errors import ParameterError, ParseError, PScoreError, ValidationError
 from .pipeline import PipelineResult, solve_pipeline
-from .records import Dataset, fold, ingest, json_loads, jsonl_objects, normalize_name, text_stream
+from .records import MAX_COUNT, Dataset, fold, ingest, json_loads, jsonl_objects, normalize_name, text_stream
 from .scoring import ScoreVector, make_ranking, rank_authors, ranking_to_json, ranking_to_tsv
 
 DEFAULT_D = 0.5
@@ -196,9 +196,11 @@ def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
         v = venue_of[venue] = venue_display.setdefault(fold(v), v)
         return v
 
-    def add(author: str, venue: str, count: int) -> None:
+    def add(author: str, venue: str, count: int, lineno: int) -> None:
         per_author = pubs.setdefault(author, {})
-        per_author[venue] = per_author.get(venue, 0) + count
+        total = per_author[venue] = per_author.get(venue, 0) + count
+        if total > MAX_COUNT:  # one count or a sum of them
+            raise ValidationError(f"'count' for {author!r} at {venue!r} exceeds 2**53", line=lineno, field="count")
 
     with text_stream(stream) as text:
         for lineno, obj in jsonl_objects(text):
@@ -209,7 +211,7 @@ def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
                         f"'count' must be a positive integer, got {count!r}", line=lineno, field="count"
                     )
                 author = author_name(obj.get("author"), lineno)
-                add(author, venue_name(obj.get("venue"), lineno), count)
+                add(author, venue_name(obj.get("venue"), lineno), count, lineno)
             elif "authors" in obj:
                 authors = obj.get("authors")
                 if not isinstance(authors, list) or not authors:
@@ -223,7 +225,7 @@ def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
                     display = venue_name(venue, lineno)  # a bad venue is reported after a bad first author
                     if author not in credited:
                         credited.add(author)
-                        add(author, display, 1)
+                        add(author, display, 1, lineno)
             else:
                 raise ParseError(
                     "expected author/venue/count or authors/venue keys", line=lineno

@@ -16,7 +16,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .errors import InternalError, ParseError, ValidationError
-from .records import Dataset, fold, jsonl_objects, normalize_name, text_stream
+from .records import MAX_COUNT, Dataset, fold, jsonl_objects, normalize_name, text_stream
 
 log = logging.getLogger(__name__)
 
@@ -108,8 +108,8 @@ def aggregate(dataset: Dataset, author_counts: Mapping[str, int] | None = None) 
                 continue
             if isinstance(count, bool) or not isinstance(count, int):
                 raise ValidationError(f"author-count override for {name!r} must be an integer")
-            if count < 1:
-                raise ValidationError(f"author-count override for {name!r} must be >= 1, got {count}")
+            if not 1 <= count <= MAX_COUNT:
+                raise ValidationError(f"author-count override for {name!r} must lie in [1, 2**53], got {count}")
             d_venue[j] = count
 
     return CountsTable(dataset.group, dataset.venue, dataset.n_group_venue, d_venue,
@@ -139,6 +139,8 @@ def parse_author_counts(stream: IO[bytes] | IO[str], format: str) -> dict[str, i
             raise ValidationError("'count' must be an integer", line=lineno, field="count")
         if count < 1:
             raise ValidationError(f"'count' must be >= 1, got {count}", line=lineno, field="count")
+        if count > MAX_COUNT:
+            raise ValidationError("'count' exceeds 2**53", line=lineno, field="count")
         key = fold(name)
         if key in seen:
             raise ValidationError(f"duplicate author-count entry for venue {name!r}", line=lineno)

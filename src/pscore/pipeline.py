@@ -60,7 +60,6 @@ def solve_pipeline(
     """
     chain = build_chain(counts, d)
     report = check_irreducible(chain)
-    solved = counts
     groups, venues = np.arange(counts.num_groups), np.arange(counts.num_venues)
     if not report.irreducible:
         if not allow_largest_component:
@@ -84,8 +83,8 @@ def solve_pipeline(
         solved, venues = counts.restrict(groups)
         chain = build_chain(solved, d)
 
-    gamma = steady_state(solved, d)
-    nu = venue_scores(gamma, chain, solved.venue_names)
+    gamma = steady_state(chain)
+    nu = venue_scores(gamma, chain, chain.counts.venue_names)
     residual = group_consistency_check(gamma, nu, chain)
     if residual > TOL:
         raise InternalError(f"group/venue fixed point violated: residual {residual:.3e} exceeds {TOL}")

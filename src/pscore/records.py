@@ -15,6 +15,7 @@ import io
 import json
 import logging
 from array import array
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
@@ -27,6 +28,7 @@ log = logging.getLogger(__name__)
 
 CSV_COLUMNS = ("id", "title", "group", "authors", "venue", "year")
 AUTHOR_SEP = ";"
+MAX_COUNT = 2**53  # largest count a count field may hold or sum to: float64 holds every integer up to it
 
 
 def normalize_name(name: str) -> str:
@@ -42,19 +44,6 @@ def fold(name: str) -> str:
     whichever spelling appeared first.
     """
     return name.casefold()
-
-
-def _paper_key(paper_id: str | None, title: str | None) -> str | None:
-    """Identity used for distinct-paper counting.
-
-    The opaque paper id wins; otherwise the case-folded normalized title.
-    Records with neither are never merged (key ``None``).
-    """
-    if paper_id is not None:
-        return "id:" + paper_id
-    if title and (name := normalize_name(title)):
-        return "title:" + fold(name)
-    return None
 
 
 @dataclass(frozen=True)
@@ -204,10 +193,6 @@ def _parse_year(value: object, line: int | None) -> int | None:
     raise ValidationError(f"field 'year' must be an integer, got {value!r}", line=line, field="year")
 
 
-def _in_years(year: int, start: int | None, end: int | None) -> bool:
-    return (start is None or year >= start) and (end is None or year <= end)
-
-
 def _jsonl_fields(text: IO[str]) -> Iterator[tuple]:
     for lineno, obj in jsonl_objects(text):
         raw_id = obj.get("id")
@@ -290,9 +275,9 @@ class _Tally:
 
     Every distinct raw group, venue and author string is normalized and
     case-folded once and interned. A record that lies in the year window,
-    belongs to a reference group and is not a duplicate (same paper key,
-    same group) leaves one (venue, group) cell and one (author, venue)
-    pair per author, all as integers; nothing else of it is kept.
+    belongs to a reference group and is new to it leaves one (venue, group)
+    cell and one (author, venue) pair per author, all as integers, and its
+    id, else its folded title, in the group's set of ids or of titles.
     """
 
     def __init__(self, reference_groups: Sequence[str], years: tuple[int | None, int | None] | None):
@@ -319,7 +304,8 @@ class _Tally:
         self._shown: dict[int, str] = {}      # venue id -> spelling of its first kept record
         self._author_of: dict[str, int] = {}  # raw author -> author id, or _BLANK
         self._author_id: dict[str, int] = {}  # folded author -> author id
-        self._seen: set[tuple[str, int]] = set()
+        self._ids: defaultdict[int, set[str]] = defaultdict(set)     # row -> paper ids counted
+        self._titles: defaultdict[int, set[str]] = defaultdict(set)  # row -> folded titles counted
         self._cells = array("q")  # venue * T + row, one per kept record
         self._pairs = array("q")  # author << 32 | venue, one per author of a kept record
         self.undated = self.dropped = self.merged = 0
@@ -373,49 +359,58 @@ class _Tally:
             if year is None:
                 self.undated += 1
                 return
-            if not _in_years(year, *self._years):
+            start, end = self._years
+            if start is not None and year < start or end is not None and year > end:
                 return
         if row < 0:
             self.dropped += 1
             return
-        key = _paper_key(paper_id, title)
-        if key is not None:
-            pair = (key, row)
-            if pair in self._seen:
+        if paper_id is not None:
+            seen, key = self._ids[row], paper_id
+        elif title and (name := normalize_name(title)):
+            seen, key = self._titles[row], fold(name)
+        else:
+            seen = None
+        if seen is not None:
+            if key in seen:
                 self.merged += 1
                 return
-            self._seen.add(pair)
+            seen.add(key)
         if venue_id not in self._shown:
             self._shown[venue_id] = spelling
         self._cells.append(venue_id * len(self.groups) + row)
         self._pairs.extend([author << 32 | venue_id for author in ids])
 
     def dataset(self) -> Dataset:
-        """Check the tallies and lay them out as group-major cells; once only, as it frees the memos."""
+        """Check the tallies and lay them out as group-major cells; once only, as it sorts them in place."""
         if self.undated:
             log.warning("year filter excluded %d record(s) without a year", self.undated)
         if self.dropped:
             log.info("dropped %d record(s) from groups outside the reference set", self.dropped)
         if not self._cells:
             raise DatasetError("empty dataset: no records remain for the reference groups")
-        self._seen = self._group_of = self._venue_of = self._author_of = self._author_id = None  # spent
-        t = len(self.groups)
         cells = np.frombuffer(self._cells, dtype=np.int64)
-        rows, venue_ids = cells % t, cells // t
-        for name, count in zip(self.groups, np.bincount(rows, minlength=t)):
-            if count == 0:
-                raise DatasetError(f"reference group {name!r} has no publications in the dataset")
+        pairs = np.frombuffer(self._pairs, dtype=np.int64)
+        del self._ids, self._titles, self._group_of, self._venue_of, self._author_of, self._author_id  # spent
+        del self._cells, self._pairs  # sorted in place, so a second call must fail, not count them again
 
         # kept venues in case-folded order (one venue per folded name)
         keys = list(self._venue_id)
         order = sorted(self._shown, key=keys.__getitem__)
         column = np.full(len(keys), -1, dtype=np.int64)
         column[order] = np.arange(len(order))
-        v = len(order)
+        t, v = len(self.groups), len(order)
 
-        cell, n_group_venue = np.unique(rows * v + column[venue_ids], return_counts=True)
-        pairs = np.unique(np.frombuffer(self._pairs, dtype=np.int64))
-        d_venue = np.bincount(column[pairs & 0xFFFFFFFF], minlength=v)
+        # counts are the run lengths of the sorted codes; a hashed np.unique costs more memory
+        cells[:] = cells % t * v + column[cells // t]
+        cells.sort()
+        starts = np.flatnonzero(np.diff(cells, prepend=-1))
+        cell, n_group_venue = cells[starts], np.diff(starts, append=len(cells))
+        for name, count in zip(self.groups, np.bincount(cell // v, minlength=t)):
+            if count == 0:
+                raise DatasetError(f"reference group {name!r} has no publications in the dataset")
+        pairs.sort()
+        d_venue = np.bincount(column[pairs[np.diff(pairs, prepend=-1) != 0] & 0xFFFFFFFF], minlength=v)
 
         return Dataset(
             groups=self.groups,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .chain import TOL, ReputationChain
 from .errors import DegenerateInputError, InternalError, ValidationError
-from .records import fold, normalize_name
+from .records import MAX_COUNT, fold, normalize_name
 from .solver import StationaryDistribution
 
 log = logging.getLogger(__name__)
@@ -147,8 +147,8 @@ def group_consistency_check(
 def _check_count(count: object, author: str) -> int:
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ValidationError(f"publication count for author {author!r} must be an integer, got {count!r}")
-    if count < 0:
-        raise ValidationError(f"publication count for author {author!r} must be nonnegative, got {count}")
+    if not 0 <= count <= MAX_COUNT:
+        raise ValidationError(f"publication count for author {author!r} must lie in [0, 2**53], got {count}")
     return int(count)
 
 
@@ -173,7 +173,7 @@ def rank_authors(
         items = pubs.items() if isinstance(pubs, Mapping) else pubs
         total = 0.0
         for venue, count in items:
-            if count.__class__ is not int or count < 0:
+            if count.__class__ is not int or not 0 <= count <= MAX_COUNT:
                 count = _check_count(count, author)
             try:
                 weight = weight_of[venue]

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import build_chain, check_stochastic
-from .counts import CountsTable
+from .chain import ReputationChain, check_stochastic
 from .errors import ChainError, DisconnectedChainError, ParameterError
 
 # 1-norm error bound on the Chebyshev iterate: ||gamma_k - gamma*||_1 <= EPS
@@ -106,14 +105,14 @@ def iteration_count(n_group: np.ndarray, d: float) -> int:
     return math.ceil(math.log(EPS / scale) / math.log(rho))
 
 
-def steady_state(counts: CountsTable, d: float) -> StationaryDistribution:
-    """Stationary group vector of the chain on ``counts`` mixed at ``d``.
+def steady_state(chain: ReputationChain) -> StationaryDistribution:
+    """Stationary group vector of ``chain``, from its counts and its d.
 
     The closed form at d = 1 holds on a connected group-venue graph, which
     :func:`~pscore.chain.check_irreducible` decides; below 1 the chain is
     always irreducible. A d that needs over :data:`MAX_STEPS` steps raises :class:`ParameterError`.
     """
-    chain, n_group = build_chain(counts, d), counts.n_group
+    d, n_group = chain.d, chain.counts.n_group
 
     def walk(gamma: np.ndarray) -> np.ndarray:
         """gamma @ volume @ alpha."""
@@ -130,7 +129,7 @@ def steady_state(counts: CountsTable, d: float) -> StationaryDistribution:
         # Chebyshev iteration for gamma (I - d R) = teleport from gamma = 0,
         # on the interval [1 - d, 1]: centre 1 - d/2, half-width d/2
         centre, half = 1.0 - d / 2, d / 2
-        gamma, residual = np.zeros(counts.num_groups), teleport.copy()
+        gamma, residual = np.zeros(len(n_group)), teleport.copy()
         step, ratio = residual / centre, half / centre
         for _ in range(steps - 1):
             gamma += step

@@ -304,6 +304,8 @@ def load_author_pubs(text):
         v = venue_display.setdefault(v.casefold(), v)
         per_author = pubs.setdefault(a, {})
         per_author[v] = per_author.get(v, 0) + count
+        if per_author[v] > 2**53:
+            raise ValidationError(f"'count' for {a!r} at {v!r} exceeds 2**53", line=lineno, field="count")
 
     for lineno, obj in jsonl_objects(text):
         if "count" in obj or "author" in obj:
@@ -332,8 +334,8 @@ def load_author_pubs(text):
 def _check_count(count, author):
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ValidationError(f"publication count for author {author!r} must be an integer, got {count!r}")
-    if count < 0:
-        raise ValidationError(f"publication count for author {author!r} must be nonnegative, got {count}")
+    if not 0 <= count <= 2**53:
+        raise ValidationError(f"publication count for author {author!r} must lie in [0, 2**53], got {count}")
     return int(count)
 
 

@@ -26,7 +26,7 @@ SCORED = ["SIGIR", "Venue X", "kdd"]
 UNSCORED = ["offbook"]
 AUTHORS = ["Ana Silva", "Bo Costa", "dee"]
 BAD_NAMES = [None, 1, True, "", "  ", ["kdd"], {"name": "kdd"}]
-BAD_COUNTS = [0, -1, True, 2.0, "2", None, [1]]
+BAD_COUNTS = [0, -1, True, 2.0, "2", None, [1], 2**53 + 1, 10**399]
 MALFORMED = [
     "{oops",
     "[1]",
@@ -112,6 +112,9 @@ WEIGHTS = st.lists(st.floats(0.01, 1.0), min_size=len(SCORED), max_size=len(SCOR
           '{"author": "dee", "venue": ["kdd"], "count": 1}'], False, [1.0, 1.0, 1.0])
 @example(['{"authors": ["dee"], "venue": "kdd"}', '{"authors": ["dee"], "venue": " "}'],
          False, [1.0, 1.0, 1.0])
+# counts past 2**53, alone and in a sum
+@example(['{"author": "dee", "venue": "kdd", "count": 1%s}' % ("0" * 399)], False, [1.0, 1.0, 1.0])
+@example(['{"author": "dee", "venue": "kdd", "count": 4503599627370496}'] * 3, False, [1.0, 1.0, 1.0])
 # unhashable author and venue fields
 @example(['{"author": ["dee"], "venue": "kdd", "count": 1}'], False, [1.0, 1.0, 1.0])
 @example(['{"authors": ["dee", {"a": 1}], "venue": "kdd"}'], False, [1.0, 1.0, 1.0])
@@ -123,7 +126,8 @@ def test_author_path_matches_oracle(lines, crlf, weights):
     assert outcome(lambda: by_library(text, nu)) == outcome(lambda: by_oracle(text, nu))
 
 
-COUNTS = st.one_of(st.integers(-2, 5), st.integers(0, 5).map(np.int64), st.sampled_from([True, 1.0, "1"]))
+COUNTS = st.one_of(st.integers(-2, 5), st.integers(0, 5).map(np.int64),
+                   st.sampled_from([True, 1.0, "1", 2**53, 2**53 + 1, np.int64(2**53 + 1), 10**399]))
 PUB_LISTS = st.dictionaries(
     spelling(AUTHORS),
     st.one_of(

@@ -19,7 +19,6 @@ from pscore import (
     check_irreducible,
     group_consistency_check,
     solve_pipeline,
-    steady_state,
     venue_scores,
 )
 from pscore.chain import format_matrix_tsv
@@ -86,7 +85,6 @@ class TestBuildBeta:
         calls = (
             lambda: build_chain(golden_counts, bad),
             lambda: ReputationChain(counts=golden_counts, d=bad, breadth=chain.breadth),
-            lambda: steady_state(golden_counts, bad),
             lambda: solve_pipeline(golden_counts, bad),
         )
         for call in calls:
@@ -145,6 +143,12 @@ class TestChainInvariants:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ChainError):
             ReputationChain(counts=DISJOINT, d=0.5, breadth=[1.0])
+
+    def test_breadth_total_does_not_wrap(self):
+        # 1,025 counts of 2**53 sum past 2**63; an int64 total wrapped negative
+        table, uniform = counts([[1] * 1025], [2**53] * 1025), np.full(1025, 1 / 1025)
+        assert_array_equal(build_chain(table, 0.5).breadth, uniform)
+        assert_array_equal(build_beta(table, 0.0)[0], uniform)
 
     def test_nan_share_raises(self):
         # NaN compares false both ways, so "drift > TOL" let it through

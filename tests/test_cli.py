@@ -173,6 +173,19 @@ class TestAuthorsCommand:
         assert lines[-2] == "1\tZed\t1.000000"
         assert lines[-1] == "2\tYan\t0.500000"
 
+    @pytest.mark.parametrize("lines, line", [
+        (['{"author": "A", "venue": "v1", "count": 1%s}' % ("0" * 399)], 1),
+        (['{"author": "A", "venue": "v1", "count": 9007199254740992}',
+          '{"author": "a", "venue": "V1", "count": 1}'], 2),  # 2**53 + 1 in sum
+    ])
+    def test_count_above_2_53_names_file_and_line(self, tmp_path, capsys, lines, line):
+        scores = tmp_path / "venues.tsv"
+        assert main(["venues", *GOLDEN_ARGS, "-o", str(scores)]) == 0
+        pubs = tmp_path / "pubs.jsonl"
+        pubs.write_text("".join(text + "\n" for text in lines))
+        assert main(["authors", "--venue-scores", str(scores), "--author-pubs", str(pubs)]) == 1
+        assert capsys.readouterr().err == f"pscore: error: {pubs}: line {line}: 'count' for 'A' at 'v1' exceeds 2**53\n"
+
     def test_unknown_venue_warns_but_ranks(self, tmp_path, caplog):
         scores = tmp_path / "venues.tsv"
         assert main(["venues", *GOLDEN_ARGS, "-o", str(scores)]) == 0
@@ -293,6 +306,13 @@ class TestValidateCommand:
         args = GOLDEN_ARGS[:4] + ["--author-counts", str(counts)]
         assert main(["validate", *args]) == 1
         assert capsys.readouterr().err == f"pscore: error: {counts}: line 2: 'count' must be >= 1, got 0\n"
+
+    def test_author_count_above_2_53_names_file_and_line(self, tmp_path, capsys):
+        counts = tmp_path / "counts.jsonl"
+        counts.write_text('{"venue": "v1", "count": 12}\n{"venue": "v2", "count": 100000000000000000000000}\n')
+        args = GOLDEN_ARGS[:4] + ["--author-counts", str(counts)]
+        assert main(["validate", *args]) == 1
+        assert capsys.readouterr().err == f"pscore: error: {counts}: line 2: 'count' exceeds 2**53\n"
 
     def test_year_filter_changes_counts(self, capsys):
         assert main(["validate", *GOLDEN_ARGS, "--years", "2013:2014"]) == 0

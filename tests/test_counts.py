@@ -75,6 +75,12 @@ class TestAggregate:
         with pytest.raises(ValidationError):
             aggregate(ds, {"v1": 0})
 
+    def test_override_above_2_53_rejected(self):
+        ds = build_dataset([rec("G1", "v1")], ["G1"])
+        assert_array_equal(aggregate(ds, {"v1": 2**53}).d_venue, [2**53])
+        with pytest.raises(ValidationError, match=r"must lie in \[1, 2\*\*53\]"):
+            aggregate(ds, {"v1": 10**23})
+
     def test_override_non_integer_rejected(self):
         ds = build_dataset([rec("G1", "v1")], ["G1"])
         with pytest.raises(ValidationError):
@@ -182,6 +188,12 @@ class TestParseAuthorCounts:
         with pytest.raises(ValidationError, match=">= 1") as exc:
             parse_author_counts(io.StringIO(text), fmt)
         assert (exc.value.line, exc.value.field) == (line, "count")
+
+    def test_count_above_2_53_names_the_line(self):
+        assert parse_author_counts(io.StringIO(f"venue,count\nv1,{2**53}\n"), "csv") == {"v1": 2**53}
+        with pytest.raises(ValidationError, match="exceeds 2") as exc:
+            parse_author_counts(io.StringIO(f"venue,count\nv1,{2**53 + 1}\n"), "csv")
+        assert (exc.value.line, exc.value.field) == (2, "count")
 
     def test_missing_column(self):
         from pscore import ParseError

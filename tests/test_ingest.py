@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pscore import DatasetError, PScoreError, aggregate, ingest, parse_records
+from pscore.records import _Tally
 
 from oracles import count_records, dense_counts, filter_by_year
 
@@ -28,7 +29,7 @@ FOREIGN = ["Outside Lab"]
 VENUES = ["SIGIR", "Venue X", "kdd"]
 AUTHORS = ["Ana Silva", "Bo Costa", "Cai Dias", "dee"]
 TITLES = ["On Things", "Sparse Retrieval Models"]
-IDS = ["p1", "p2", "p3"]
+IDS = ["p1", "p2", "p3", "on things"]  # the last is the fold of a title: ids and titles must not collide
 
 BAD_JSONL = [
     "{oops",
@@ -172,3 +173,13 @@ def test_binary_stream_stays_open_with_the_caller():
     with pytest.raises(DatasetError, match="'Group B' has no publications"):
         ingest(stream, "jsonl", REFERENCE)
     assert not stream.closed
+
+
+def test_tally_counts_once():
+    # dataset() sorts the tallies in place; a second call must not count the sorted buffers
+    tally = _Tally(REFERENCE, None)
+    for group in REFERENCE:
+        tally.add(1, None, ["a"], group, "v", None, None)
+    assert tally.dataset().kept == 2
+    with pytest.raises(AttributeError):
+        tally.dataset()

@@ -160,13 +160,13 @@ def _uniform_table(t: int, v: int) -> CountsTable:
 class TestSteadyState:
     def test_d_zero_is_breadth_through_alpha(self, golden_counts):
         chain = build_chain(golden_counts, 0.0)
-        result = steady_state(golden_counts, 0.0)
+        result = steady_state(chain)
         assert result.method == "chebyshev"
         assert_allclose(result.gamma, chain.breadth @ build_alpha(golden_counts), rtol=1e-15, atol=0)
         assert result.residual <= 1e-15
 
     def test_d_one_is_the_closed_form(self, golden_counts):
-        result = steady_state(golden_counts, 1.0)
+        result = steady_state(build_chain(golden_counts, 1.0))
         assert result.method == "closed_form"
         n_group, n_venue = golden_counts.n_group, golden_counts.n_venue
         assert_array_equal(result.gamma, n_group / n_group.sum())
@@ -199,29 +199,29 @@ class TestSteadyState:
         message = (rf"d = 0\.999999999999 needs {steps} Chebyshev steps, "
                    rf"more than the cap of {MAX_STEPS}; .*d = 1,")
         with pytest.raises(ParameterError, match=message):
-            steady_state(golden_counts, d)
+            steady_state(build_chain(golden_counts, d))
 
     def test_step_cap_is_inclusive(self, golden_counts, monkeypatch):
         steps = iteration_count(golden_counts.n_group, 0.9)
         monkeypatch.setattr(solver, "MAX_STEPS", steps)
-        assert steady_state(golden_counts, 0.9).method == "chebyshev"
+        assert steady_state(build_chain(golden_counts, 0.9)).method == "chebyshev"
         monkeypatch.setattr(solver, "MAX_STEPS", steps - 1)
         with pytest.raises(ParameterError, match=f"needs {steps} Chebyshev steps"):
-            steady_state(golden_counts, 0.9)
+            steady_state(build_chain(golden_counts, 0.9))
 
     def test_d_near_one_uniform_chain(self):
-        result = steady_state(_uniform_table(40, 1), 0.999)
+        result = steady_state(build_chain(_uniform_table(40, 1), 0.999))
         assert result.method == "chebyshev"
         assert_allclose(result.gamma, np.full(40, 1 / 40), rtol=0, atol=1e-15)
 
     def test_golden_example(self, golden_counts):
-        result = steady_state(golden_counts, GOLDEN_D)
+        result = steady_state(build_chain(golden_counts, GOLDEN_D))
         assert_allclose(result.gamma, [38 / 99, 61 / 99], rtol=0, atol=1e-15)
         assert result.residual <= 1e-15
 
     def test_residual_matches_reduced_matrix(self, golden_counts, monkeypatch):
         monkeypatch.setattr(solver, "iteration_count", lambda n_group, d: 2)  # deliberately unconverged
-        result = steady_state(golden_counts, 0.7)
+        result = steady_state(build_chain(golden_counts, 0.7))
         reduced = build_reduced(build_chain(golden_counts, 0.7))
         expected = float(np.max(np.abs(result.gamma @ reduced - result.gamma)))
         assert result.residual > 1e-6
@@ -240,7 +240,7 @@ class TestSteadyState:
                       for _ in range(30)])
         n = n[:, n.sum(axis=0) > 0]
         table = _table(n, rng.integers(1, 500, size=n.shape[1]))
-        result = steady_state(table, 0.999)
+        result = steady_state(build_chain(table, 0.999))
         assert result.residual <= 8e-16 * result.gamma.max()
         exact = stationary_extended(table, 0.999)
         assert np.max(np.abs((result.gamma - exact) / exact)) <= 9e-16
@@ -251,7 +251,7 @@ class TestSteadyState:
         chain = build_chain(table, d)
         assume(check_irreducible(chain).irreducible)
         reduced = build_reduced(chain)
-        result = steady_state(table, d)
+        result = steady_state(chain)
         lapack = stationary_by_solve(reduced)
         for gamma in (result.gamma, gth_steady_state(reduced).gamma):
             assert np.max(np.abs(gamma - lapack)) <= 1e-12
