@@ -30,7 +30,7 @@ from .chain import (
     build_reduced,
     check_irreducible,
 )
-from .counts import CountsTable, aggregate, parse_author_counts
+from .counts import aggregate, parse_author_counts
 from .errors import (
     ChainError,
     DatasetError,
@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .records import (
-    Dataset,
+    CountsTable,
     PublicationRecord,
     build_dataset,
     ingest,
@@ -71,7 +71,6 @@ __all__ = [
     "ChainError",
     "ConnectivityReport",
     "CountsTable",
-    "Dataset",
     "DatasetError",
     "DegenerateInputError",
     "DisconnectedChainError",

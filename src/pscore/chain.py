@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counts import CountsTable
+from .records import CountsTable
 from .errors import ChainError, ParameterError
 
 # The one tolerance: how far a sum that must be 1, or a fixed-point

@@ -19,11 +19,11 @@ from typing import IO
 
 import numpy as np
 
-from .chain import TOL, build_alpha, build_beta, build_chain, build_reduced, check_irreducible, format_matrix_tsv
-from .counts import CountsTable, aggregate, parse_author_counts
+from .chain import TOL, build_alpha, build_beta, build_chain, build_reduced, check_d, check_irreducible, format_matrix_tsv
+from .counts import aggregate, parse_author_counts
 from .errors import ParameterError, ParseError, PScoreError, ValidationError
 from .pipeline import PipelineResult, solve_pipeline
-from .records import MAX_COUNT, Dataset, fold, ingest, json_loads, jsonl_objects, normalize_name, text_stream
+from .records import MAX_COUNT, CountsTable, fold, ingest, json_loads, jsonl_objects, normalize_name, text_stream
 from .scoring import ScoreVector, make_ranking, rank_authors, ranking_to_json, ranking_to_tsv
 
 DEFAULT_D = 0.5
@@ -71,11 +71,10 @@ def _load_reference_groups(args: argparse.Namespace) -> list[str]:
     return names
 
 
-def _load_counts(args: argparse.Namespace) -> tuple[Dataset, CountsTable]:
+def _load_counts(args: argparse.Namespace) -> CountsTable:
     """Check the flags, read the small inputs, then count the records in one pass."""
     years = parse_year_range(args.years) if args.years is not None else None
-    if not 0.0 <= args.d <= 1.0:
-        raise ParameterError(f"--d must lie in [0, 1], got {args.d}")
+    check_d(args.d)
     groups = _load_reference_groups(args)
     overrides = None
     if args.author_counts:
@@ -83,8 +82,8 @@ def _load_counts(args: argparse.Namespace) -> tuple[Dataset, CountsTable]:
             overrides = parse_author_counts(fh, _sniff_format(args.author_counts))
     fmt = args.input_format or _sniff_format(args.input)
     with _file_context(args.input), open(args.input, "rb") as fh:
-        dataset = ingest(fh, fmt, groups, years=years)
-    return dataset, aggregate(dataset, overrides)
+        table = ingest(fh, fmt, groups, years=years)
+    return aggregate(table, overrides)
 
 
 def parse_year_range(text: str) -> tuple[int | None, int | None]:
@@ -160,7 +159,7 @@ def load_venue_scores(path: str) -> ScoreVector:
     total = float(np.asarray(scores, dtype=np.float64).sum())
     if abs(total - 1.0) > TOL:
         raise ValidationError(f"raw venue scores sum to {total!r}, not 1 (tolerance {TOL})")
-    return ScoreVector(entity_kind="venue", names=tuple(names), scores=scores, normalization="raw")
+    return ScoreVector(names, scores)
 
 
 def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
@@ -239,21 +238,21 @@ def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
 # report emission
 
 
-def venue_report_tsv(nu_raw: ScoreVector, nu_max_one: ScoreVector, d: float) -> str:
+def venue_report_tsv(nu_raw: ScoreVector, nu_max_one: np.ndarray, d: float) -> str:
     lines = ["# pscore venues", f"# d = {d!r}", "venue\traw_score\tnormalized_score"]
-    for name, raw, norm in zip(nu_raw.names, nu_raw.scores, nu_max_one.scores):
+    for name, raw, norm in zip(nu_raw.names, nu_raw.scores, nu_max_one):
         lines.append(f"{name}\t{format(raw, '.12g')}\t{format(norm, '.12g')}")
     return "".join(line + "\n" for line in lines)
 
 
-def venue_report_json(nu_raw: ScoreVector, nu_max_one: ScoreVector) -> str:
+def venue_report_json(nu_raw: ScoreVector, nu_max_one: np.ndarray) -> str:
     payload = [
         {
             "venue": name,
             "raw_score": float(format(raw, ".12g")),
             "normalized_score": float(format(norm, ".12g")),
         }
-        for name, raw, norm in zip(nu_raw.names, nu_raw.scores, nu_max_one.scores)
+        for name, raw, norm in zip(nu_raw.names, nu_raw.scores, nu_max_one)
     ]
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
@@ -298,7 +297,7 @@ def _group_report(result: PipelineResult, args: argparse.Namespace) -> str:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     """``venues`` and ``groups``: solve, then write the command's report."""
-    _, table = _load_counts(args)
+    table = _load_counts(args)
     result = solve_pipeline(table, args.d, args.allow_largest_component)
     _write_output(args.report(result, args), args.output)
     if args.emit_debug_matrices:
@@ -321,16 +320,16 @@ def _cmd_authors(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    dataset, table = _load_counts(args)
+    table = _load_counts(args)
     report = check_irreducible(build_chain(table, args.d))
     status = "irreducible" if report.irreducible else f"disconnected into {report.describe(table.group_names)}"
     lines = [
-        f"reference groups: {len(dataset.groups)}",
-        f"venues: {len(dataset.venues)}",
+        f"reference groups: {table.num_groups}",
+        f"venues: {table.num_venues}",
         f"nonzero (group, venue) cells: {len(table.n_group_venue)}",
-        f"records kept: {dataset.kept}",
-        f"records dropped (outside reference set): {dataset.dropped_foreign}",
-        f"duplicate records merged: {dataset.dedup_merged}",
+        f"records kept: {int(table.n_group.sum())}",
+        f"records dropped (outside reference set): {table.dropped_foreign}",
+        f"duplicate records merged: {table.dedup_merged}",
         f"chain (d = {args.d!r}): {status}",
     ]
     sys.stdout.write("".join(line + "\n" for line in lines))

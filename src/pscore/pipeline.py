@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TOL, ReputationChain, build_chain, check_irreducible
-from .counts import CountsTable
 from .errors import DisconnectedChainError, InternalError
+from .records import CountsTable
 from .scoring import ScoreVector, group_consistency_check, normalize_max_one, venue_scores
 from .solver import StationaryDistribution, steady_state
 
@@ -30,6 +30,8 @@ class PipelineResult:
     and ``gamma`` were solved on: all of them, unless the solve ran on the
     largest connected component only. Groups and venues outside it are
     listed in ``excluded_groups`` and ``excluded_venues`` and score 0.
+    ``nu_raw`` holds the raw venue scores, which sum to 1, and
+    ``nu_max_one`` the same scores divided by the largest of them.
     """
 
     counts: CountsTable
@@ -39,7 +41,7 @@ class PipelineResult:
     venues: np.ndarray
     group_scores: np.ndarray
     nu_raw: ScoreVector
-    nu_max_one: ScoreVector
+    nu_max_one: np.ndarray
     excluded_groups: tuple[str, ...]
     excluded_venues: tuple[str, ...]
     consistency_residual: float
@@ -84,7 +86,7 @@ def solve_pipeline(
         chain = build_chain(solved, d)
 
     gamma = steady_state(chain)
-    nu = venue_scores(gamma, chain, chain.counts.venue_names)
+    nu = venue_scores(gamma, chain)
     residual = group_consistency_check(gamma, nu, chain)
     if residual > TOL:
         raise InternalError(f"group/venue fixed point violated: residual {residual:.3e} exceeds {TOL}")
@@ -92,8 +94,7 @@ def solve_pipeline(
     group_scores = np.zeros(counts.num_groups)
     group_scores[groups] = gamma.gamma
     nu_full = np.zeros(counts.num_venues)
-    nu_full[venues] = nu.scores
-    nu_raw = ScoreVector(entity_kind="venue", names=counts.venue_names, scores=nu_full, normalization="raw")
+    nu_full[venues] = nu
     return PipelineResult(
         counts=counts,
         chain=chain,
@@ -101,8 +102,8 @@ def solve_pipeline(
         groups=groups,
         venues=venues,
         group_scores=group_scores,
-        nu_raw=nu_raw,
-        nu_max_one=normalize_max_one(nu_raw),
+        nu_raw=ScoreVector(counts.venue_names, nu_full),
+        nu_max_one=normalize_max_one(nu_full),
         excluded_groups=tuple(np.delete(np.array(counts.group_names, dtype=object), groups)),
         excluded_venues=tuple(np.delete(np.array(counts.venue_names, dtype=object), venues)),
         consistency_residual=residual,

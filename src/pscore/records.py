@@ -1,11 +1,11 @@
 """Ingestion of publication records.
 
 Reads JSONL/CSV publication lists and folds them, in one pass, into the
-deduplicated counts that everything downstream operates on. Each distinct
-raw name is normalized and case-folded once per run and interned to an
-integer id; records are kept only as the ids they contribute, never as
-objects. Parsing is eager and line-addressed: every error names the
-offending line.
+:class:`CountsTable` of deduplicated counts that everything downstream
+operates on. Each distinct raw name is normalized and case-folded once
+per run and interned to an integer id; records are kept only as the ids
+they contribute, never as objects. Parsing is eager and line-addressed:
+every error names the offending line.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import logging
 from array import array
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DatasetError, ParseError, ValidationError
+from .errors import DatasetError, InternalError, ParseError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -58,32 +58,81 @@ class PublicationRecord:
     year: int | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """Deduplicated publication counts over fixed group and venue axes.
+@dataclass(frozen=True)
+class CountsTable:
+    """Publication counts as a sorted, group-major coordinate list.
 
-    ``groups`` preserves caller order; ``venues`` is the sorted list of
-    venues that actually received publications from the reference groups,
-    so every venue is guaranteed a positive publication count downstream.
-    Cell ``k`` counts the ``n_group_venue[k]`` distinct papers of group
-    ``group[k]`` at venue ``venue[k]``, group-major as in a counts table;
-    ``d_venue[j]`` counts the distinct author names seen at venue ``j``.
-    ``dropped_foreign`` and ``dedup_merged`` are ingestion diagnostics.
+    Cell ``k`` says group ``group[k]`` published ``n_group_venue[k]``
+    distinct papers at venue ``venue[k]``. Only nonzero counts are stored,
+    in strictly increasing (group, venue) order. ``d_venue[j]`` is the
+    number of distinct authors publishing at venue ``j``. The marginals
+    ``n_group`` and ``n_venue`` are computed once, from the cells.
+
+    ``group_names`` keeps the reference groups in caller order;
+    ``venue_names`` lists, in case-folded order, the venues that received
+    publications. ``dropped_foreign`` and ``dedup_merged`` count the
+    records :func:`ingest` dropped as outside the reference set and merged
+    as duplicates; a table from :meth:`restrict` or built directly reads 0
+    in both.
     """
 
-    groups: tuple[str, ...]
-    venues: tuple[str, ...]
     group: np.ndarray
     venue: np.ndarray
     n_group_venue: np.ndarray
     d_venue: np.ndarray
+    group_names: tuple[str, ...]
+    venue_names: tuple[str, ...]
     dropped_foreign: int = 0
     dedup_merged: int = 0
+    n_group: np.ndarray = field(init=False, repr=False)
+    n_venue: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("group", "venue", "n_group_venue", "d_venue"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        object.__setattr__(self, "group_names", tuple(self.group_names))
+        object.__setattr__(self, "venue_names", tuple(self.venue_names))
+        t, v, cells = self.num_groups, self.num_venues, self.n_group_venue.shape
+        if len(cells) != 1 or not self.group.shape == self.venue.shape == cells or self.d_venue.shape != (v,):
+            raise InternalError("counts table cells and axes do not match the name lists")
+        if np.any((self.group < 0) | (self.group >= t) | (self.venue < 0) | (self.venue >= v)):
+            raise InternalError("counts table cell outside the group or venue axis")
+        if np.any(np.diff(self.group * v + self.venue) <= 0):
+            raise InternalError("counts table cells are not sorted group-major without repeats")
+        for name, axis, size in (("n_group", self.group, t), ("n_venue", self.venue, v)):
+            total = np.bincount(axis, weights=self.n_group_venue, minlength=size)
+            object.__setattr__(self, name, total.astype(np.int64))
+        for values, what in ((self.n_group_venue, "cell with no publications"),
+                             (self.n_venue, "venue with zero publications"),
+                             (self.n_group, "group with zero publications"),
+                             (self.d_venue, "venue with zero distinct authors")):
+            if np.any(values < 1):
+                raise InternalError(f"{what} in the counts table")
 
     @property
-    def kept(self) -> int:
-        """Records that survived filtering and deduplication."""
-        return int(self.n_group_venue.sum())
+    def num_groups(self) -> int:
+        return len(self.group_names)
+
+    @property
+    def num_venues(self) -> int:
+        return len(self.venue_names)
+
+    def restrict(self, group_indices: Sequence[int]) -> tuple["CountsTable", np.ndarray]:
+        """Sub-table over a subset of groups and the venues they publish in.
+
+        Venues that lose all their publications under the restriction are
+        dropped, so the sub-table satisfies the same positivity invariants
+        as a full one. Returns the sub-table and the indices, in this
+        table, of the venues it keeps.
+        """
+        rows = np.array(sorted(set(group_indices)), dtype=np.int64)
+        kept = np.flatnonzero(np.isin(self.group, rows))  # still group-major
+        keep = np.unique(self.venue[kept])
+        # a cell's new index on either axis is its rank among the kept ones
+        sub = CountsTable(np.searchsorted(rows, self.group[kept]), np.searchsorted(keep, self.venue[kept]),
+                          self.n_group_venue[kept], self.d_venue[keep],
+                          [self.group_names[w] for w in rows], [self.venue_names[j] for j in keep])
+        return sub, keep
 
 
 @contextmanager
@@ -209,18 +258,28 @@ def _jsonl_fields(text: IO[str]) -> Iterator[tuple]:
                obj.get("group"), obj.get("venue"), obj.get("title"), obj.get("year"))
 
 
-def _csv_fields(text: IO[str]) -> Iterator[tuple]:
-    reader = csv.DictReader(text, restkey="_extra", restval=None)
+def csv_rows(text: IO[str], columns: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, row) for each row of a CSV stream with a header.
+
+    The header must name every one of ``columns``; a zero-byte stream has
+    no header and no rows. A row with more fields than the header is a
+    :class:`ParseError`; a short row reads ``None`` in its missing fields.
+    """
+    reader = csv.DictReader(text)
     header = reader.fieldnames
     if header is None:
-        return  # zero-byte input: no rows at all
-    missing = [c for c in CSV_COLUMNS if c not in header]
+        return
+    missing = [c for c in columns if c not in header]
     if missing:
         raise ParseError(f"header is missing column(s): {', '.join(missing)}", line=1)
     for row in reader:
-        lineno = reader.line_num
-        if row.get("_extra"):
-            raise ParseError("row has more fields than the header", line=lineno)
+        if None in row:  # DictReader files the extra fields under the key None
+            raise ParseError("row has more fields than the header", line=reader.line_num)
+        yield reader.line_num, row
+
+
+def _csv_fields(text: IO[str]) -> Iterator[tuple]:
+    for lineno, row in csv_rows(text, CSV_COLUMNS):
         authors = row.get("authors")
         if authors is None or not authors.strip():
             raise ValidationError("missing required field 'authors'", line=lineno, field="authors")
@@ -381,7 +440,7 @@ class _Tally:
         self._cells.append(venue_id * len(self.groups) + row)
         self._pairs.extend([author << 32 | venue_id for author in ids])
 
-    def dataset(self) -> Dataset:
+    def dataset(self) -> CountsTable:
         """Check the tallies and lay them out as group-major cells; once only, as it sorts them in place."""
         if self.undated:
             log.warning("year filter excluded %d record(s) without a year", self.undated)
@@ -412,15 +471,9 @@ class _Tally:
         pairs.sort()
         d_venue = np.bincount(column[pairs[np.diff(pairs, prepend=-1) != 0] & 0xFFFFFFFF], minlength=v)
 
-        return Dataset(
-            groups=self.groups,
-            venues=tuple(self._shown[j] for j in order),
-            group=cell // v, venue=cell % v,
-            n_group_venue=n_group_venue,
-            d_venue=d_venue,
-            dropped_foreign=self.dropped,
-            dedup_merged=self.merged,
-        )
+        venue_names = tuple(self._shown[j] for j in order)
+        return CountsTable(cell // v, cell % v, n_group_venue, d_venue, self.groups, venue_names,
+                           dropped_foreign=self.dropped, dedup_merged=self.merged)
 
 
 def ingest(
@@ -429,7 +482,7 @@ def ingest(
     reference_groups: Sequence[str],
     *,
     years: tuple[int | None, int | None] | None = None,
-) -> Dataset:
+) -> CountsTable:
     """Read publication records and count them in one pass.
 
     Equivalent to :func:`parse_records`, keeping the records dated inside
@@ -446,7 +499,7 @@ def ingest(
     return tally.dataset()
 
 
-def build_dataset(records: Iterable[PublicationRecord], reference_groups: Sequence[str]) -> Dataset:
+def build_dataset(records: Iterable[PublicationRecord], reference_groups: Sequence[str]) -> CountsTable:
     """Filter to the reference groups, deduplicate, and fix index spaces.
 
     Records from groups outside ``reference_groups`` are dropped (count

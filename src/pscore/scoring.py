@@ -30,12 +30,11 @@ PRINTED_DECIMALS = 6
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """A named, ordered mapping from entities to nonnegative scores."""
+    """Raw venue scores: duplicate-free names, and finite nonnegative
+    scores that sum to 1 within :data:`~pscore.chain.TOL`."""
 
-    entity_kind: str  # "venue" | "group" | "author"
     names: tuple[str, ...]
     scores: np.ndarray
-    normalization: str  # "raw" | "max_one"
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -48,14 +47,8 @@ class ScoreVector:
             raise InternalError("non-finite score")
         if np.any(self.scores < 0):
             raise InternalError("negative score")
-        if self.normalization == "max_one":
-            if self.scores.max(initial=0.0) != 1.0:
-                raise InternalError("max_one score vector whose maximum is not exactly 1")
-        elif self.normalization == "raw":
-            if self.entity_kind == "venue" and abs(self.scores.sum() - 1.0) > TOL:
-                raise InternalError("raw venue scores do not sum to 1")
-        else:
-            raise InternalError(f"unknown normalization {self.normalization!r}")
+        if abs(self.scores.sum() - 1.0) > TOL:
+            raise InternalError("raw venue scores do not sum to 1")
 
 
 class RankEntry(NamedTuple):
@@ -98,50 +91,35 @@ def make_ranking(names: Sequence[str], scores: Sequence[float]) -> Ranking:
     return Ranking(entries=tuple(entries))
 
 
-def venue_scores(
-    gamma: StationaryDistribution,
-    chain: ReputationChain,
-    venue_names: Sequence[str],
-) -> ScoreVector:
+def venue_scores(gamma: StationaryDistribution, chain: ReputationChain) -> np.ndarray:
     """Push group reputations through the group-to-venue block.
 
-    The raw result is a probability vector over venues: nu_j is the
-    stationary share of reputation that flows to venue j.
+    The raw result is a probability vector over the venues of
+    ``chain.counts``: nu_j is the stationary share of reputation that
+    flows to venue j.
     """
     if gamma.gamma.shape != (chain.counts.num_groups,):
         raise InternalError(f"gamma has {gamma.gamma.shape[0]} entries but the chain has "
                             f"{chain.counts.num_groups} groups")
-    if len(venue_names) != chain.counts.num_venues:
-        raise InternalError("venue name list does not match the chain width")
-    nu = chain.d * chain.to_venues(gamma.gamma) + (1.0 - chain.d) * gamma.gamma.sum() * chain.breadth
-    return ScoreVector(entity_kind="venue", names=tuple(venue_names), scores=nu, normalization="raw")
+    return chain.d * chain.to_venues(gamma.gamma) + (1.0 - chain.d) * gamma.gamma.sum() * chain.breadth
 
 
-def normalize_max_one(scores: ScoreVector) -> ScoreVector:
+def normalize_max_one(scores: np.ndarray) -> np.ndarray:
     """Rescale so the best entity scores exactly 1."""
-    top = float(scores.scores.max(initial=0.0))
+    top = float(scores.max(initial=0.0))
     if top <= 0.0:
         raise DegenerateInputError("cannot normalize an all-zero score vector")
-    return ScoreVector(
-        entity_kind=scores.entity_kind,
-        names=scores.names,
-        scores=scores.scores / top,
-        normalization="max_one",
-    )
+    return scores / top
 
 
-def group_consistency_check(
-    gamma: StationaryDistribution,
-    nu: ScoreVector,
-    chain: ReputationChain,
-) -> float:
+def group_consistency_check(gamma: StationaryDistribution, nu: np.ndarray, chain: ReputationChain) -> float:
     """Max-norm residual of the defining fixed point gamma = nu @ alpha.
 
     Venue scores feeding back through the venue-to-group block must
     reproduce the group reputations; this restates the stationary
     equation, so the residual is a pipeline-wide sanity value.
     """
-    return float(np.max(np.abs(gamma.gamma - chain.to_groups(nu.scores))))
+    return float(np.max(np.abs(gamma.gamma - chain.to_groups(nu))))
 
 
 def _check_count(count: object, author: str) -> int:

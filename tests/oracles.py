@@ -88,12 +88,8 @@ def stationary_by_solve(p: np.ndarray) -> np.ndarray:
 
 
 def dense_counts(table) -> np.ndarray:
-    """The T x V count matrix of a ``CountsTable`` or a ``Dataset``, from its cells."""
-    if hasattr(table, "group_names"):
-        groups, venues = table.group_names, table.venue_names
-    else:
-        groups, venues = table.groups, table.venues
-    n = np.zeros((len(groups), len(venues)), dtype=np.int64)
+    """The T x V count matrix of a ``CountsTable``, from its cells."""
+    n = np.zeros((table.num_groups, table.num_venues), dtype=np.int64)
     n[table.group, table.venue] = table.n_group_venue
     return n
 

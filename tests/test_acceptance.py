@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 from pscore import (
     CountsTable,
+    ScoreVector,
     build_alpha,
     build_beta,
     build_chain,
@@ -65,7 +66,7 @@ def _golden_table() -> CountsTable:
 def _solve(table: CountsTable, d: float):
     chain = build_chain(table, d)
     gamma = steady_state(chain)
-    nu = venue_scores(gamma, chain, table.venue_names)
+    nu = ScoreVector(table.venue_names, venue_scores(gamma, chain))
     return chain, gamma, nu
 
 
@@ -79,10 +80,10 @@ def _corpus(seed: int, count: int):
 def test_criterion_1_golden_example():
     started = time.perf_counter()
     _, _, nu = _solve(_golden_table(), GOLDEN_D)
-    top = normalize_max_one(nu)
+    top = normalize_max_one(nu.scores)
     elapsed = time.perf_counter() - started
     assert_allclose(nu.scores, GOLDEN_NU_3DP, rtol=0, atol=0.0015)
-    assert_allclose(top.scores, GOLDEN_MAX1_3DP, rtol=0, atol=0.002)
+    assert_allclose(top, GOLDEN_MAX1_3DP, rtol=0, atol=0.002)
     assert elapsed < 1.0, f"golden solve took {elapsed:.3f}s"
     _passed(1, "golden example")
 
@@ -94,7 +95,7 @@ def test_criterion_2_fixed_point_residuals():
         chain, gamma, nu = _solve(table, d)
         reduced = build_reduced(chain)
         stationary = float(np.max(np.abs(gamma.gamma @ reduced - gamma.gamma)))
-        consistency = group_consistency_check(gamma, nu, chain)
+        consistency = group_consistency_check(gamma, nu.scores, chain)
         worst_stationary = max(worst_stationary, stationary)
         worst_consistency = max(worst_consistency, consistency)
         assert stationary <= 1e-10

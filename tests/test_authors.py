@@ -70,7 +70,7 @@ def pub_file(lines, crlf):
 
 def score_vector(weights):
     raw = np.asarray(weights, dtype=np.float64)
-    return ScoreVector(entity_kind="venue", names=SCORED, scores=raw / raw.sum(), normalization="raw")
+    return ScoreVector(SCORED, raw / raw.sum())
 
 
 def outcome(run):

@@ -211,10 +211,10 @@ class TestSparseAgainstDense:
         # any group vector will do, stationary or not: both sides are linear maps of it
         g = np.random.default_rng(seed).dirichlet(np.ones(table.num_groups))
         gamma = StationaryDistribution(gamma=g, residual=0.0, method="given")
-        nu = venue_scores(gamma, chain, table.venue_names)
-        assert_allclose(nu.scores, (g.astype(ld) @ beta).astype(float), rtol=1e-15, atol=0)
-        back = nu.scores.astype(ld) @ alpha
-        assert_allclose(chain.to_groups(nu.scores), back.astype(float), rtol=1e-15, atol=0)
+        nu = venue_scores(gamma, chain)
+        assert_allclose(nu, (g.astype(ld) @ beta).astype(float), rtol=1e-15, atol=0)
+        back = nu.astype(ld) @ alpha
+        assert_allclose(chain.to_groups(nu), back.astype(float), rtol=1e-15, atol=0)
         # the residual is a difference of two vectors of size max(gamma), so it is
         # judged on that scale
         expected = float(np.max(np.abs(g.astype(ld) - back)))

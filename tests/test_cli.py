@@ -104,6 +104,13 @@ class TestVenuesCommand:
         assert main(["venues", *args]) == 1
         assert "[0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d", ["-0.5", "nan"])
+    def test_bad_d_reported_before_any_file_is_read(self, tmp_path, capsys, d):
+        missing = str(tmp_path / "missing.jsonl")
+        assert main(["venues", "--input", missing, "--groups-file", missing,
+                     "--author-counts", missing, "--d", d]) == 1
+        assert capsys.readouterr().err == f"pscore: error: mixing parameter d must lie in [0, 1], got {float(d)}\n"
+
 
 class TestGroupsCommand:
     def test_tsv_golden(self, tmp_path):

@@ -9,6 +9,7 @@ from numpy.testing import assert_array_equal
 from pscore import (
     CountsTable,
     InternalError,
+    ParseError,
     PublicationRecord,
     ValidationError,
     aggregate,
@@ -32,20 +33,33 @@ def golden_records():
 
 
 @pytest.fixture
-def golden_dataset(golden_records):
+def golden_table(golden_records):
     return build_dataset(golden_records, ["Group 1", "Group 2"])
 
 
 class TestAggregate:
-    def test_golden_counts(self, golden_dataset):
-        table = aggregate(golden_dataset)
+    def test_golden_counts(self, golden_table):
+        table = aggregate(golden_table)
         assert_array_equal(dense_counts(table), GOLDEN_MATRIX)
         assert_array_equal(table.n_venue, [5, 6, 3])
         assert_array_equal(table.n_group, [6, 8])
 
-    def test_golden_with_overrides(self, golden_dataset):
-        table = aggregate(golden_dataset, {"v1": 10, "v2": 60, "v3": 20})
+    def test_no_overrides_returns_the_table(self, golden_table):
+        assert aggregate(golden_table) is golden_table
+        assert aggregate(golden_table, {}) is golden_table
+
+    def test_golden_with_overrides(self, golden_table):
+        observed = golden_table.d_venue.copy()
+        table = aggregate(golden_table, {"v1": 10, "v2": 60, "v3": 20})
         assert_array_equal(table.d_venue, GOLDEN_AUTHOR_COUNTS)
+        assert_array_equal(golden_table.d_venue, observed)  # the input table is left as it was
+        assert_array_equal(table.n_group_venue, golden_table.n_group_venue)
+
+    def test_overrides_keep_the_ingest_diagnostics(self):
+        records = [rec("G1", "v1", paper_id="x"), rec("G1", "v1", paper_id="x"), rec("G2", "v1")]
+        ds = build_dataset(records, ["G1"])
+        table = aggregate(ds, {"v1": 7})
+        assert (table.dropped_foreign, table.dedup_merged) == (ds.dropped_foreign, ds.dedup_merged) == (1, 1)
 
     def test_singleton(self):
         ds = build_dataset([rec("G1", "v1", authors=("a1",))], ["G1"])
@@ -83,19 +97,27 @@ class TestAggregate:
 
     def test_override_non_integer_rejected(self):
         ds = build_dataset([rec("G1", "v1")], ["G1"])
-        with pytest.raises(ValidationError):
-            aggregate(ds, {"v1": "ten"})
+        for bad in ("ten", 5.0, True, np.bool_(True)):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                aggregate(ds, {"v1": bad})
 
-    def test_record_order_is_irrelevant(self, golden_records, golden_dataset):
-        table = aggregate(golden_dataset)
-        shuffled = build_dataset(golden_records[::-1], golden_dataset.groups)
-        assert_array_equal(dense_counts(aggregate(shuffled)), dense_counts(table))
-        assert_array_equal(aggregate(shuffled).d_venue, table.d_venue)
+    def test_override_numpy_integer_accepted(self):
+        ds = build_dataset([rec("G1", "v1")], ["G1"])
+        for count in (np.int64(5), np.int32(5), np.uint64(5)):
+            assert_array_equal(aggregate(ds, {"v1": count}).d_venue, [5])
+        assert_array_equal(aggregate(ds, {"v1": np.int64(2**53)}).d_venue, [2**53])
+        for bad in (np.int64(0), np.int64(-3), np.int64(2**53 + 1), np.uint64(2**64 - 1)):
+            with pytest.raises(ValidationError, match=r"must lie in \[1, 2\*\*53\]"):
+                aggregate(ds, {"v1": bad})
 
-    def test_group_order_permutes_rows(self, golden_records, golden_dataset):
-        table = aggregate(golden_dataset)
+    def test_record_order_is_irrelevant(self, golden_records, golden_table):
+        shuffled = build_dataset(golden_records[::-1], golden_table.group_names)
+        assert_array_equal(dense_counts(shuffled), dense_counts(golden_table))
+        assert_array_equal(shuffled.d_venue, golden_table.d_venue)
+
+    def test_group_order_permutes_rows(self, golden_records, golden_table):
         flipped = build_dataset(golden_records, ("Group 2", "Group 1"))
-        assert_array_equal(dense_counts(aggregate(flipped)), dense_counts(table)[::-1])
+        assert_array_equal(dense_counts(flipped), dense_counts(golden_table)[::-1])
 
 
 class TestCountsTable:
@@ -115,6 +137,14 @@ class TestCountsTable:
     def test_malformed_cells_rejected(self, group, venue, n, match):
         with pytest.raises(InternalError, match=match):
             CountsTable(group, venue, n, [1, 1], ("g",), ("a", "b"))
+
+    def test_diagnostics_read_zero_unless_ingest_set_them(self):
+        table = table_from_matrix([[2, 0, 1], [0, 3, 0]], [5, 6, 7])
+        assert (table.dropped_foreign, table.dedup_merged) == (0, 0)
+        counted = CountsTable(table.group, table.venue, table.n_group_venue, table.d_venue,
+                              table.group_names, table.venue_names, dropped_foreign=4, dedup_merged=2)
+        sub, _ = counted.restrict([0])
+        assert (sub.dropped_foreign, sub.dedup_merged) == (0, 0)
 
     def test_marginals_come_from_the_cells(self):
         table = CountsTable([0, 0, 1], [0, 2, 1], [2, 1, 3], [5, 6, 7], ("g0", "g1"), ("a", "b", "c"))
@@ -175,6 +205,15 @@ class TestParseAuthorCounts:
         with pytest.raises(ValidationError):
             parse_author_counts(io.StringIO(text), "csv")
 
+    @pytest.mark.parametrize("text, line", [
+        ("venue,count\nv1,1,000\n", 2),  # a thousands separator is a third field, not 1000
+        ("venue,count\nv1,10\nv2,2,\n", 3),
+    ])
+    def test_csv_row_wider_than_header_rejected(self, text, line):
+        with pytest.raises(ParseError, match="more fields than the header") as exc:
+            parse_author_counts(io.StringIO(text), "csv")
+        assert exc.value.line == line
+
     def test_bad_count(self):
         with pytest.raises(ValidationError) as exc:
             parse_author_counts(io.StringIO("venue,count\nv1,many\n"), "csv")
@@ -196,7 +235,6 @@ class TestParseAuthorCounts:
         assert (exc.value.line, exc.value.field) == (2, "count")
 
     def test_missing_column(self):
-        from pscore import ParseError
 
         with pytest.raises(ParseError):
             parse_author_counts(io.StringIO("venue\nv1\n"), "csv")

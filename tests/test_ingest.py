@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pscore import DatasetError, PScoreError, aggregate, ingest, parse_records
+from pscore import DatasetError, PScoreError, ingest, parse_records
 from pscore.records import _Tally
 
 from oracles import count_records, dense_counts, filter_by_year
@@ -143,10 +143,9 @@ def by_oracle(text, fmt, window):
 
 
 def by_ingest(text, fmt, window):
-    dataset = ingest(io.StringIO(text), fmt, REFERENCE, years=window)
-    table = aggregate(dataset)
+    table = ingest(io.StringIO(text), fmt, REFERENCE, years=window)
     return (table.group_names, table.venue_names, dense_counts(table).tolist(), table.d_venue.tolist(),
-            dataset.dropped_foreign, dataset.dedup_merged)
+            table.dropped_foreign, table.dedup_merged)
 
 
 @settings(max_examples=300, deadline=None)
@@ -163,9 +162,9 @@ def test_undated_records_counted_once_per_run(caplog):
         '{"group": "Outside Lab", "authors": ["d"], "venue": "w"}\n'
     )
     with caplog.at_level("WARNING", logger="pscore.records"):
-        dataset = ingest(io.StringIO(text), "jsonl", REFERENCE, years=(2014, None))
+        table = ingest(io.StringIO(text), "jsonl", REFERENCE, years=(2014, None))
     assert caplog.messages == ["year filter excluded 2 record(s) without a year"]
-    assert (dataset.venues, dataset.kept, dataset.dropped_foreign) == (("v",), 2, 0)
+    assert (table.venue_names, table.n_group.sum(), table.dropped_foreign) == (("v",), 2, 0)
 
 
 def test_binary_stream_stays_open_with_the_caller():
@@ -180,6 +179,6 @@ def test_tally_counts_once():
     tally = _Tally(REFERENCE, None)
     for group in REFERENCE:
         tally.add(1, None, ["a"], group, "v", None, None)
-    assert tally.dataset().kept == 2
+    assert tally.dataset().n_group.sum() == 2
     with pytest.raises(AttributeError):
         tally.dataset()

@@ -175,32 +175,32 @@ class TestBuildDataset:
         with open(DATA_DIR / "golden_records.jsonl", "rb") as fh:
             recs = parse_records(fh, "jsonl")
         ds = build_dataset(recs, ["Group 1", "Group 2"])
-        assert ds.groups == ("Group 1", "Group 2")
-        assert ds.venues == ("v1", "v2", "v3")
-        assert ds.kept == 14
+        assert ds.group_names == ("Group 1", "Group 2")
+        assert ds.venue_names == ("v1", "v2", "v3")
+        assert ds.n_group.sum() == 14
 
     def test_filter_to_single_group(self):
         recs = [make(group="G1", venue="v1"), make(group="G2", venue="v2")]
         ds = build_dataset(recs, ["G1"])
-        assert ds.groups == ("G1",)
-        assert ds.venues == ("v1",)
+        assert ds.group_names == ("G1",)
+        assert ds.venue_names == ("v1",)
         assert ds.dropped_foreign == 1
 
     def test_dedup_same_id_same_group(self):
         recs = [make(paper_id="x"), make(paper_id="x")]
         ds = build_dataset(recs, ["G1"])
-        assert ds.kept == 1
+        assert ds.n_group.sum() == 1
         assert ds.dedup_merged == 1
 
     def test_dedup_by_title_casefold(self):
         recs = [make(title="On Things"), make(title="on  things")]
         ds = build_dataset(recs, ["G1"])
-        assert ds.kept == 1
+        assert ds.n_group.sum() == 1
 
     def test_no_identity_never_merged(self):
         recs = [make(), make()]
         ds = build_dataset(recs, ["G1"])
-        assert ds.kept == 2
+        assert ds.n_group.sum() == 2
 
     def test_coauthored_paper_counts_in_both_groups(self):
         recs = [make(group="G1", paper_id="x"), make(group="G2", paper_id="x")]
@@ -224,28 +224,28 @@ class TestBuildDataset:
     def test_display_casing_is_first_seen(self):
         recs = [make(venue="SIGIR"), make(group="g1", venue="sigir", paper_id="y")]
         ds = build_dataset(recs, ["G1"])
-        assert ds.venues == ("SIGIR",)
+        assert ds.venue_names == ("SIGIR",)
         # "g1" is the reference group "G1": both records count in its row
-        assert ds.groups == ("G1",)
+        assert ds.group_names == ("G1",)
         assert dense_counts(ds).tolist() == [[2]]
 
     def test_idempotent(self):
         survivors = [make(paper_id="a"), make(venue="v2", paper_id="b")]
         ds = build_dataset([survivors[0], *survivors, make(group="Other")], ["G1"])
-        again = build_dataset(survivors, ds.groups)
-        assert (again.groups, again.venues) == (ds.groups, ds.venues)
+        again = build_dataset(survivors, ds.group_names)
+        assert (again.group_names, again.venue_names) == (ds.group_names, ds.venue_names)
         assert dense_counts(again).tolist() == dense_counts(ds).tolist()
         assert again.d_venue.tolist() == ds.d_venue.tolist()
 
     def test_venue_list_matches_surviving_records_exactly(self):
         recs = [make(venue="v2"), make(group="Other", venue="zzz")]
         ds = build_dataset(recs, ["G1"])
-        assert ds.venues == ("v2",)
+        assert ds.venue_names == ("v2",)
 
     def test_venues_of(self):
         recs = [make(venue="v1"), make(venue="v2", paper_id="b"), make(group="G2", venue="v2")]
         ds = build_dataset(recs, ["G1", "g2"])
-        assert ds.venues == ("v1", "v2")
+        assert ds.venue_names == ("v1", "v2")
         assert dense_counts(ds).tolist() == [[1, 1], [0, 1]]
 
 

@@ -41,7 +41,7 @@ from conftest import (
 def golden_pipeline(golden_counts):
     chain = build_chain(golden_counts, GOLDEN_D)
     gamma = gth_steady_state(build_reduced(chain))
-    nu = venue_scores(gamma, chain, golden_counts.venue_names)
+    nu = ScoreVector(golden_counts.venue_names, venue_scores(gamma, chain))
     return chain, gamma, nu
 
 
@@ -57,12 +57,6 @@ def weighted(pubs, nu):
     return scores["author"] / scores["reference"] * GOLDEN_NU[2]
 
 
-def score_vector(scores, kind="author", names=None):
-    names = names or tuple(f"e{i}" for i in range(len(scores)))
-    return ScoreVector(entity_kind=kind, names=names, scores=np.asarray(scores, float),
-                       normalization="raw")
-
-
 class TestVenueScores:
     def test_golden_values(self, golden_pipeline):
         _, _, nu = golden_pipeline
@@ -74,53 +68,52 @@ class TestVenueScores:
         sub, _ = golden_counts.restrict([0])
         chain = build_chain(sub, GOLDEN_D)
         gamma = gth_steady_state(build_reduced(chain))
-        nu = venue_scores(gamma, chain, sub.venue_names)
-        assert_allclose(nu.scores, build_beta(sub, GOLDEN_D)[0], rtol=0, atol=1e-15)
+        nu = venue_scores(gamma, chain)
+        assert_allclose(nu, build_beta(sub, GOLDEN_D)[0], rtol=0, atol=1e-15)
 
     def test_d_zero_gives_breadth_regardless_of_gamma(self, golden_counts):
         chain = build_chain(golden_counts, 0.0)
         gamma = gth_steady_state(build_reduced(chain))
-        nu = venue_scores(gamma, chain, golden_counts.venue_names)
-        assert_allclose(nu.scores, GOLDEN_BREADTH, rtol=0, atol=1e-12)
+        nu = venue_scores(gamma, chain)
+        assert_allclose(nu, GOLDEN_BREADTH, rtol=0, atol=1e-12)
 
-    def test_dimension_mismatch(self, golden_pipeline):
-        chain, gamma, _ = golden_pipeline
-        with pytest.raises(InternalError):
-            venue_scores(gamma, chain, ("v1", "v2"))
+    def test_dimension_mismatch(self, golden_pipeline, golden_counts):
+        chain, _, _ = golden_pipeline
+        sub, _ = golden_counts.restrict([0])
+        one_group = gth_steady_state(build_reduced(build_chain(sub, GOLDEN_D)))
+        with pytest.raises(InternalError, match="gamma has 1 entries but the chain has 2 groups"):
+            venue_scores(one_group, chain)
 
 
 class TestNormalizeMaxOne:
     def test_golden_values(self, golden_pipeline):
         _, _, nu = golden_pipeline
-        top = normalize_max_one(nu)
-        assert_allclose(top.scores, GOLDEN_NU_MAX1, rtol=0, atol=1e-15)
-        assert_allclose(top.scores, GOLDEN_MAX1_3DP, rtol=0, atol=2e-3)
-        assert top.scores.max() == 1.0
-        assert top.normalization == "max_one"
+        top = normalize_max_one(nu.scores)
+        assert_allclose(top, GOLDEN_NU_MAX1, rtol=0, atol=1e-15)
+        assert_allclose(top, GOLDEN_MAX1_3DP, rtol=0, atol=2e-3)
+        assert top.max() == 1.0
 
     def test_single_entry(self):
-        top = normalize_max_one(score_vector([0.7]))
-        assert_array_equal(top.scores, [1.0])
+        assert_array_equal(normalize_max_one(np.array([0.7])), [1.0])
 
     def test_exact_powers(self):
-        top = normalize_max_one(score_vector([2.0, 4.0, 8.0]))
-        assert_array_equal(top.scores, [0.25, 0.5, 1.0])
+        assert_array_equal(normalize_max_one(np.array([2.0, 4.0, 8.0])), [0.25, 0.5, 1.0])
 
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
-            normalize_max_one(score_vector([0.0, 0.0]))
+            normalize_max_one(np.array([0.0, 0.0]))
 
 
 class TestConsistency:
     def test_golden_residual(self, golden_pipeline):
         chain, gamma, nu = golden_pipeline
-        assert group_consistency_check(gamma, nu, chain) <= 1e-10
+        assert group_consistency_check(gamma, nu.scores, chain) <= 1e-10
 
     def test_single_group_exact(self, golden_counts):
         sub, _ = golden_counts.restrict([1])
         chain = build_chain(sub, 0.5)
         gamma = gth_steady_state(build_reduced(chain))
-        nu = venue_scores(gamma, chain, sub.venue_names)
+        nu = venue_scores(gamma, chain)
         assert group_consistency_check(gamma, nu, chain) == 0.0
 
     @settings(max_examples=40, deadline=None)
@@ -129,9 +122,9 @@ class TestConsistency:
         table = random_counts_table(np.random.default_rng(seed), max_groups=8, max_venues=20, max_count=9)
         chain = build_chain(table, d)
         gamma = gth_steady_state(build_reduced(chain))
-        nu = venue_scores(gamma, chain, table.venue_names)
+        nu = venue_scores(gamma, chain)
         assert group_consistency_check(gamma, nu, chain) <= 1e-10
-        assert abs(nu.scores.sum() - 1.0) <= 1e-10
+        assert abs(nu.sum() - 1.0) <= 1e-10
 
 
 class TestAuthorScore:
@@ -285,32 +278,29 @@ class TestRankingFormats:
 
 class TestScoreVectorInvariants:
     def test_length_mismatch(self):
-        with pytest.raises(InternalError):
-            ScoreVector(entity_kind="author", names=("a",), scores=np.array([1.0, 2.0]),
-                        normalization="raw")
+        with pytest.raises(InternalError, match="differ in length"):
+            ScoreVector(("a",), np.array([0.5, 0.5]))
 
     def test_duplicate_names(self):
-        with pytest.raises(InternalError):
-            ScoreVector(entity_kind="author", names=("a", "A"), scores=np.array([1.0, 2.0]),
-                        normalization="raw")
+        with pytest.raises(InternalError, match="duplicate-free"):
+            ScoreVector(("a", "A"), np.array([0.5, 0.5]))
 
     def test_negative_scores(self):
-        with pytest.raises(InternalError):
-            score_vector([-0.1, 1.0])
+        with pytest.raises(InternalError, match="negative"):
+            ScoreVector(("a", "b"), np.array([-0.1, 1.1]))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_scores(self, bad):
         with pytest.raises(InternalError, match="non-finite"):
-            score_vector([bad, 1.0])
+            ScoreVector(("a", "b"), np.array([bad, 1.0]))
         # abs(nan - 1) > tol is False, so the sum check alone would let nan through
         with pytest.raises(InternalError, match="non-finite"):
-            ScoreVector(entity_kind="venue", names=("v1",), scores=np.array([bad]),
-                        normalization="raw")
+            ScoreVector(("v1",), np.array([bad]))
 
     def test_raw_venue_vector_must_sum_to_one(self):
-        with pytest.raises(InternalError):
-            ScoreVector(entity_kind="venue", names=("v1", "v2"), scores=np.array([0.7, 0.7]),
-                        normalization="raw")
+        with pytest.raises(InternalError, match="do not sum to 1"):
+            ScoreVector(("v1", "v2"), np.array([0.7, 0.7]))
+        assert ScoreVector(["v1", "v2"], [0.25, 0.75]).names == ("v1", "v2")
 
     def test_score_lookup_is_case_insensitive(self, golden_pipeline, caplog):
         _, _, nu = golden_pipeline
