@@ -6,20 +6,10 @@ venues split their mass among the groups publishing there, and groups
 spread theirs over venues by a mix of publication volume and publication
 breadth. Venue scores are the stationary flow into each venue; groups and
 arbitrary author sets are ranked against those scores.
+
+numpy loads when pscore first uses it (see :mod:`pscore._np`), so ranking
+authors against a venue-score file runs without it.
 """
-
-import os
-
-# No product here is large enough for BLAS threads to pay off, while
-# OpenBLAS starts one spinning worker per core when numpy loads. Load
-# numpy with one thread unless the caller chose a count, and leave the
-# environment as found, so child processes inherit nothing.
-if "OPENBLAS_NUM_THREADS" not in os.environ:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy  # noqa: F401
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .chain import (
     ConnectivityReport,

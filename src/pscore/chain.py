@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from . import _np as np
 from .records import CountsTable
 from .errors import ChainError, ParameterError
 

@@ -17,8 +17,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO
 
-import numpy as np
-
+from . import _np as np
 from .chain import TOL, build_alpha, build_beta, build_chain, build_reduced, check_d, check_irreducible, format_matrix_tsv
 from .counts import aggregate, parse_author_counts
 from .errors import ParameterError, ParseError, PScoreError, ValidationError
@@ -35,13 +34,33 @@ DEFAULT_D = 0.5
 
 @contextmanager
 def _file_context(path: str):
-    """Prefix line-addressed errors with the file they came from."""
+    """Prefix line-addressed errors with the file they came from.
+
+    Bytes that are not UTF-8 become a :class:`ParseError` naming the line
+    they are on.
+    """
     try:
-        yield
+        try:
+            yield
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason})", line=_undecodable_line(path)) from exc
     except (ParseError, ValidationError) as exc:
         located = type(exc)(f"{path}: {exc}")
         located.__dict__.update(vars(exc))  # keeps line and field
         raise located from exc
+
+
+def _undecodable_line(path: str) -> int | None:
+    """Line of the first bytes in ``path`` that are not UTF-8; None for a pipe, which cannot be read again."""
+    if not Path(path).is_file():
+        return None
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]  # lines end as the readers end them: at \n, \r or \r\n
+        return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return None
 
 
 def _sniff_format(path: str) -> str:
@@ -62,7 +81,9 @@ def _sniff_format(path: str) -> str:
 def _load_reference_groups(args: argparse.Namespace) -> list[str]:
     names: list[str] = []
     if args.groups_file:
-        for line in Path(args.groups_file).read_text(encoding="utf-8-sig").splitlines():
+        with _file_context(args.groups_file):
+            text = Path(args.groups_file).read_text(encoding="utf-8-sig")
+        for line in text.splitlines():
             if line.strip():
                 names.append(line.strip())
     names.extend(args.group)
@@ -81,6 +102,7 @@ def _load_counts(args: argparse.Namespace) -> CountsTable:
         with _file_context(args.author_counts), open(args.author_counts, "rb") as fh:
             overrides = parse_author_counts(fh, _sniff_format(args.author_counts))
     fmt = args.input_format or _sniff_format(args.input)
+    np.ndarray  # load numpy now: loaded after the records, it leaves a larger peak
     with _file_context(args.input), open(args.input, "rb") as fh:
         table = ingest(fh, fmt, groups, years=years)
     return aggregate(table, overrides)
@@ -156,7 +178,7 @@ def load_venue_scores(path: str) -> ScoreVector:
             raise ValidationError(f"{where}: venue {name!r} is listed twice (first at {earlier})")
         names.append(name)
         scores.append(score)
-    total = float(np.asarray(scores, dtype=np.float64).sum())
+    total = math.fsum(scores)
     if abs(total - 1.0) > TOL:
         raise ValidationError(f"raw venue scores sum to {total!r}, not 1 (tolerance {TOL})")
     return ScoreVector(names, scores)

@@ -11,8 +11,7 @@ import dataclasses
 import logging
 from typing import IO, Mapping
 
-import numpy as np
-
+from . import _np as np
 from .errors import ValidationError
 from .records import MAX_COUNT, CountsTable, csv_rows, fold, jsonl_objects, normalize_name, text_stream
 

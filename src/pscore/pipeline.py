@@ -11,8 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _np as np
 from .chain import TOL, ReputationChain, build_chain, check_irreducible
 from .errors import DisconnectedChainError, InternalError
 from .records import CountsTable

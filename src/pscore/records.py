@@ -20,8 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence
 
-import numpy as np
-
+from . import _np as np
 from .errors import DatasetError, InternalError, ParseError, ValidationError
 
 log = logging.getLogger(__name__)

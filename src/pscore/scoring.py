@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from array import array
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from . import _np as np
 from .chain import TOL, ReputationChain
 from .errors import DegenerateInputError, InternalError, ValidationError
 from .records import MAX_COUNT, fold, normalize_name
@@ -31,23 +31,23 @@ PRINTED_DECIMALS = 6
 @dataclass(frozen=True)
 class ScoreVector:
     """Raw venue scores: duplicate-free names, and finite nonnegative
-    scores that sum to 1 within :data:`~pscore.chain.TOL`."""
+    scores, a tuple of floats, that sum to 1 within :data:`~pscore.chain.TOL`."""
 
     names: tuple[str, ...]
-    scores: np.ndarray
+    scores: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
+        object.__setattr__(self, "scores", tuple(map(float, self.scores)))
         if len(self.names) != len(self.scores):
             raise InternalError("score vector names and scores differ in length")
         if len({fold(n) for n in self.names}) != len(self.names):
             raise InternalError("score vector names are not duplicate-free")
-        if not np.all(np.isfinite(self.scores)):
+        if not all(map(math.isfinite, self.scores)):
             raise InternalError("non-finite score")
-        if np.any(self.scores < 0):
+        if any(s < 0 for s in self.scores):
             raise InternalError("negative score")
-        if abs(self.scores.sum() - 1.0) > TOL:
+        if abs(math.fsum(self.scores) - 1.0) > TOL:
             raise InternalError("raw venue scores do not sum to 1")
 
 
@@ -142,7 +142,7 @@ def rank_authors(
     """
     if not author_pub_lists:
         raise DegenerateInputError("no authors to rank")
-    smap = {fold(n): float(x) for n, x in zip(nu.names, nu.scores)}
+    smap = {fold(n): x for n, x in zip(nu.names, nu.scores)}
     weight_of: dict[str, float | None] = {}  # venue as given -> its score, None if unscored
     names: list[str] = []
     totals: list[float] = []

@@ -27,8 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _np as np
 from .chain import ReputationChain, check_stochastic
 from .errors import ChainError, DisconnectedChainError, ParameterError
 

@@ -80,7 +80,7 @@ def _corpus(seed: int, count: int):
 def test_criterion_1_golden_example():
     started = time.perf_counter()
     _, _, nu = _solve(_golden_table(), GOLDEN_D)
-    top = normalize_max_one(nu.scores)
+    top = normalize_max_one(np.asarray(nu.scores))
     elapsed = time.perf_counter() - started
     assert_allclose(nu.scores, GOLDEN_NU_3DP, rtol=0, atol=0.0015)
     assert_allclose(top, GOLDEN_MAX1_3DP, rtol=0, atol=0.002)
@@ -95,7 +95,7 @@ def test_criterion_2_fixed_point_residuals():
         chain, gamma, nu = _solve(table, d)
         reduced = build_reduced(chain)
         stationary = float(np.max(np.abs(gamma.gamma @ reduced - gamma.gamma)))
-        consistency = group_consistency_check(gamma, nu.scores, chain)
+        consistency = group_consistency_check(gamma, np.asarray(nu.scores), chain)
         worst_stationary = max(worst_stationary, stationary)
         worst_consistency = max(worst_consistency, consistency)
         assert stationary <= 1e-10
@@ -139,7 +139,7 @@ def test_criterion_5_stochasticity_suite():
         reduced = build_reduced(chain)
         for matrix in (build_alpha(table), build_beta(table, d), reduced):
             worst_row = max(worst_row, float(np.max(np.abs(matrix.sum(axis=1) - 1.0))))
-        worst_nu = max(worst_nu, abs(float(nu.scores.sum()) - 1.0))
+        worst_nu = max(worst_nu, abs(float(np.asarray(nu.scores).sum()) - 1.0))
     assert worst_row <= 1e-9
     assert worst_nu <= 1e-10
     _passed(5, f"stochasticity, worst row drift {worst_row:.2e}, score sum drift {worst_nu:.2e}")
@@ -173,7 +173,7 @@ def test_criterion_6_scaling_and_permutation():
         _, gamma_base, nu_base = _solve(table_base, 0.4)
         _, gamma_perm, nu_perm = _solve(permuted, 0.4)
         assert nu_perm.names == tuple(table_base.venue_names[j] for j in tau)
-        assert_allclose(nu_perm.scores, nu_base.scores[tau], rtol=0, atol=1e-12)
+        assert_allclose(nu_perm.scores, np.asarray(nu_base.scores)[tau], rtol=0, atol=1e-12)
         assert_allclose(gamma_perm.gamma, gamma_base.gamma[sigma], rtol=0, atol=1e-12)
 
     pubs = {"a": {"v1": 2, "v3": 1}, "b": {"v2": 1}, "c": {"v1": 1, "v2": 3}}
@@ -235,4 +235,4 @@ def test_pipeline_consistency_assertion_is_wired():
     # the library pipeline, which the CLI runs, reports the residual it asserted on
     result = solve_pipeline(_golden_table(), GOLDEN_D)
     assert result.consistency_residual <= 1e-10
-    assert abs(float(result.nu_raw.scores.sum()) - 1.0) <= 1e-10
+    assert abs(float(np.asarray(result.nu_raw.scores).sum()) - 1.0) <= 1e-10

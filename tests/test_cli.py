@@ -8,7 +8,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pscore import parse_records
-from pscore.cli import _file_context, _sniff_format, load_author_pubs, load_venue_scores, main, parse_year_range
+from pscore.cli import (
+    _file_context,
+    _sniff_format,
+    _undecodable_line,
+    load_author_pubs,
+    load_venue_scores,
+    main,
+    parse_year_range,
+)
 from pscore.errors import ParameterError, ParseError, ValidationError
 
 from conftest import DATA_DIR, GOLDEN_GAMMA, GOLDEN_NU, GOLDEN_NU_MAX1
@@ -484,3 +492,53 @@ class TestHelpers:
         assert main(["venues", "--input", str(bad), "--group", "G"]) == 1
         err = capsys.readouterr().err
         assert "bad.jsonl" in err and "line 2" in err
+
+
+class TestUndecodableInput:
+    """Bytes that are not UTF-8, in any input file, end in a ParseError naming the file and line."""
+
+    SCORES = b"venue\traw_score\nv1\t1\n"
+    CASES = {
+        "records.jsonl": (b'{"group": "Group 1", "authors": ["A"], "venue": "v1"}\n' * 2
+                          + b'{"group": "Group 1", "authors": ["\xff"], "venue": "v1"}\n'),
+        "records.csv": b"id,title,group,authors,venue,year\np1,T,Group 1,A,v1,2013\np2,T,Group 1,\xff,v1,2013\n",
+        "author_counts.csv": b"venue,count\nv1,10\nv\xff,5\n",
+        "groups.txt": b"Group 1\nGroup 2\nGroup \xff\n",
+        "venue_scores.tsv": b"venue\traw_score\nv1\t1\nv\xff\t0\n",
+        "author_pubs.jsonl": (b'{"author": "A", "venue": "v1", "count": 1}\n' * 2
+                              + b'{"author": "\xff", "venue": "v1", "count": 1}\n'),
+    }
+
+    @staticmethod
+    def argv(name: str, bad: str, scores: str) -> list[str]:
+        records = bad if name.startswith("records") else str(DATA_DIR / "golden_records.jsonl")
+        groups = bad if name == "groups.txt" else str(DATA_DIR / "golden_groups.txt")
+        if name == "venue_scores.tsv":
+            return ["authors", "--venue-scores", bad, "--author-pubs", str(DATA_DIR / "golden_author_pubs.jsonl")]
+        if name == "author_pubs.jsonl":
+            return ["authors", "--venue-scores", scores, "--author-pubs", bad]
+        counts = ["--author-counts", bad] if name == "author_counts.csv" else []
+        return ["venues", "--input", records, "--groups-file", groups, *counts]
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_named_with_file_and_line(self, tmp_path, capsys, name):
+        bad, scores = tmp_path / name, tmp_path / "scores.tsv"
+        bad.write_bytes(self.CASES[name])
+        scores.write_bytes(self.SCORES)
+        assert main(self.argv(name, str(bad), str(scores))) == 1
+        assert capsys.readouterr().err == f"pscore: error: {bad}: line 3: not UTF-8 text (invalid start byte)\n"
+
+    def test_line_counted_in_the_file_not_in_the_read_chunk(self, tmp_path, capsys):
+        # the text reader decodes in chunks, so the error's own offset is relative to a later chunk
+        records = tmp_path / "records.jsonl"
+        line = b'{"group": "Group 1", "authors": ["Ana \xc3\xa9"], "venue": "v1"}\n'
+        records.write_bytes(line * 4999 + line.replace(b"\xc3\xa9", b"\xc3"))
+        assert main(["venues", "--input", str(records), "--groups-file", str(DATA_DIR / "golden_groups.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"pscore: error: {records}: line 5000: not UTF-8 text (invalid continuation byte)\n"
+        records.write_bytes(line * 2 + b"\xc3")  # cut off at the end of the file
+        assert _undecodable_line(str(records)) == 3
+        records.write_bytes(line.replace(b"\n", b"\r") * 2 + line.replace(b"\n", b"\r\n") + b"\xff")
+        assert _undecodable_line(str(records)) == 4
+        records.write_bytes(line)
+        assert _undecodable_line(str(records)) is None
