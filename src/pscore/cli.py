@@ -9,21 +9,20 @@ Identical inputs and flags produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
-import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterator
 
 from . import _np as np
-from .chain import TOL, build_alpha, build_beta, build_chain, build_reduced, check_d, check_irreducible, format_matrix_tsv
+from .chain import build_alpha, build_beta, build_chain, build_reduced, check_d, check_irreducible, format_matrix_tsv
 from .counts import aggregate, parse_author_counts
 from .errors import ParameterError, ParseError, PScoreError, ValidationError
 from .pipeline import PipelineResult, solve_pipeline
-from .records import MAX_COUNT, CountsTable, fold, ingest, json_loads, jsonl_objects, normalize_name, text_stream
-from .scoring import ScoreVector, make_ranking, rank_authors, ranking_to_json, ranking_to_tsv
+from .records import CountsTable, ingest, load_author_pubs, text_stream
+from .scoring import (load_venue_scores, make_ranking, rank_authors, ranking_to_json, ranking_to_tsv,
+                      venue_report_json, venue_report_tsv)
 
 DEFAULT_D = 0.5
 
@@ -33,15 +32,16 @@ DEFAULT_D = 0.5
 
 
 @contextmanager
-def _file_context(path: str):
-    """Prefix line-addressed errors with the file they came from.
+def _file_context(path: str) -> Iterator[IO[bytes]]:
+    """Open the input file ``path`` as bytes; errors it leads to name it.
 
-    Bytes that are not UTF-8 become a :class:`ParseError` naming the line
-    they are on.
+    Line-addressed errors get the file as a prefix, and bytes that are not
+    UTF-8 become a :class:`ParseError` naming the line they are on.
     """
     try:
         try:
-            yield
+            with open(path, "rb") as fh:
+                yield fh
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text ({exc.reason})", line=_undecodable_line(path)) from exc
     except (ParseError, ValidationError) as exc:
@@ -81,11 +81,8 @@ def _sniff_format(path: str) -> str:
 def _load_reference_groups(args: argparse.Namespace) -> list[str]:
     names: list[str] = []
     if args.groups_file:
-        with _file_context(args.groups_file):
-            text = Path(args.groups_file).read_text(encoding="utf-8-sig")
-        for line in text.splitlines():
-            if line.strip():
-                names.append(line.strip())
+        with _file_context(args.groups_file) as fh, text_stream(fh) as text:
+            names = [name for line in text if (name := line.strip())]
     names.extend(args.group)
     if not names:
         raise ParameterError("no reference groups given; use --groups-file or --group")
@@ -99,11 +96,11 @@ def _load_counts(args: argparse.Namespace) -> CountsTable:
     groups = _load_reference_groups(args)
     overrides = None
     if args.author_counts:
-        with _file_context(args.author_counts), open(args.author_counts, "rb") as fh:
+        with _file_context(args.author_counts) as fh:
             overrides = parse_author_counts(fh, _sniff_format(args.author_counts))
     fmt = args.input_format or _sniff_format(args.input)
     np.ndarray  # load numpy now: loaded after the records, it leaves a larger peak
-    with _file_context(args.input), open(args.input, "rb") as fh:
+    with _file_context(args.input) as fh:
         table = ingest(fh, fmt, groups, years=years)
     return aggregate(table, overrides)
 
@@ -123,160 +120,8 @@ def parse_year_range(text: str) -> tuple[int | None, int | None]:
     return lo, hi
 
 
-def load_venue_scores(path: str) -> ScoreVector:
-    """Read a venue-score file written by the ``venues`` command.
-
-    Every error names the TSV line or the JSON entry it comes from: a
-    malformed file, a ``raw_score`` that is not a finite nonnegative
-    number, a missing or empty venue name, and a venue listed twice (names
-    compare case-insensitively).
-    """
-    raw_text = Path(path).read_text(encoding="utf-8-sig")
-    rows: list[tuple[str, object, object]] = []  # (where, venue, raw_score)
-    if raw_text.lstrip().startswith("["):
-        for i, item in enumerate(json_loads(raw_text)):
-            if not isinstance(item, dict) or "venue" not in item or "raw_score" not in item:
-                raise ValidationError(f"venue-score entry {i} lacks venue/raw_score")
-            rows.append((f"venue-score entry {i}", item["venue"], item["raw_score"]))
-    else:
-        header: list[str] | None = None
-        for lineno, line in enumerate(raw_text.splitlines(), start=1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            cells = line.split("\t")
-            if header is None:
-                header = cells
-                if "venue" not in header or "raw_score" not in header:
-                    raise ParseError("venue-score header must name venue and raw_score", line=lineno)
-                continue
-            if len(cells) != len(header):
-                raise ParseError("venue-score row width does not match the header", line=lineno)
-            row = dict(zip(header, cells))
-            rows.append((f"line {lineno}", row["venue"], row["raw_score"]))
-    if not rows:
-        raise ValidationError("no venue scores found")
-
-    names: list[str] = []
-    scores: list[float] = []
-    first_seen: dict[str, str] = {}
-    for where, venue, raw_score in rows:
-        try:
-            if isinstance(raw_score, bool):
-                raise TypeError("JSON true and false are not scores")
-            score = float(raw_score)
-        except (TypeError, ValueError):
-            raise ValidationError(f"{where}: raw_score is not a number: {raw_score!r}") from None
-        if not math.isfinite(score) or score < 0:
-            raise ValidationError(
-                f"{where}: raw_score must be finite and nonnegative, got {raw_score!r}"
-            )
-        name = normalize_name(venue) if isinstance(venue, str) else ""
-        if not name:
-            raise ValidationError(f"{where}: missing or empty venue name: {venue!r}")
-        earlier = first_seen.setdefault(fold(name), where)
-        if earlier != where:
-            raise ValidationError(f"{where}: venue {name!r} is listed twice (first at {earlier})")
-        names.append(name)
-        scores.append(score)
-    total = math.fsum(scores)
-    if abs(total - 1.0) > TOL:
-        raise ValidationError(f"raw venue scores sum to {total!r}, not 1 (tolerance {TOL})")
-    return ScoreVector(names, scores)
-
-
-def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
-    """Read author publication lists (JSONL).
-
-    Two line shapes are accepted and may be mixed: pre-aggregated
-    ``{"author": ..., "venue": ..., "count": n}`` entries, and raw
-    per-paper ``{"authors": [...], "venue": ...}`` records which credit
-    every distinct listed author (compared case-insensitively) with one
-    paper at the venue. Authors and venues come back in first-seen order,
-    under their first-seen spelling.
-    """
-    author_display: dict[str, str] = {}  # folded author -> display name
-    venue_display: dict[str, str] = {}   # folded venue -> display name
-    # raw venue -> display name; raw author strings are too many to be worth a memo
-    venue_of: dict[str, str] = {}
-    pubs: dict[str, dict[str, int]] = {}
-
-    def author_name(author: object, lineno: int) -> str:
-        a = normalize_name(author) if isinstance(author, str) else ""
-        if not a:
-            raise ValidationError("missing or empty 'author'", line=lineno, field="author")
-        return author_display.setdefault(fold(a), a)
-
-    def venue_name(venue: object, lineno: int) -> str:
-        try:
-            return venue_of[venue]
-        except (KeyError, TypeError):
-            pass
-        v = normalize_name(venue) if isinstance(venue, str) else ""
-        if not v:
-            raise ValidationError("missing or empty 'venue'", line=lineno, field="venue")
-        v = venue_of[venue] = venue_display.setdefault(fold(v), v)
-        return v
-
-    def add(author: str, venue: str, count: int, lineno: int) -> None:
-        per_author = pubs.setdefault(author, {})
-        total = per_author[venue] = per_author.get(venue, 0) + count
-        if total > MAX_COUNT:  # one count or a sum of them
-            raise ValidationError(f"'count' for {author!r} at {venue!r} exceeds 2**53", line=lineno, field="count")
-
-    with text_stream(stream) as text:
-        for lineno, obj in jsonl_objects(text):
-            if "count" in obj or "author" in obj:
-                count = obj.get("count")
-                if count.__class__ is not int or count < 1:
-                    raise ValidationError(
-                        f"'count' must be a positive integer, got {count!r}", line=lineno, field="count"
-                    )
-                author = author_name(obj.get("author"), lineno)
-                add(author, venue_name(obj.get("venue"), lineno), count, lineno)
-            elif "authors" in obj:
-                authors = obj.get("authors")
-                if not isinstance(authors, list) or not authors:
-                    raise ValidationError(
-                        "'authors' must be a nonempty array", line=lineno, field="authors"
-                    )
-                venue = obj.get("venue")
-                credited = set()
-                for raw in authors:
-                    author = author_name(raw, lineno)
-                    display = venue_name(venue, lineno)  # a bad venue is reported after a bad first author
-                    if author not in credited:
-                        credited.add(author)
-                        add(author, display, 1, lineno)
-            else:
-                raise ParseError(
-                    "expected author/venue/count or authors/venue keys", line=lineno
-                )
-    if not pubs:
-        raise ValidationError("author publication file holds no entries")
-    return pubs
-
-
 # ---------------------------------------------------------------------------
 # report emission
-
-
-def venue_report_tsv(nu_raw: ScoreVector, nu_max_one: np.ndarray, d: float) -> str:
-    lines = ["# pscore venues", f"# d = {d!r}", "venue\traw_score\tnormalized_score"]
-    for name, raw, norm in zip(nu_raw.names, nu_raw.scores, nu_max_one):
-        lines.append(f"{name}\t{format(raw, '.12g')}\t{format(norm, '.12g')}")
-    return "".join(line + "\n" for line in lines)
-
-
-def venue_report_json(nu_raw: ScoreVector, nu_max_one: np.ndarray) -> str:
-    payload = [
-        {
-            "venue": name,
-            "raw_score": float(format(raw, ".12g")),
-            "normalized_score": float(format(norm, ".12g")),
-        }
-        for name, raw, norm in zip(nu_raw.names, nu_raw.scores, nu_max_one)
-    ]
-    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -328,9 +173,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_authors(args: argparse.Namespace) -> int:
-    with _file_context(args.venue_scores):
-        nu = load_venue_scores(args.venue_scores)
-    with _file_context(args.author_pubs), open(args.author_pubs, "rb") as fh:
+    with _file_context(args.venue_scores) as fh:
+        nu = load_venue_scores(fh)
+    with _file_context(args.author_pubs) as fh:
         pubs = load_author_pubs(fh)
     ranking = rank_authors(pubs, nu)
     if args.format == "json":

@@ -1,11 +1,13 @@
-"""Ingestion of publication records.
+"""Ingestion of publication records and author lists, and the shared readers.
 
 Reads JSONL/CSV publication lists and folds them, in one pass, into the
 :class:`CountsTable` of deduplicated counts that everything downstream
 operates on. Each distinct raw name is normalized and case-folded once
 per run and interned to an integer id; records are kept only as the ids
-they contribute, never as objects. Parsing is eager and line-addressed:
-every error names the offending line.
+they contribute, never as objects. Every input file is decoded by
+:func:`text_stream` and split into rows by :func:`jsonl_objects` or
+:func:`csv_rows`. Parsing is eager and line-addressed: every error names
+the offending line.
 """
 
 from __future__ import annotations
@@ -138,8 +140,9 @@ class CountsTable:
 def text_stream(stream: IO[bytes] | IO[str]) -> Iterator[IO[str]]:
     """Read ``stream`` as text; bytes are decoded as UTF-8, BOM allowed.
 
-    A binary stream is detached again on exit, so it stays open and owned
-    by the caller and no wrapper is left behind to be closed.
+    Lines of decoded bytes end at ``\\n``, ``\\r`` or ``\\r\\n`` and nowhere
+    else. A binary stream is detached again on exit, so it stays open and
+    owned by the caller and no wrapper is left behind to be closed.
     """
     if not isinstance(stream.read(0), bytes):
         yield stream
@@ -257,24 +260,98 @@ def _jsonl_fields(text: IO[str]) -> Iterator[tuple]:
                obj.get("group"), obj.get("venue"), obj.get("title"), obj.get("year"))
 
 
-def csv_rows(text: IO[str], columns: Sequence[str]) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, row) for each row of a CSV stream with a header.
+def csv_rows(text: Iterable[str], columns: Sequence[str], **dialect) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, row) for each row of a CSV stream, read by :func:`csv.reader` in ``dialect``.
 
-    The header must name every one of ``columns``; a zero-byte stream has
-    no header and no rows. A row with more fields than the header is a
-    :class:`ParseError`; a short row reads ``None`` in its missing fields.
+    Empty lines are skipped. The first row is the header and must name
+    every one of ``columns``. A row wider than the header, or one the
+    reader refuses (a field over its size limit, say), is a
+    :class:`ParseError` at its line; a short row lacks its missing fields.
     """
-    reader = csv.DictReader(text)
-    header = reader.fieldnames
-    if header is None:
-        return
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise ParseError(f"header is missing column(s): {', '.join(missing)}", line=1)
-    for row in reader:
-        if None in row:  # DictReader files the extra fields under the key None
-            raise ParseError("row has more fields than the header", line=reader.line_num)
-        yield reader.line_num, row
+    reader = csv.reader(text, **dialect)
+    header = None
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if header is None:
+                header = row
+                if missing := [c for c in columns if c not in header]:
+                    raise ParseError(f"header is missing column(s): {', '.join(missing)}", line=reader.line_num)
+            elif len(row) > len(header):
+                raise ParseError("row has more fields than the header", line=reader.line_num)
+            else:
+                yield reader.line_num, dict(zip(header, row))
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from exc
+
+
+def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
+    """Read author publication lists (JSONL).
+
+    Two line shapes are accepted and may be mixed: pre-aggregated
+    ``{"author": ..., "venue": ..., "count": n}`` entries, and raw
+    per-paper ``{"authors": [...], "venue": ...}`` records which credit
+    every distinct listed author (compared case-insensitively) with one
+    paper at the venue. Authors and venues come back in first-seen order,
+    under their first-seen spelling.
+    """
+    author_display: dict[str, str] = {}  # folded author -> display name
+    venue_display: dict[str, str] = {}   # folded venue -> display name
+    # raw venue -> display name; raw author strings are too many to be worth a memo
+    venue_of: dict[str, str] = {}
+    pubs: dict[str, dict[str, int]] = {}
+
+    def author_name(author: object, lineno: int) -> str:
+        a = normalize_name(author) if isinstance(author, str) else ""
+        if not a:
+            raise ValidationError("missing or empty 'author'", line=lineno, field="author")
+        return author_display.setdefault(fold(a), a)
+
+    def venue_name(venue: object, lineno: int) -> str:
+        try:
+            return venue_of[venue]
+        except (KeyError, TypeError):
+            pass
+        v = normalize_name(venue) if isinstance(venue, str) else ""
+        if not v:
+            raise ValidationError("missing or empty 'venue'", line=lineno, field="venue")
+        v = venue_of[venue] = venue_display.setdefault(fold(v), v)
+        return v
+
+    def add(author: str, venue: str, count: int, lineno: int) -> None:
+        per_author = pubs.setdefault(author, {})
+        total = per_author[venue] = per_author.get(venue, 0) + count
+        if total > MAX_COUNT:  # one count or a sum of them
+            raise ValidationError(f"'count' for {author!r} at {venue!r} exceeds 2**53", line=lineno, field="count")
+
+    with text_stream(stream) as text:
+        for lineno, obj in jsonl_objects(text):
+            if "count" in obj or "author" in obj:
+                count = obj.get("count")
+                if count.__class__ is not int or count < 1:
+                    raise ValidationError(
+                        f"'count' must be a positive integer, got {count!r}", line=lineno, field="count"
+                    )
+                author = author_name(obj.get("author"), lineno)
+                add(author, venue_name(obj.get("venue"), lineno), count, lineno)
+            elif "authors" in obj:
+                authors = obj.get("authors")
+                if not isinstance(authors, list) or not authors:
+                    raise ValidationError("'authors' must be a nonempty array", line=lineno, field="authors")
+                venue = obj.get("venue")
+                credited = set()
+                for raw in authors:
+                    author = author_name(raw, lineno)
+                    display = venue_name(venue, lineno)  # a bad venue is reported after a bad first author
+                    if author not in credited:
+                        credited.add(author)
+                        add(author, display, 1, lineno)
+            else:
+                raise ParseError("expected author/venue/count or authors/venue keys", line=lineno)
+    if not pubs:
+        raise ValidationError("author publication file holds no entries")
+    return pubs
 
 
 def _csv_fields(text: IO[str]) -> Iterator[tuple]:

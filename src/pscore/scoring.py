@@ -4,23 +4,25 @@ Venue scores are the group reputation vector pushed through the
 group-to-venue block, nu = gamma @ beta; they sum to 1 in raw form and are
 optionally rescaled so the top venue scores exactly 1. Author scores are
 score-weighted publication counts, ranked relative to the best author in
-the compared set.
+the compared set. Venue-score files, as TSV or JSON, are written and read
+back here.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import math
 from array import array
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import IO, NamedTuple
 
 from . import _np as np
 from .chain import TOL, ReputationChain
 from .errors import DegenerateInputError, InternalError, ValidationError
-from .records import MAX_COUNT, fold, normalize_name
+from .records import MAX_COUNT, csv_rows, fold, json_loads, normalize_name, text_stream
 from .solver import StationaryDistribution
 
 log = logging.getLogger(__name__)
@@ -191,3 +193,75 @@ def ranking_to_json(ranking: Ranking) -> str:
         for e in ranking.entries
     ]
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+
+
+def venue_report_tsv(nu_raw: ScoreVector, nu_max_one: np.ndarray, d: float) -> str:
+    lines = ["# pscore venues", f"# d = {d!r}", "venue\traw_score\tnormalized_score"]
+    for name, raw, norm in zip(nu_raw.names, nu_raw.scores, nu_max_one):
+        lines.append(f"{name}\t{format(raw, '.12g')}\t{format(norm, '.12g')}")
+    return "".join(line + "\n" for line in lines)
+
+
+def venue_report_json(nu_raw: ScoreVector, nu_max_one: np.ndarray) -> str:
+    payload = [
+        {
+            "venue": name,
+            "raw_score": float(format(raw, ".12g")),
+            "normalized_score": float(format(norm, ".12g")),
+        }
+        for name, raw, norm in zip(nu_raw.names, nu_raw.scores, nu_max_one)
+    ]
+    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+
+
+def load_venue_scores(stream: IO[bytes] | IO[str]) -> ScoreVector:
+    """Read a venue-score file written by the ``venues`` command.
+
+    A file whose first non-whitespace character is ``[`` is a JSON array
+    of ``{venue, raw_score}`` objects. Any other file is TSV with a header
+    naming ``venue`` and ``raw_score``: tab-separated, with no quoting, and
+    ``#`` and blank lines skipped anywhere. Every error names the TSV line
+    or the JSON entry it comes from: a malformed file, a ``raw_score`` that
+    is not a finite nonnegative number, a missing or empty venue name, and
+    a venue listed twice (names compare case-insensitively).
+    """
+    with text_stream(stream) as text:
+        content = text.read().replace("\r\n", "\n").replace("\r", "\n")  # lines end at \n, \r or \r\n
+    rows: list[tuple[str, object, object]] = []  # (where, venue, raw_score)
+    if content.lstrip().startswith("["):
+        for i, item in enumerate(json_loads(content)):
+            if not isinstance(item, dict) or "venue" not in item or "raw_score" not in item:
+                raise ValidationError(f"venue-score entry {i} lacks venue/raw_score")
+            rows.append((f"venue-score entry {i}", item["venue"], item["raw_score"]))
+    else:
+        # a skipped line stays, as an empty one, so that rows keep their line numbers
+        lines = ("" if line.startswith("#") or not line.strip() else line for line in content.split("\n"))
+        for lineno, row in csv_rows(lines, ("venue", "raw_score"), delimiter="\t", quoting=csv.QUOTE_NONE):
+            rows.append((f"line {lineno}", row.get("venue"), row.get("raw_score")))
+    if not rows:
+        raise ValidationError("no venue scores found")
+
+    names: list[str] = []
+    scores: list[float] = []
+    first_seen: dict[str, str] = {}
+    for where, venue, raw_score in rows:
+        try:
+            if isinstance(raw_score, bool):
+                raise TypeError("JSON true and false are not scores")
+            score = float(raw_score)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{where}: raw_score is not a number: {raw_score!r}") from None
+        if not math.isfinite(score) or score < 0:
+            raise ValidationError(f"{where}: raw_score must be finite and nonnegative, got {raw_score!r}")
+        name = normalize_name(venue) if isinstance(venue, str) else ""
+        if not name:
+            raise ValidationError(f"{where}: missing or empty venue name: {venue!r}")
+        earlier = first_seen.setdefault(fold(name), where)
+        if earlier != where:
+            raise ValidationError(f"{where}: venue {name!r} is listed twice (first at {earlier})")
+        names.append(name)
+        scores.append(score)
+    total = math.fsum(scores)
+    if abs(total - 1.0) > TOL:
+        raise ValidationError(f"raw venue scores sum to {total!r}, not 1 (tolerance {TOL})")
+    return ScoreVector(names, scores)

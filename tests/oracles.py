@@ -9,8 +9,11 @@ sparse chain to be checked against; ``components`` finds the connected
 components of the group-venue graph by breadth-first search. ``count_records``
 counts a list of parsed records the way ingestion did before it became a
 single pass over integer ids, sharing no code with ``pscore.records``;
-``filter_by_year`` is the year window it applies first. ``serialize_records``
-writes records back out as JSONL or CSV for ``parse_records`` to read.
+``filter_by_year`` is the year window it applies first. ``parse_records``
+reads those records from JSONL with ``json.loads`` and from CSV with
+``csv.DictReader``, and reports a bad record with the class, line and
+message ``ingest`` gives it; ``serialize_records`` writes records back out
+as JSONL or CSV.
 ``jsonl_objects``, ``load_author_pubs`` and ``rank_authors`` are the JSONL
 reader and the author path as they were before lines were decoded in one C
 call and venue names memoized: every line goes through ``json.loads``, and
@@ -24,6 +27,7 @@ import io
 import json
 import logging
 from collections.abc import Mapping
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,6 +226,91 @@ def filter_by_year(records, start=None, end=None):
         rec for rec in records
         if rec.year is not None and (start is None or rec.year >= start) and (end is None or rec.year <= end)
     ]
+
+
+class Record(NamedTuple):
+    """One parsed publication record, with whitespace-normalized names."""
+
+    group: str
+    authors: tuple
+    venue: str
+    paper_id: str | None = None
+    title: str | None = None
+    year: int | None = None
+
+
+def _name(value, field, lineno):
+    if value is None:
+        raise ValidationError(f"missing required field '{field}'", line=lineno, field=field)
+    if not isinstance(value, str):
+        raise ValidationError(f"field '{field}' must be a string", line=lineno, field=field)
+    if not _norm(value):
+        raise ValidationError(f"field '{field}' is empty", line=lineno, field=field)
+    return _norm(value)
+
+
+def _record(lineno, paper_id, authors, group, venue, title, year):
+    """Check the fields in the order ``ingest`` reports them: authors, group, venue, title, year."""
+    if not all(isinstance(a, str) for a in authors):
+        raise ValidationError("field 'authors' must be an array of strings", line=lineno, field="authors")
+    names = tuple(_norm(a) for a in authors if _norm(a))
+    if not names:
+        raise ValidationError("field 'authors' is empty", line=lineno, field="authors")
+    group, venue = _name(group, "group", lineno), _name(venue, "venue", lineno)
+    if title is not None and not isinstance(title, str):
+        raise ValidationError("field 'title' must be a string", line=lineno, field="title")
+    if year == "":
+        year = None
+    elif isinstance(year, bool):
+        raise ValidationError("field 'year' must be an integer", line=lineno, field="year")
+    elif year is not None and not isinstance(year, int):
+        try:
+            year = int(year.strip())
+        except (AttributeError, ValueError):
+            raise ValidationError(f"field 'year' must be an integer, got {year!r}", line=lineno, field="year") from None
+    return Record(group, names, venue, paper_id, _norm(title) or None if title is not None else None, year)
+
+
+def _jsonl_records(text):
+    for lineno, obj in jsonl_objects(text):
+        paper_id = obj.get("id")
+        if isinstance(paper_id, int) and not isinstance(paper_id, bool):
+            paper_id = str(paper_id)
+        if paper_id is not None and not isinstance(paper_id, str):
+            raise ValidationError("field 'id' must be a string", line=lineno, field="id")
+        authors = obj.get("authors")
+        if authors is None:
+            raise ValidationError("missing required field 'authors'", line=lineno, field="authors")
+        if not isinstance(authors, list):
+            raise ValidationError("field 'authors' must be an array of strings", line=lineno, field="authors")
+        yield _record(lineno, paper_id and paper_id.strip() or None, authors,
+                      obj.get("group"), obj.get("venue"), obj.get("title"), obj.get("year"))
+
+
+def _csv_records(text):
+    reader = csv.DictReader(text)
+    if reader.fieldnames is None:
+        return
+    missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise ParseError(f"header is missing column(s): {', '.join(missing)}", line=reader.line_num)
+    for row in reader:
+        lineno = reader.line_num
+        if None in row:
+            raise ParseError("row has more fields than the header", line=lineno)
+        if row["authors"] is None or not row["authors"].strip():
+            raise ValidationError("missing required field 'authors'", line=lineno, field="authors")
+        yield _record(lineno, (row["id"] or "").strip() or None, row["authors"].split(AUTHOR_SEP),
+                      row["group"] or None, row["venue"] or None, row["title"] or None, row["year"])
+
+
+def parse_records(text, format):
+    """Publication records from a JSONL or CSV text stream, in input order."""
+    if format == "jsonl":
+        return list(_jsonl_records(text))
+    if format == "csv":
+        return list(_csv_records(text))
+    raise ValidationError(f"unknown record format {format!r}; expected 'jsonl' or 'csv'")
 
 
 def serialize_records(records, format):

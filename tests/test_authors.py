@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import oracles
 from pscore import PScoreError, ScoreVector, rank_authors
-from pscore.cli import load_author_pubs
+from pscore.records import load_author_pubs
 from test_ingest import Warnings, spelling
 
 SCORED = ["SIGIR", "Venue X", "kdd"]

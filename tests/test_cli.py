@@ -7,20 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pscore import parse_records
-from pscore.cli import (
-    _file_context,
-    _sniff_format,
-    _undecodable_line,
-    load_author_pubs,
-    load_venue_scores,
-    main,
-    parse_year_range,
-)
+from pscore.cli import _file_context, _sniff_format, _undecodable_line, main, parse_year_range
 from pscore.errors import ParameterError, ParseError, ValidationError
+from pscore.records import load_author_pubs
+from pscore.scoring import load_venue_scores
 
 from conftest import DATA_DIR, GOLDEN_GAMMA, GOLDEN_NU, GOLDEN_NU_MAX1
-from oracles import serialize_records
+from oracles import parse_records, serialize_records
 
 GOLDEN_ARGS = [
     "--input", str(DATA_DIR / "golden_records.jsonl"),
@@ -277,8 +270,8 @@ class TestVenueScoreFileErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert f"pscore: error: {path}: raw venue scores sum to 1.4, not 1 (tolerance 1e-10)" in err
-        with pytest.raises(ValidationError, match="sum to 1.4"):
-            load_venue_scores(path)
+        with pytest.raises(ValidationError, match="sum to 1.4"), open(path, "rb") as fh:
+            load_venue_scores(fh)
 
     def test_empty_score_file_named_once(self, tmp_path, capsys):
         scores = tmp_path / "empty.tsv"
@@ -291,8 +284,8 @@ class TestVenueScoreFileErrors:
     def test_duplicate_json_venue(self, tmp_path):
         scores = tmp_path / "v.json"
         scores.write_text('[{"venue": "v1", "raw_score": 0.5}, {"venue": " V1 ", "raw_score": 0.5}]')
-        with pytest.raises(ValidationError) as exc:
-            load_venue_scores(str(scores))
+        with pytest.raises(ValidationError) as exc, open(scores, "rb") as fh:
+            load_venue_scores(fh)
         assert str(exc.value) == "venue-score entry 1: venue 'V1' is listed twice (first at venue-score entry 0)"
 
 
@@ -403,7 +396,7 @@ class TestDisconnectionHandling:
 
 class TestCsvIngestion:
     def test_csv_records_match_jsonl(self, tmp_path):
-        with open(DATA_DIR / "golden_records.jsonl", "rb") as fh:
+        with open(DATA_DIR / "golden_records.jsonl", encoding="utf-8", newline="") as fh:
             records = parse_records(fh, "jsonl")
         csv_path = tmp_path / "records.csv"
         csv_path.write_text(serialize_records(records, "csv"))
@@ -427,19 +420,16 @@ class TestHelpers:
     def test_load_venue_scores_round_trip(self, tmp_path):
         out = tmp_path / "venues.tsv"
         assert main(["venues", *GOLDEN_ARGS, "-o", str(out)]) == 0
-        nu = load_venue_scores(str(out))
+        with open(out, "rb") as fh:
+            nu = load_venue_scores(fh)
         assert nu.names == ("v1", "v2", "v3")
         assert_allclose(nu.scores, GOLDEN_NU, rtol=0, atol=1e-12)
 
     def test_load_venue_scores_rejects_garbage(self, tmp_path):
-        bad = tmp_path / "bad.tsv"
-        bad.write_text("venue\traw_score\nv1\tmuch\n")
         with pytest.raises(ValidationError):
-            load_venue_scores(str(bad))
-        empty = tmp_path / "empty.tsv"
-        empty.write_text("")
+            load_venue_scores(io.BytesIO(b"venue\traw_score\nv1\tmuch\n"))
         with pytest.raises((ValidationError, ParseError)):
-            load_venue_scores(str(empty))
+            load_venue_scores(io.BytesIO(b""))
 
     def test_load_author_pubs_validation(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -453,7 +443,7 @@ class TestHelpers:
         pubs = tmp_path / "p2.jsonl"
         pubs.write_text('{"author": "A", "venue": "v1", "count": 1}\n{"author": "A", "venue": "v1", "count": 0}\n')
         with pytest.raises(ValidationError) as exc:
-            with _file_context(str(pubs)), open(pubs, "rb") as fh:
+            with _file_context(str(pubs)) as fh:
                 load_author_pubs(fh)
         assert str(exc.value) == f"{pubs}: line 2: 'count' must be a positive integer, got 0"
         assert exc.value.line == 2

@@ -4,10 +4,10 @@ Hypothesis writes small publication lists as JSONL or CSV, with case and
 whitespace variants of every name, groups outside the reference set,
 duplicates by id and by title, records with neither, optional years and
 optionally one malformed line. ``ingest`` must agree with
-``parse_records`` -> ``oracles.filter_by_year`` ->
-``oracles.count_records`` on the counts table, the dropped, merged and
-undated counts, and on the error class, line and message of a malformed
-line.
+``oracles.parse_records`` -> ``oracles.filter_by_year`` ->
+``oracles.count_records``, which share no code with ``pscore.records``, on
+the counts table, the dropped, merged and undated counts, and on the error
+class, line and message of a malformed line.
 """
 
 import csv
@@ -19,10 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pscore import DatasetError, PScoreError, ingest, parse_records
+from pscore import DatasetError, PScoreError, ingest
 from pscore.records import _Tally
 
-from oracles import count_records, dense_counts, filter_by_year
+from oracles import count_records, dense_counts, filter_by_year, parse_records
 
 REFERENCE = ["Group A", "Group B"]
 FOREIGN = ["Outside Lab"]
@@ -130,7 +130,7 @@ def outcome(run):
 
 
 def by_oracle(text, fmt, window):
-    records = parse_records(io.StringIO(text), fmt)
+    records = parse_records(io.StringIO(text, newline=""), fmt)
     if window is not None:
         records = filter_by_year(records, *window)
     groups, venues, matrix, d_venue, dropped, merged = count_records(records, REFERENCE)

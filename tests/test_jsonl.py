@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 import oracles
 from conftest import DATA_DIR
 from pscore import ParseError, ingest, parse_author_counts
-from pscore.cli import load_author_pubs, load_venue_scores, main
-from pscore.records import jsonl_objects
+from pscore.cli import main
+from pscore.records import jsonl_objects, load_author_pubs
+from pscore.scoring import load_venue_scores
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2**63, 2**63) | st.floats() | st.text(max_size=5),
@@ -136,8 +137,8 @@ def test_venue_scores_file(tmp_path, capsys, text):
         pytest.skip("this Python converts integers of any length")
     path = tmp_path / "venues.json"
     path.write_text(text)
-    with pytest.raises(ParseError, match="^malformed JSON: "):
-        load_venue_scores(str(path))
+    with pytest.raises(ParseError, match="^malformed JSON: "), open(path, "rb") as fh:
+        load_venue_scores(fh)
     assert main(["authors", "--venue-scores", str(path),
                  "--author-pubs", str(DATA_DIR / "golden_author_pubs.jsonl")]) == 1
     assert f"pscore: error: {path}: malformed JSON: " in capsys.readouterr().err
