@@ -9,6 +9,7 @@ Identical inputs and flags produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import io
 import logging
 import sys
 from contextlib import contextmanager
@@ -33,48 +34,24 @@ DEFAULT_D = 0.5
 
 @contextmanager
 def _file_context(path: str) -> Iterator[IO[bytes]]:
-    """Open the input file ``path`` as bytes; errors it leads to name it.
-
-    Line-addressed errors get the file as a prefix, and bytes that are not
-    UTF-8 become a :class:`ParseError` naming the line they are on.
-    """
+    """Open the input file ``path`` as bytes; line-addressed errors it leads to get it as a prefix."""
     try:
-        try:
-            with open(path, "rb") as fh:
-                yield fh
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text ({exc.reason})", line=_undecodable_line(path)) from exc
+        with open(path, "rb") as fh:
+            yield fh
     except (ParseError, ValidationError) as exc:
         located = type(exc)(f"{path}: {exc}")
         located.__dict__.update(vars(exc))  # keeps line and field
         raise located from exc
 
 
-def _undecodable_line(path: str) -> int | None:
-    """Line of the first bytes in ``path`` that are not UTF-8; None for a pipe, which cannot be read again."""
-    if not Path(path).is_file():
-        return None
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start]  # lines end as the readers end them: at \n, \r or \r\n
-        return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-    return None
-
-
-def _sniff_format(path: str) -> str:
+def _sniff_format(path: str, fh: io.BufferedReader) -> str:
     suffix = Path(path).suffix.lower()
     if suffix == ".csv":
         return "csv"
     if suffix in (".jsonl", ".json", ".ndjson"):
         return "jsonl"
-    try:
-        with open(path, "rb") as fh:
-            # 4 bytes per character at most, so this holds the first 4096
-            head = fh.read(4 * 4096).decode("utf-8-sig", errors="replace")[:4096].lstrip()
-    except OSError:
-        return "jsonl"
+    # peek reads no further than one buffer and consumes nothing, so a pipe keeps every byte for the reader
+    head = fh.peek().decode("utf-8-sig", errors="replace").lstrip()
     return "jsonl" if head.startswith("{") else "csv"
 
 
@@ -97,11 +74,10 @@ def _load_counts(args: argparse.Namespace) -> CountsTable:
     overrides = None
     if args.author_counts:
         with _file_context(args.author_counts) as fh:
-            overrides = parse_author_counts(fh, _sniff_format(args.author_counts))
-    fmt = args.input_format or _sniff_format(args.input)
+            overrides = parse_author_counts(fh, _sniff_format(args.author_counts, fh))
     np.ndarray  # load numpy now: loaded after the records, it leaves a larger peak
     with _file_context(args.input) as fh:
-        table = ingest(fh, fmt, groups, years=years)
+        table = ingest(fh, args.input_format or _sniff_format(args.input, fh), groups, years=years)
     return aggregate(table, overrides)
 
 

@@ -141,17 +141,35 @@ def text_stream(stream: IO[bytes] | IO[str]) -> Iterator[IO[str]]:
     """Read ``stream`` as text; bytes are decoded as UTF-8, BOM allowed.
 
     Lines of decoded bytes end at ``\\n``, ``\\r`` or ``\\r\\n`` and nowhere
-    else. A binary stream is detached again on exit, so it stays open and
-    owned by the caller and no wrapper is left behind to be closed.
+    else. Bytes that are not UTF-8 are a :class:`ParseError` naming their
+    line, or no line if ``stream`` cannot seek back, as a pipe cannot. A
+    binary stream is detached again on exit, so it stays open and owned by
+    the caller and no wrapper is left behind to be closed.
     """
     if not isinstance(stream.read(0), bytes):
         yield stream
         return
+    start = stream.tell() if stream.seekable() else None
     text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
     try:
         yield text
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", line=_undecodable_line(stream, start)) from exc
     finally:
         text.detach()
+
+
+def _undecodable_line(stream: IO[bytes], start: int | None) -> int | None:
+    """Line of the first bytes after ``start`` in ``stream`` that are not UTF-8; None if it cannot seek there."""
+    if start is None:
+        return None
+    stream.seek(start)
+    data = stream.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return len(data[:exc.start + 1].splitlines())  # bytes end lines at \n, \r or \r\n, as the readers do
+    return None
 
 
 _raw_decode = json.JSONDecoder().raw_decode

@@ -219,11 +219,12 @@ def load_venue_scores(stream: IO[bytes] | IO[str]) -> ScoreVector:
 
     A file whose first non-whitespace character is ``[`` is a JSON array
     of ``{venue, raw_score}`` objects. Any other file is TSV with a header
-    naming ``venue`` and ``raw_score``: tab-separated, with no quoting, and
-    ``#`` and blank lines skipped anywhere. Every error names the TSV line
-    or the JSON entry it comes from: a malformed file, a ``raw_score`` that
-    is not a finite nonnegative number, a missing or empty venue name, and
-    a venue listed twice (names compare case-insensitively).
+    naming ``venue`` and ``raw_score``: tab-separated, with no quoting,
+    ``#`` lines skipped above the header and blank lines anywhere. Every
+    error names the TSV line or the JSON entry it comes from: a malformed
+    file, a ``raw_score`` that is not a finite nonnegative number, a
+    missing or empty venue name, and a venue listed twice (names compare
+    case-insensitively).
     """
     with text_stream(stream) as text:
         content = text.read().replace("\r\n", "\n").replace("\r", "\n")  # lines end at \n, \r or \r\n
@@ -234,8 +235,10 @@ def load_venue_scores(stream: IO[bytes] | IO[str]) -> ScoreVector:
                 raise ValidationError(f"venue-score entry {i} lacks venue/raw_score")
             rows.append((f"venue-score entry {i}", item["venue"], item["raw_score"]))
     else:
-        # a skipped line stays, as an empty one, so that rows keep their line numbers
-        lines = ("" if line.startswith("#") or not line.strip() else line for line in content.split("\n"))
+        lines = content.split("\n")
+        header = next((i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")), len(lines))
+        # '#' lines above the header are comments, below it rows; a skipped line stays, empty, to keep line numbers
+        lines = ("" if i < header or not line.strip() else line for i, line in enumerate(lines))
         for lineno, row in csv_rows(lines, ("venue", "raw_score"), delimiter="\t", quoting=csv.QUOTE_NONE):
             rows.append((f"line {lineno}", row.get("venue"), row.get("raw_score")))
     if not rows:
@@ -251,6 +254,8 @@ def load_venue_scores(stream: IO[bytes] | IO[str]) -> ScoreVector:
             score = float(raw_score)
         except (TypeError, ValueError):
             raise ValidationError(f"{where}: raw_score is not a number: {raw_score!r}") from None
+        except OverflowError:  # an integer beyond the float range
+            score = math.inf
         if not math.isfinite(score) or score < 0:
             raise ValidationError(f"{where}: raw_score must be finite and nonnegative, got {raw_score!r}")
         name = normalize_name(venue) if isinstance(venue, str) else ""

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pscore.cli import _file_context, _sniff_format, _undecodable_line, main, parse_year_range
+from pscore.cli import _file_context, _sniff_format, main, parse_year_range
 from pscore.errors import ParameterError, ParseError, ValidationError
-from pscore.records import load_author_pubs
+from pscore.records import _undecodable_line, ingest, load_author_pubs
 from pscore.scoring import load_venue_scores
 
 from conftest import DATA_DIR, GOLDEN_GAMMA, GOLDEN_NU, GOLDEN_NU_MAX1
@@ -452,10 +452,12 @@ class TestHelpers:
     def test_sniff_format_without_suffix(self, tmp_path):
         jsonl = tmp_path / "records"
         jsonl.write_text("\ufeff  \n" + '{"group": "G"}\n' * 5000, encoding="utf-8")
-        assert _sniff_format(str(jsonl)) == "jsonl"
         csv_file = tmp_path / "records.txt"
         csv_file.write_text("id,title,group,authors,venue,year\n", encoding="utf-8")
-        assert _sniff_format(str(csv_file)) == "csv"
+        for path, expected in ((jsonl, "jsonl"), (csv_file, "csv")):
+            with open(path, "rb") as fh:
+                assert _sniff_format(str(path), fh) == expected
+                assert fh.read() == path.read_bytes()  # the sniff consumed nothing
 
     def test_inputs_are_closed(self, tmp_path):
         scores = tmp_path / "venues.tsv"
@@ -526,9 +528,9 @@ class TestUndecodableInput:
         assert main(["venues", "--input", str(records), "--groups-file", str(DATA_DIR / "golden_groups.txt")]) == 1
         err = capsys.readouterr().err
         assert err == f"pscore: error: {records}: line 5000: not UTF-8 text (invalid continuation byte)\n"
-        records.write_bytes(line * 2 + b"\xc3")  # cut off at the end of the file
-        assert _undecodable_line(str(records)) == 3
-        records.write_bytes(line.replace(b"\n", b"\r") * 2 + line.replace(b"\n", b"\r\n") + b"\xff")
-        assert _undecodable_line(str(records)) == 4
-        records.write_bytes(line)
-        assert _undecodable_line(str(records)) is None
+        for data, where in ((line * 2 + b"\xc3", 3),  # cut off at the end of the file
+                            (line.replace(b"\n", b"\r") * 2 + line.replace(b"\n", b"\r\n") + b"\xff", 4)):
+            with pytest.raises(ParseError) as exc:
+                ingest(io.BytesIO(data), "jsonl", ["Group 1"])
+            assert exc.value.line == where
+        assert _undecodable_line(io.BytesIO(line), 0) is None

@@ -5,16 +5,28 @@ or ``\\r\\n`` and nowhere else, and ``records.csv_rows`` splits the records
 CSV, the author-count CSV and the venue-score TSV into rows. A CSV error
 is a ``ParseError`` naming the file and line; the venue-score TSV has no
 quoting, so a venue name holding quotes and commas comes back as written.
+Bytes that are not UTF-8 are a ``ParseError`` from ``text_stream`` itself,
+naming the line when the stream can seek back and no line when it cannot,
+so every library reader reports them without code of its own. The CLI
+opens each input once, so a pipe gives the same report as a file.
 """
 
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR
-from pscore import ParseError, ValidationError, ingest, parse_author_counts
+from pscore import InternalError, ParseError, PScoreError, ValidationError, ingest, parse_author_counts, parse_records
 from pscore.cli import main
+from pscore.records import MAX_COUNT, load_author_pubs
 from pscore.scoring import load_venue_scores
 
 FIELD_LIMIT = "field larger than field limit (131072)"
@@ -100,7 +112,15 @@ class TestBlankLinesBeforeCsvHeader:
 
 
 def test_quoted_venue_name_round_trips(tmp_path, caplog):
-    venue = '"Quoted" Conf, 2nd'
+    assert_venue_round_trips(tmp_path, caplog, '"Quoted" Conf, 2nd')
+
+
+def test_hash_venue_name_round_trips(tmp_path, caplog):
+    # `#` lines are comments only above the header, so this venue's row is read as data
+    assert_venue_round_trips(tmp_path, caplog, "#1 Conf")
+
+
+def assert_venue_round_trips(tmp_path, caplog, venue):
     records = tmp_path / "records.jsonl"
     records.write_text("".join(json.dumps({"group": g, "authors": [a], "venue": v}) + "\n" for g, a, v in [
         ("G1", "A", venue), ("G1", "B", "v2"), ("G2", "B", "v2"), ("G2", "A", venue), ("G2", "C", venue),
@@ -121,3 +141,165 @@ def test_quoted_venue_name_round_trips(tmp_path, caplog):
         reports.append(out.read_text())
     assert "outside the scored set" not in caplog.text
     assert reports[0] == reports[1] == "# pscore authors\nrank\tname\tscore\n1\tAnn\t1.000000\n2\tBo\t0.577778\n"
+
+
+# each reader with a file whose third line holds a byte that is not UTF-8
+BAD_ON_LINE_3 = [
+    pytest.param(lambda fh: ingest(fh, "jsonl", ["G"]),
+                 b'{"group": "G", "authors": ["A"], "venue": "v1"}\n' * 2
+                 + b'{"group": "G", "authors": ["\xff"], "venue": "v1"}\n', id="ingest-jsonl"),
+    pytest.param(lambda fh: ingest(fh, "csv", ["G"]),
+                 b"id,title,group,authors,venue,year\np1,T,G,A,v1,2013\np2,T,G,\xff,v1,2013\n", id="ingest-csv"),
+    pytest.param(lambda fh: parse_records(fh, "jsonl"),
+                 b'{"group": "G", "authors": ["A"], "venue": "v1"}\r\n\r\n'
+                 + b'{"group": "G", "authors": ["\xc3"], "venue": "v1"}\n', id="parse_records-jsonl"),
+    pytest.param(lambda fh: parse_records(fh, "csv"),
+                 b"id,title,group,authors,venue,year\rp1,T,G,A,v1,2013\rp2,T,G,A,v\xff,2013\r", id="parse_records-csv"),
+    pytest.param(lambda fh: parse_author_counts(fh, "jsonl"),
+                 b'{"venue": "v1", "count": 3}\n\n{"venue": "v\xff", "count": 3}\n', id="parse_author_counts-jsonl"),
+    pytest.param(lambda fh: parse_author_counts(fh, "csv"),
+                 b"venue,count\nv1,10\nv\xff,5\n", id="parse_author_counts-csv"),
+    pytest.param(load_author_pubs,
+                 b'{"author": "A", "venue": "v1", "count": 1}\n' * 2
+                 + b'{"authors": ["\xff"], "venue": "v1"}\n', id="load_author_pubs"),
+    pytest.param(load_venue_scores, b"venue\traw_score\nv1\t1\nv\xff\t0\n", id="load_venue_scores-tsv"),
+    pytest.param(load_venue_scores,
+                 b'[{"venue": "v1", "raw_score": 1},\n {"venue": "v2", "raw_score": 0},\n'
+                 b' {"venue": "v\xff", "raw_score": 0}]\n', id="load_venue_scores-json"),
+]
+
+
+def pipe(data: bytes):
+    """A binary stream over a pipe, which cannot seek, holding ``data``."""
+    read_end, write_end = os.pipe()
+    with open(write_end, "wb") as fh:
+        fh.write(data)  # small enough for the pipe's buffer
+    return open(read_end, "rb")
+
+
+class TestUndecodableBytes:
+    @pytest.mark.parametrize("read, data", BAD_ON_LINE_3)
+    def test_seekable_stream_names_the_line(self, read, data):
+        stream = io.BytesIO(b"skipped by the caller\n" + data)
+        stream.readline()  # the line is counted from where the read began
+        with pytest.raises(ParseError, match="^line 3: not UTF-8 text \\(") as exc:
+            read(stream)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("read, data", BAD_ON_LINE_3)
+    def test_pipe_names_no_line(self, read, data):
+        with pipe(data) as fh, pytest.raises(ParseError, match="^not UTF-8 text \\(") as exc:
+            read(fh)
+        assert exc.value.line is None
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def pscore(*argv: str, stdin: bytes = b"") -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "pscore.cli", *argv], input=stdin, env=env,
+                          capture_output=True, check=False)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+class TestPipedInput:
+    """An input read from a pipe gives the report that the same file gives."""
+
+    def test_records(self, tmp_path):
+        # 512 lines of 128 bytes: a 16 KiB read ahead of the reader would end on a line end
+        lines = []
+        for i in range(512):
+            group, venue = ("G1", "v1") if i < 128 else ("G1" if i % 2 else "G2", "v2")
+            record = {"id": f"p{i:03d}", "group": group, "authors": [f"a{i % 7}"], "venue": venue, "title": ""}
+            record["title"] = "x" * (127 - len(json.dumps(record)))
+            lines.append(json.dumps(record) + "\n")
+        data = "".join(lines).encode()
+        assert len(data) == 512 * 128
+        records = tmp_path / "records"  # no suffix, so the format is sniffed in both runs
+        records.write_bytes(data)
+        groups = ["--group", "G1", "--group", "G2"]
+        from_file = pscore("venues", "--input", str(records), *groups)
+        from_pipe = pscore("venues", "--input", "/dev/stdin", *groups, stdin=data)
+        assert (from_file.returncode, from_pipe.returncode) == (0, 0)
+        assert b"\nv1\t" in from_file.stdout
+        assert from_pipe.stdout == from_file.stdout
+
+    def test_author_counts(self, tmp_path):
+        dataset = ["--input", str(DATA_DIR / "golden_records.jsonl"),
+                   "--groups-file", str(DATA_DIR / "golden_groups.txt")]
+        counts = DATA_DIR / "golden_author_counts.csv"
+        from_file = pscore("venues", *dataset, "--author-counts", str(counts))
+        from_pipe = pscore("venues", *dataset, "--author-counts", "/dev/stdin", stdin=counts.read_bytes())
+        assert (from_file.returncode, from_pipe.returncode) == (0, 0)
+        assert from_file.stdout != pscore("venues", *dataset).stdout  # the overrides take effect
+        assert from_pipe.stdout == from_file.stdout
+
+
+OVERFLOWING_SCORE = b'[{"venue": "v", "raw_score": 1' + b"0" * 400 + b"}]"
+
+
+def test_score_beyond_the_float_range():
+    with pytest.raises(ValidationError, match="^venue-score entry 0: raw_score must be finite and nonnegative, got 10+$"):
+        load_venue_scores(io.BytesIO(OVERFLOWING_SCORE))
+
+
+VALID_AUTHOR_COUNTS = {
+    "jsonl": b'{"venue": "v1", "count": 3}\n{"venue": "V 2", "count": 10}\n',
+    "csv": b"venue,count\nv1,3\r\n\"V, 2\",10\n",
+}
+VALID_VENUE_SCORES = [
+    b"# pscore venues\n# d = 0.5\nvenue\traw_score\tnormalized_score\nv1\t0.25\t0.333333333333\n#2\t0.75\t1\n",
+    b'[{"venue": "v1", "raw_score": 0.25, "normalized_score": 0.333333333333},\n'
+    b' {"venue": "#2", "raw_score": 0.75, "normalized_score": 1}]\n',
+]
+# bytes that matter to one reader or another
+TOKENS = [b"\xff", b"\xc3", b"\x00", b"\n", b"\r", b"\t", b",", b'"', b"#", b"[", b"{", b"}", b" ",
+          b"-", b".", b"e999", b"nan", b"inf", b"0" * 400, b"[" * 2000, b"\xef\xbb\xbf"]
+
+
+@st.composite
+def mutated(draw, valid: list[bytes]) -> bytes:
+    """A valid file with a few bytes inserted, deleted or overwritten."""
+    data = bytearray(draw(st.sampled_from(valid)))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        chunk = draw(st.one_of(st.sampled_from(TOKENS), st.binary(min_size=1, max_size=3)))
+        cut = draw(st.integers(0, 3))
+        data[at:at + cut] = chunk if draw(st.booleans()) else b""
+    return bytes(data)
+
+
+def outcome_of(read, data: bytes):
+    """What ``read`` gives for ``data``; a PScoreError other than InternalError is a valid answer."""
+    try:
+        return read(io.BytesIO(data))
+    except PScoreError as exc:
+        assert not isinstance(exc, InternalError), exc
+        if "not UTF-8 text" in str(exc):
+            assert exc.line is not None, exc  # a BytesIO can seek back
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["jsonl", "csv"]).flatmap(
+    lambda fmt: st.tuples(st.just(fmt), st.one_of(st.binary(max_size=64), mutated([VALID_AUTHOR_COUNTS[fmt]])))))
+@example(("csv", b"venue,count\nv1,1" + b"0" * 400 + b"\n"))
+@example(("jsonl", b'{"venue": "v1", "count": 3}\n\xff\n'))
+def test_author_counts_return_or_raise_a_pscore_error(case):
+    fmt, data = case
+    counts = outcome_of(lambda fh: parse_author_counts(fh, fmt), data)
+    if counts is not None:
+        assert all(isinstance(c, int) and 1 <= c <= MAX_COUNT for c in counts.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=64), mutated(VALID_VENUE_SCORES)))
+@example(OVERFLOWING_SCORE)
+@example(b"venue\traw_score\n#1 Conf\t1\n")
+@example(b'[{"venue": "v", "raw_score": 1}]\n\xff')
+def test_venue_scores_return_or_raise_a_pscore_error(data):
+    # a venue-score JSON nested too deep or holding an over-long integer names no line: json gives none
+    nu = outcome_of(load_venue_scores, data)
+    if nu is not None:
+        assert all(map(math.isfinite, nu.scores))
