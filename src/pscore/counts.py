@@ -11,9 +11,8 @@ import dataclasses
 import logging
 from typing import IO, Mapping
 
-from . import _np as np
 from .errors import ValidationError
-from .records import MAX_COUNT, CountsTable, csv_rows, fold, jsonl_objects, normalize_name, text_stream
+from .records import CountsTable, check_count, csv_rows, fold, jsonl_objects, required_name, text_stream
 
 log = logging.getLogger(__name__)
 
@@ -33,15 +32,11 @@ def aggregate(table: CountsTable, author_counts: Mapping[str, int] | None = None
     d_venue = table.d_venue.copy()
     venue_index = {fold(name): j for j, name in enumerate(table.venue_names)}
     for name, count in author_counts.items():
-        j = venue_index.get(fold(normalize_name(name)))
+        j = venue_index.get(fold(required_name(name, "venue")))
         if j is None:
             log.warning("ignoring author-count override for unknown venue %r", name)
             continue
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValidationError(f"author-count override for {name!r} must be an integer")
-        if not 1 <= count <= MAX_COUNT:
-            raise ValidationError(f"author-count override for {name!r} must lie in [1, 2**53], got {count}")
-        d_venue[j] = count
+        d_venue[j] = check_count(count, 1, what=f"author-count override for {name!r}")
     return dataclasses.replace(table, d_venue=d_venue)
 
 
@@ -56,20 +51,13 @@ def parse_author_counts(stream: IO[bytes] | IO[str], format: str) -> dict[str, i
     seen: set[str] = set()
 
     def put(venue: object, count: object, lineno: int) -> None:
-        if venue is None or not isinstance(venue, str) or not normalize_name(venue):
-            raise ValidationError("missing or empty 'venue'", line=lineno, field="venue")
-        name = normalize_name(venue)
-        if isinstance(count, str):
+        name = required_name(venue, "venue", lineno)
+        if isinstance(count, str):  # text, as every CSV field is
             try:
                 count = int(count.strip())
             except ValueError:
-                raise ValidationError(f"'count' must be an integer, got {count!r}", line=lineno, field="count")
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise ValidationError("'count' must be an integer", line=lineno, field="count")
-        if count < 1:
-            raise ValidationError(f"'count' must be >= 1, got {count}", line=lineno, field="count")
-        if count > MAX_COUNT:
-            raise ValidationError("'count' exceeds 2**53", line=lineno, field="count")
+                pass  # check_count names the text
+        count = check_count(count, 1, lineno)
         key = fold(name)
         if key in seen:
             raise ValidationError(f"duplicate author-count entry for venue {name!r}", line=lineno)

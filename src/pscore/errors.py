@@ -7,18 +7,8 @@ class PScoreError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ParseError(PScoreError):
-    """Input file is structurally malformed (bad JSON, bad CSV header, ...)."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
-class ValidationError(PScoreError):
-    """A parsed value violates the record contract (missing field, bad type)."""
+class _LocatedError(PScoreError):
+    """Bad input that may name its line and the field it was read from."""
 
     def __init__(self, message: str, line: int | None = None, field: str | None = None):
         self.line = line
@@ -26,6 +16,14 @@ class ValidationError(PScoreError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class ParseError(_LocatedError):
+    """Input file is structurally malformed (bad JSON, bad CSV header, ...)."""
+
+
+class ValidationError(_LocatedError):
+    """A parsed value violates the record contract (missing field, bad type)."""
 
 
 class DatasetError(PScoreError):

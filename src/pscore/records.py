@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import logging
+import numbers
 from array import array
 from collections import defaultdict
 from contextlib import contextmanager
@@ -142,21 +143,20 @@ def text_stream(stream: IO[bytes] | IO[str]) -> Iterator[IO[str]]:
 
     Lines of decoded bytes end at ``\\n``, ``\\r`` or ``\\r\\n`` and nowhere
     else. Bytes that are not UTF-8 are a :class:`ParseError` naming their
-    line, or no line if ``stream`` cannot seek back, as a pipe cannot. A
-    binary stream is detached again on exit, so it stays open and owned by
-    the caller and no wrapper is left behind to be closed.
+    line, or no line if ``stream`` is text or cannot seek back, as a pipe
+    cannot. A binary stream is detached again on exit, so it stays open
+    and owned by the caller and no wrapper is left behind to be closed.
     """
-    if not isinstance(stream.read(0), bytes):
-        yield stream
-        return
-    start = stream.tell() if stream.seekable() else None
-    text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
+    binary = isinstance(stream.read(0), bytes)
+    start = stream.tell() if binary and stream.seekable() else None
+    text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="") if binary else stream
     try:
         yield text
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", line=_undecodable_line(stream, start)) from exc
     finally:
-        text.detach()
+        if binary:
+            text.detach()
 
 
 def _undecodable_line(stream: IO[bytes], start: int | None) -> int | None:
@@ -216,7 +216,8 @@ def jsonl_objects(text: IO[str]) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
-def _required_name(value: object, name: str, line: int | None) -> str:
+def required_name(value: object, name: str, line: int | None = None) -> str:
+    """The name rule: ``value`` normalized if it is a string that is not blank, else a ValidationError on ``name``."""
     if value is None:
         raise ValidationError(f"missing required field '{name}'", line=line, field=name)
     if not isinstance(value, str):
@@ -225,6 +226,19 @@ def _required_name(value: object, name: str, line: int | None) -> str:
     if not normalized:
         raise ValidationError(f"field '{name}' is empty", line=line, field=name)
     return normalized
+
+
+def check_count(value: object, low: int, line: int | None = None, what: str = "'count'") -> int:
+    """The count rule: ``value`` as an ``int`` if it is an integer in [``low``, 2**53], else a ValidationError.
+
+    ``bool`` is not a count; numpy integers are. Hot loops guard with one
+    comparison and call this only when the guard fails.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}", line=line, field="count")
+    if not low <= value <= MAX_COUNT:
+        raise ValidationError(f"{what} must lie in [{low}, 2**53], got {value}", line=line, field="count")
+    return int(value)
 
 
 def _optional_text(value: object, name: str, line: int | None) -> str | None:
@@ -320,38 +334,29 @@ def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
     venue_of: dict[str, str] = {}
     pubs: dict[str, dict[str, int]] = {}
 
-    def author_name(author: object, lineno: int) -> str:
-        a = normalize_name(author) if isinstance(author, str) else ""
-        if not a:
-            raise ValidationError("missing or empty 'author'", line=lineno, field="author")
-        return author_display.setdefault(fold(a), a)
-
     def venue_name(venue: object, lineno: int) -> str:
         try:
             return venue_of[venue]
         except (KeyError, TypeError):
             pass
-        v = normalize_name(venue) if isinstance(venue, str) else ""
-        if not v:
-            raise ValidationError("missing or empty 'venue'", line=lineno, field="venue")
+        v = required_name(venue, "venue", lineno)
         v = venue_of[venue] = venue_display.setdefault(fold(v), v)
         return v
 
     def add(author: str, venue: str, count: int, lineno: int) -> None:
         per_author = pubs.setdefault(author, {})
         total = per_author[venue] = per_author.get(venue, 0) + count
-        if total > MAX_COUNT:  # one count or a sum of them
-            raise ValidationError(f"'count' for {author!r} at {venue!r} exceeds 2**53", line=lineno, field="count")
+        if total > MAX_COUNT:
+            check_count(total, 1, lineno, f"total 'count' for {author!r} at {venue!r}")
 
     with text_stream(stream) as text:
         for lineno, obj in jsonl_objects(text):
             if "count" in obj or "author" in obj:
                 count = obj.get("count")
-                if count.__class__ is not int or count < 1:
-                    raise ValidationError(
-                        f"'count' must be a positive integer, got {count!r}", line=lineno, field="count"
-                    )
-                author = author_name(obj.get("author"), lineno)
+                if count.__class__ is not int or not 1 <= count <= MAX_COUNT:
+                    count = check_count(count, 1, lineno)
+                author = required_name(obj.get("author"), "author", lineno)
+                author = author_display.setdefault(fold(author), author)
                 add(author, venue_name(obj.get("venue"), lineno), count, lineno)
             elif "authors" in obj:
                 authors = obj.get("authors")
@@ -360,7 +365,8 @@ def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
                 venue = obj.get("venue")
                 credited = set()
                 for raw in authors:
-                    author = author_name(raw, lineno)
+                    author = required_name(raw, "author", lineno)
+                    author = author_display.setdefault(fold(author), author)
                     display = venue_name(venue, lineno)  # a bad venue is reported after a bad first author
                     if author not in credited:
                         credited.add(author)
@@ -410,8 +416,8 @@ def parse_records(stream: IO[bytes] | IO[str], format: str) -> list[PublicationR
         return [
             PublicationRecord(
                 authors=tuple(_author_names(authors, line)),
-                group=_required_name(group, "group", line),
-                venue=_required_name(venue, "venue", line),
+                group=required_name(group, "group", line),
+                venue=required_name(venue, "venue", line),
                 paper_id=paper_id,
                 title=_optional_text(title, "title", line),
                 year=_parse_year(year, line),
@@ -464,12 +470,12 @@ class _Tally:
         self.undated = self.dropped = self.merged = 0
 
     def _group(self, raw: object, line: int | None) -> int:
-        name = _required_name(raw, "group", line)
+        name = required_name(raw, "group", line)
         row = self._group_of[raw] = self._group_index.get(fold(name), -1)
         return row
 
     def _venue(self, raw: object, line: int | None) -> tuple[int, str]:
-        name = _required_name(raw, "venue", line)
+        name = required_name(raw, "venue", line)
         venue = self._venue_of[raw] = (self._venue_id.setdefault(fold(name), len(self._venue_id)), name)
         return venue
 

@@ -22,7 +22,7 @@ from typing import IO, NamedTuple
 from . import _np as np
 from .chain import TOL, ReputationChain
 from .errors import DegenerateInputError, InternalError, ValidationError
-from .records import MAX_COUNT, csv_rows, fold, json_loads, normalize_name, text_stream
+from .records import MAX_COUNT, check_count, csv_rows, fold, json_loads, normalize_name, required_name, text_stream
 from .solver import StationaryDistribution
 
 log = logging.getLogger(__name__)
@@ -124,14 +124,6 @@ def group_consistency_check(gamma: StationaryDistribution, nu: np.ndarray, chain
     return float(np.max(np.abs(gamma.gamma - chain.to_groups(nu))))
 
 
-def _check_count(count: object, author: str) -> int:
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise ValidationError(f"publication count for author {author!r} must be an integer, got {count!r}")
-    if not 0 <= count <= MAX_COUNT:
-        raise ValidationError(f"publication count for author {author!r} must lie in [0, 2**53], got {count}")
-    return int(count)
-
-
 def rank_authors(
     author_pub_lists: Mapping[str, Mapping[str, int] | Iterable[tuple[str, int]]],
     nu: ScoreVector,
@@ -154,11 +146,11 @@ def rank_authors(
         total = 0.0
         for venue, count in items:
             if count.__class__ is not int or not 0 <= count <= MAX_COUNT:
-                count = _check_count(count, author)
+                count = check_count(count, 0, what=f"publication count for author {author!r}")
             try:
                 weight = weight_of[venue]
             except (KeyError, TypeError):
-                weight = weight_of[venue] = smap.get(fold(normalize_name(venue)))
+                weight = weight_of[venue] = smap.get(fold(required_name(venue, "venue")))
             if weight is None:
                 if count:
                     unknown.add(venue)

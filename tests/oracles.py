@@ -379,26 +379,22 @@ def load_author_pubs(text):
     author_display, venue_display, pubs = {}, {}, {}
 
     def add(author, venue, count, lineno):
-        a = _norm(author) if isinstance(author, str) else ""
-        if not a:
-            raise ValidationError("missing or empty 'author'", line=lineno, field="author")
-        v = _norm(venue) if isinstance(venue, str) else ""
-        if not v:
-            raise ValidationError("missing or empty 'venue'", line=lineno, field="venue")
+        a, v = _name(author, "author", lineno), _name(venue, "venue", lineno)
         a = author_display.setdefault(a.casefold(), a)
         v = venue_display.setdefault(v.casefold(), v)
         per_author = pubs.setdefault(a, {})
         per_author[v] = per_author.get(v, 0) + count
         if per_author[v] > 2**53:
-            raise ValidationError(f"'count' for {a!r} at {v!r} exceeds 2**53", line=lineno, field="count")
+            raise ValidationError(f"total 'count' for {a!r} at {v!r} must lie in [1, 2**53], got {per_author[v]}",
+                                  line=lineno, field="count")
 
     for lineno, obj in jsonl_objects(text):
         if "count" in obj or "author" in obj:
             count = obj.get("count")
-            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-                raise ValidationError(
-                    f"'count' must be a positive integer, got {count!r}", line=lineno, field="count"
-                )
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise ValidationError(f"'count' must be an integer, got {count!r}", line=lineno, field="count")
+            if not 1 <= count <= 2**53:
+                raise ValidationError(f"'count' must lie in [1, 2**53], got {count}", line=lineno, field="count")
             add(obj.get("author"), obj.get("venue"), count, lineno)
         elif "authors" in obj:
             authors = obj.get("authors")
@@ -417,10 +413,11 @@ def load_author_pubs(text):
 
 
 def _check_count(count, author):
+    what = f"publication count for author {author!r}"
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise ValidationError(f"publication count for author {author!r} must be an integer, got {count!r}")
+        raise ValidationError(f"{what} must be an integer, got {count!r}", field="count")
     if not 0 <= count <= 2**53:
-        raise ValidationError(f"publication count for author {author!r} must lie in [0, 2**53], got {count}")
+        raise ValidationError(f"{what} must lie in [0, 2**53], got {count}", field="count")
     return int(count)
 
 
@@ -435,7 +432,7 @@ def rank_authors(author_pub_lists, nu):
         total = 0.0
         for venue, count in items:
             count = _check_count(count, author)
-            weight = smap.get(_norm(venue).casefold())
+            weight = smap.get(_name(venue, "venue", None).casefold())
             if weight is None:
                 if count:
                     unknown.add(venue)

@@ -131,8 +131,8 @@ COUNTS = st.one_of(st.integers(-2, 5), st.integers(0, 5).map(np.int64),
 PUB_LISTS = st.dictionaries(
     spelling(AUTHORS),
     st.one_of(
-        st.dictionaries(spelling(SCORED + UNSCORED), COUNTS, max_size=4),
-        st.lists(st.tuples(spelling(SCORED + UNSCORED), COUNTS), max_size=4),
+        st.dictionaries(sometimes_bad(spelling(SCORED + UNSCORED), [None, 1, "", "  "]), COUNTS, max_size=4),
+        st.lists(st.tuples(sometimes_bad(spelling(SCORED + UNSCORED), BAD_NAMES), COUNTS), max_size=4),
     ),
     max_size=4,
 )

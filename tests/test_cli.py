@@ -187,12 +187,14 @@ class TestAuthorsCommand:
           '{"author": "a", "venue": "V1", "count": 1}'], 2),  # 2**53 + 1 in sum
     ])
     def test_count_above_2_53_names_file_and_line(self, tmp_path, capsys, lines, line):
+        what, count = ("'count'", 10**399) if line == 1 else ("total 'count' for 'A' at 'v1'", 2**53 + 1)
         scores = tmp_path / "venues.tsv"
         assert main(["venues", *GOLDEN_ARGS, "-o", str(scores)]) == 0
         pubs = tmp_path / "pubs.jsonl"
         pubs.write_text("".join(text + "\n" for text in lines))
         assert main(["authors", "--venue-scores", str(scores), "--author-pubs", str(pubs)]) == 1
-        assert capsys.readouterr().err == f"pscore: error: {pubs}: line {line}: 'count' for 'A' at 'v1' exceeds 2**53\n"
+        error = f"pscore: error: {pubs}: line {line}: {what} must lie in [1, 2**53], got {count}\n"
+        assert capsys.readouterr().err == error
 
     def test_unknown_venue_warns_but_ranks(self, tmp_path, caplog):
         scores = tmp_path / "venues.tsv"
@@ -313,14 +315,15 @@ class TestValidateCommand:
         counts.write_text("venue,count\nv1,0\n")
         args = GOLDEN_ARGS[:4] + ["--author-counts", str(counts)]
         assert main(["validate", *args]) == 1
-        assert capsys.readouterr().err == f"pscore: error: {counts}: line 2: 'count' must be >= 1, got 0\n"
+        assert capsys.readouterr().err == f"pscore: error: {counts}: line 2: 'count' must lie in [1, 2**53], got 0\n"
 
     def test_author_count_above_2_53_names_file_and_line(self, tmp_path, capsys):
         counts = tmp_path / "counts.jsonl"
         counts.write_text('{"venue": "v1", "count": 12}\n{"venue": "v2", "count": 100000000000000000000000}\n')
         args = GOLDEN_ARGS[:4] + ["--author-counts", str(counts)]
         assert main(["validate", *args]) == 1
-        assert capsys.readouterr().err == f"pscore: error: {counts}: line 2: 'count' exceeds 2**53\n"
+        error = f"pscore: error: {counts}: line 2: 'count' must lie in [1, 2**53], got {10**23}\n"
+        assert capsys.readouterr().err == error
 
     def test_year_filter_changes_counts(self, capsys):
         assert main(["validate", *GOLDEN_ARGS, "--years", "2013:2014"]) == 0
@@ -445,7 +448,7 @@ class TestHelpers:
         with pytest.raises(ValidationError) as exc:
             with _file_context(str(pubs)) as fh:
                 load_author_pubs(fh)
-        assert str(exc.value) == f"{pubs}: line 2: 'count' must be a positive integer, got 0"
+        assert str(exc.value) == f"{pubs}: line 2: 'count' must lie in [1, 2**53], got 0"
         assert exc.value.line == 2
         assert exc.value.field == "count"
 

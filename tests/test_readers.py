@@ -7,7 +7,9 @@ is a ``ParseError`` naming the file and line; the venue-score TSV has no
 quoting, so a venue name holding quotes and commas comes back as written.
 Bytes that are not UTF-8 are a ``ParseError`` from ``text_stream`` itself,
 naming the line when the stream can seek back and no line when it cannot,
-so every library reader reports them without code of its own. The CLI
+so every library reader reports them without code of its own; a stream
+already opened as text fails in its own decoder, and that too is a
+``ParseError``, with no line. The CLI
 opens each input once, so a pipe gives the same report as a file.
 """
 
@@ -192,6 +194,15 @@ class TestUndecodableBytes:
             read(fh)
         assert exc.value.line is None
 
+    @pytest.mark.parametrize("read, data", BAD_ON_LINE_3)
+    def test_text_stream_names_no_line(self, tmp_path, read, data):
+        # a stream opened as text fails in its own decoder, which tells no line
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as fh, pytest.raises(ParseError, match="^not UTF-8 text \\(") as exc:
+            read(fh)
+        assert exc.value.line is None
+
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -303,3 +314,24 @@ def test_venue_scores_return_or_raise_a_pscore_error(data):
     nu = outcome_of(load_venue_scores, data)
     if nu is not None:
         assert all(map(math.isfinite, nu.scores))
+
+
+VALID_RECORDS = {
+    "jsonl": b'{"id": "p1", "group": "G1", "authors": ["A", "B"], "venue": "v1", "year": 2013}\n'
+             b'{"title": "T", "group": "g2", "authors": ["b"], "venue": "V1", "year": "2014"}\n'
+             b'{"id": 7, "group": "Other", "authors": ["C"], "venue": "v2"}\n',
+    "csv": b"id,title,group,authors,venue,year\np1,,G1,A;B,v1,2013\r\n,\"T, 2\",g2,b,V1,2014\n7,,Other,C,v2,\n",
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["jsonl", "csv"]).flatmap(
+    lambda fmt: st.tuples(st.just(fmt), st.one_of(st.binary(max_size=64), mutated([VALID_RECORDS[fmt]])))),
+    st.sampled_from([None, (2013, 2014)]))
+@example(("jsonl", VALID_RECORDS["jsonl"]), None)
+@example(("csv", VALID_RECORDS["csv"]), (2013, 2014))
+def test_records_return_or_raise_a_pscore_error(case, years):
+    fmt, data = case
+    table = outcome_of(lambda fh: ingest(fh, fmt, ["G1", "G2"], years=years), data)
+    if table is not None:
+        assert table.n_group_venue.min() >= 1 and table.d_venue.min() >= 1
