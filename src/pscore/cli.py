@@ -34,14 +34,13 @@ DEFAULT_D = 0.5
 
 @contextmanager
 def _file_context(path: str) -> Iterator[IO[bytes]]:
-    """Open the input file ``path`` as bytes; line-addressed errors it leads to get it as a prefix."""
+    """Open the input file ``path`` as bytes; input errors it leads to are given it as their ``file``."""
     try:
         with open(path, "rb") as fh:
             yield fh
     except (ParseError, ValidationError) as exc:
-        located = type(exc)(f"{path}: {exc}")
-        located.__dict__.update(vars(exc))  # keeps line and field
-        raise located from exc
+        exc.file = path
+        raise
 
 
 def _sniff_format(path: str, fh: io.BufferedReader) -> str:

@@ -25,7 +25,7 @@ def aggregate(table: CountsTable, author_counts: Mapping[str, int] | None = None
     ``author_counts`` (venue -> count, as :func:`parse_author_counts`
     reads it from a file) overrides the count for that venue. Overrides
     for unknown venues are ignored with a warning. With no overrides the
-    table itself comes back.
+    table itself comes back. Every override is checked, known venue or not.
     """
     if not author_counts:
         return table
@@ -33,29 +33,31 @@ def aggregate(table: CountsTable, author_counts: Mapping[str, int] | None = None
     venue_index = {fold(name): j for j, name in enumerate(table.venue_names)}
     for name, count in author_counts.items():
         j = venue_index.get(fold(required_name(name, "venue")))
+        count = check_count(count, 1, what=f"author-count override for {name!r}")
         if j is None:
             log.warning("ignoring author-count override for unknown venue %r", name)
             continue
-        d_venue[j] = check_count(count, 1, what=f"author-count override for {name!r}")
+        d_venue[j] = count
     return dataclasses.replace(table, d_venue=d_venue)
 
 
 def parse_author_counts(stream: IO[bytes] | IO[str], format: str) -> dict[str, int]:
     """Parse a per-venue distinct-author count file (JSONL or CSV).
 
-    JSONL lines look like ``{"venue": "...", "count": 10}``; CSV needs a
-    ``venue,count`` header. Returns a venue -> count mapping with
-    normalized venue names.
+    JSONL lines look like ``{"venue": "...", "count": 10}``, where the
+    count is a JSON integer; CSV needs a ``venue,count`` header, and its
+    count text is read as an integer. Returns a venue -> count mapping
+    with normalized venue names.
     """
     counts: dict[str, int] = {}
     seen: set[str] = set()
 
     def put(venue: object, count: object, lineno: int) -> None:
         name = required_name(venue, "venue", lineno)
-        if isinstance(count, str):  # text, as every CSV field is
+        if format == "csv":  # CSV fields are text; a JSON count must already be an integer
             try:
-                count = int(count.strip())
-            except ValueError:
+                count = int(count)
+            except (TypeError, ValueError):
                 pass  # check_count names the text
         count = check_count(count, 1, lineno)
         key = fold(name)

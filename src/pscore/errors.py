@@ -8,14 +8,19 @@ class PScoreError(Exception):
 
 
 class _LocatedError(PScoreError):
-    """Bad input that may name its line and the field it was read from."""
+    """Bad input that may name its file, line and field; ``str`` gives ``file: line N: message``."""
+
+    file: str | None = None
 
     def __init__(self, message: str, line: int | None = None, field: str | None = None):
         self.line = line
         self.field = field
-        if line is not None:
-            message = f"line {line}: {message}"
         super().__init__(message)
+
+    def __str__(self) -> str:
+        file = "" if self.file is None else f"{self.file}: "
+        line = "" if self.line is None else f"line {self.line}: "
+        return file + line + super().__str__()
 
 
 class ParseError(_LocatedError):

@@ -249,12 +249,16 @@ def _optional_text(value: object, name: str, line: int | None) -> str | None:
     return normalize_name(value) or None
 
 
-def _author_names(raw: Iterable[object], line: int | None) -> list[str]:
+def author_names(raw: object, line: int | None = None) -> list[str]:
+    """The author-list rule: ``raw`` is a list of strings; its nonblank names come back normalized."""
+    if not isinstance(raw, list):
+        what = "missing required field 'authors'" if raw is None else "field 'authors' must be an array of strings"
+        raise ValidationError(what, line=line, field="authors")
     names = []
-    for a in raw:
+    for a in raw:  # a loop, not a comprehension, which costs a frame per call before Python 3.12
         if not isinstance(a, str):
             raise ValidationError("field 'authors' must be an array of strings", line=line, field="authors")
-        if name := normalize_name(a):
+        if name := " ".join(a.split()):  # normalize_name, inlined: this runs once per listed author
             names.append(name)
     if not names:
         raise ValidationError("field 'authors' is empty", line=line, field="authors")
@@ -283,12 +287,7 @@ def _jsonl_fields(text: IO[str]) -> Iterator[tuple]:
             raw_id = str(raw_id)
         if raw_id is not None and not isinstance(raw_id, str):
             raise ValidationError("field 'id' must be a string", line=lineno, field="id")
-        authors = obj.get("authors")
-        if authors is None:
-            raise ValidationError("missing required field 'authors'", line=lineno, field="authors")
-        if not isinstance(authors, list):
-            raise ValidationError("field 'authors' must be an array of strings", line=lineno, field="authors")
-        yield (lineno, raw_id.strip() or None if raw_id is not None else None, authors,
+        yield (lineno, raw_id.strip() or None if raw_id is not None else None, obj.get("authors"),
                obj.get("group"), obj.get("venue"), obj.get("title"), obj.get("year"))
 
 
@@ -323,10 +322,11 @@ def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
 
     Two line shapes are accepted and may be mixed: pre-aggregated
     ``{"author": ..., "venue": ..., "count": n}`` entries, and raw
-    per-paper ``{"authors": [...], "venue": ...}`` records which credit
-    every distinct listed author (compared case-insensitively) with one
-    paper at the venue. Authors and venues come back in first-seen order,
-    under their first-seen spelling.
+    per-paper ``{"authors": [...], "venue": ...}`` records, read by the
+    records' :func:`author_names` rule, which credit every distinct listed
+    author (compared case-insensitively) with one paper at the venue.
+    Authors and venues come back in first-seen order, under their
+    first-seen spelling.
     """
     author_display: dict[str, str] = {}  # folded author -> display name
     venue_display: dict[str, str] = {}   # folded venue -> display name
@@ -359,18 +359,14 @@ def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
                 author = author_display.setdefault(fold(author), author)
                 add(author, venue_name(obj.get("venue"), lineno), count, lineno)
             elif "authors" in obj:
-                authors = obj.get("authors")
-                if not isinstance(authors, list) or not authors:
-                    raise ValidationError("'authors' must be a nonempty array", line=lineno, field="authors")
-                venue = obj.get("venue")
+                names = author_names(obj.get("authors"), lineno)
+                venue = venue_name(obj.get("venue"), lineno)
                 credited = set()
-                for raw in authors:
-                    author = required_name(raw, "author", lineno)
+                for author in names:
                     author = author_display.setdefault(fold(author), author)
-                    display = venue_name(venue, lineno)  # a bad venue is reported after a bad first author
                     if author not in credited:
                         credited.add(author)
-                        add(author, display, 1, lineno)
+                        add(author, venue, 1, lineno)
             else:
                 raise ParseError("expected author/venue/count or authors/venue keys", line=lineno)
     if not pubs:
@@ -381,9 +377,8 @@ def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
 def _csv_fields(text: IO[str]) -> Iterator[tuple]:
     for lineno, row in csv_rows(text, CSV_COLUMNS):
         authors = row.get("authors")
-        if authors is None or not authors.strip():
-            raise ValidationError("missing required field 'authors'", line=lineno, field="authors")
-        yield (lineno, (row.get("id") or "").strip() or None, authors.split(AUTHOR_SEP),
+        yield (lineno, (row.get("id") or "").strip() or None,
+               authors.split(AUTHOR_SEP) if authors and not authors.isspace() else None,  # blank reads as missing
                row.get("group") or None, row.get("venue") or None, row.get("title") or None,
                row.get("year"))
 
@@ -391,9 +386,8 @@ def _csv_fields(text: IO[str]) -> Iterator[tuple]:
 def _decode(text: IO[str], format: str) -> Iterator[tuple]:
     """Yield (line, paper_id, raw authors, group, venue, title, year) per record.
 
-    The decoder checks the id and the shape of the author list; the
-    consumer checks the author names, group, venue, title and year, in
-    that order, which is the order errors have always been reported in.
+    The decoder checks the id; the consumer checks the authors, group,
+    venue, title and year, the order errors have always been reported in.
     """
     if format == "jsonl":
         return _jsonl_fields(text)
@@ -415,7 +409,7 @@ def parse_records(stream: IO[bytes] | IO[str], format: str) -> list[PublicationR
     with text_stream(stream) as text:
         return [
             PublicationRecord(
-                authors=tuple(_author_names(authors, line)),
+                authors=tuple(author_names(authors, line)),
                 group=required_name(group, "group", line),
                 venue=required_name(venue, "venue", line),
                 paper_id=paper_id,
@@ -443,6 +437,8 @@ class _Tally:
         groups: list[str] = []
         group_index: dict[str, int] = {}
         for raw in reference_groups:
+            if not isinstance(raw, str):
+                raise DatasetError(f"reference group list contains {raw!r}, which is not a name")
             name = normalize_name(raw)
             if not name:
                 raise DatasetError("reference group list contains an empty name")
@@ -469,46 +465,36 @@ class _Tally:
         self._pairs = array("q")  # author << 32 | venue, one per author of a kept record
         self.undated = self.dropped = self.merged = 0
 
-    def _group(self, raw: object, line: int | None) -> int:
-        name = required_name(raw, "group", line)
-        row = self._group_of[raw] = self._group_index.get(fold(name), -1)
-        return row
-
-    def _venue(self, raw: object, line: int | None) -> tuple[int, str]:
-        name = required_name(raw, "venue", line)
-        venue = self._venue_of[raw] = (self._venue_id.setdefault(fold(name), len(self._venue_id)), name)
-        return venue
-
-    def _author(self, raw: object, line: int | None) -> int:
-        if not isinstance(raw, str):
-            raise ValidationError("field 'authors' must be an array of strings", line=line, field="authors")
-        name = normalize_name(raw)
-        author = self._author_id.setdefault(fold(name), len(self._author_id)) if name else _BLANK
-        self._author_of[raw] = author
-        return author
-
-    def add(self, line: int | None, paper_id: str | None, authors: Iterable[object],
+    def add(self, line: int | None, paper_id: str | None, authors: object,
             group: object, venue: object, title: object, year: object) -> None:
         """Validate one record's fields in order, then count it if it survives."""
-        author_of = self._author_of
+        # the author memo stands in for author_names, called only to raise its error when a guard fails
+        if authors.__class__ is not list:
+            author_names(authors, line)
+        author_of, author_id = self._author_of, self._author_id
         ids = []
         for raw in authors:
             try:
                 author = author_of[raw]
             except (KeyError, TypeError):
-                author = self._author(raw, line)
+                if not isinstance(raw, str):
+                    author_names(authors, line)
+                name = normalize_name(raw)
+                author = author_of[raw] = author_id.setdefault(fold(name), len(author_id)) if name else _BLANK
             if author != _BLANK:
                 ids.append(author)
         if not ids:
-            raise ValidationError("field 'authors' is empty", line=line, field="authors")
+            author_names(authors, line)
         try:
             row = self._group_of[group]
         except (KeyError, TypeError):
-            row = self._group(group, line)
+            row = self._group_of[group] = self._group_index.get(fold(required_name(group, "group", line)), -1)
         try:
             venue_id, spelling = self._venue_of[venue]
         except (KeyError, TypeError):
-            venue_id, spelling = self._venue(venue, line)
+            spelling = required_name(venue, "venue", line)
+            venue_id = self._venue_id.setdefault(fold(spelling), len(self._venue_id))
+            self._venue_of[venue] = venue_id, spelling
         if title is not None and not isinstance(title, str):
             raise ValidationError("field 'title' must be a string", line=line, field="title")
         if year is not None and year.__class__ is not int:
@@ -613,5 +599,5 @@ def build_dataset(records: Iterable[PublicationRecord], reference_groups: Sequen
     """
     tally = _Tally(reference_groups, None)
     for rec in records:
-        tally.add(None, rec.paper_id, rec.authors, rec.group, rec.venue, rec.title, rec.year)
+        tally.add(None, rec.paper_id, list(rec.authors), rec.group, rec.venue, rec.title, rec.year)
     return tally.dataset()

@@ -131,8 +131,9 @@ def rank_authors(
     """Rank a set of authors relative to the best one among them.
 
     Each author's weighted score is divided by the maximum over the set,
-    so the top author scores exactly 1. Raises
-    :class:`DegenerateInputError` when nobody scores above zero.
+    so the top author scores exactly 1. Author names follow the name rule
+    and are ranked as given. Raises :class:`DegenerateInputError` when
+    nobody scores above zero.
     """
     if not author_pub_lists:
         raise DegenerateInputError("no authors to rank")
@@ -142,6 +143,8 @@ def rank_authors(
     totals: list[float] = []
     unknown: set[str] = set()
     for author, pubs in author_pub_lists.items():
+        if author.__class__ is not str or not author or author.isspace():
+            required_name(author, "author")  # the name rule, called only when the guard fails
         items = pubs.items() if isinstance(pubs, Mapping) else pubs
         total = 0.0
         for venue, count in items:
@@ -220,42 +223,43 @@ def load_venue_scores(stream: IO[bytes] | IO[str]) -> ScoreVector:
     """
     with text_stream(stream) as text:
         content = text.read().replace("\r\n", "\n").replace("\r", "\n")  # lines end at \n, \r or \r\n
-    rows: list[tuple[str, object, object]] = []  # (where, venue, raw_score)
+    rows: list[tuple[str, int | None, object, object]] = []  # (where, line, venue, raw_score)
     if content.lstrip().startswith("["):
         for i, item in enumerate(json_loads(content)):
             if not isinstance(item, dict) or "venue" not in item or "raw_score" not in item:
                 raise ValidationError(f"venue-score entry {i} lacks venue/raw_score")
-            rows.append((f"venue-score entry {i}", item["venue"], item["raw_score"]))
+            rows.append((f"venue-score entry {i}", None, item["venue"], item["raw_score"]))
     else:
         lines = content.split("\n")
         header = next((i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")), len(lines))
         # '#' lines above the header are comments, below it rows; a skipped line stays, empty, to keep line numbers
         lines = ("" if i < header or not line.strip() else line for i, line in enumerate(lines))
         for lineno, row in csv_rows(lines, ("venue", "raw_score"), delimiter="\t", quoting=csv.QUOTE_NONE):
-            rows.append((f"line {lineno}", row.get("venue"), row.get("raw_score")))
+            rows.append((f"line {lineno}", lineno, row.get("venue"), row.get("raw_score")))
     if not rows:
         raise ValidationError("no venue scores found")
 
     names: list[str] = []
     scores: list[float] = []
     first_seen: dict[str, str] = {}
-    for where, venue, raw_score in rows:
+    for where, line, venue, raw in rows:
+        entry = "" if line else f"{where}: "  # a JSON entry has no line, so its message names it
         try:
-            if isinstance(raw_score, bool):
+            if isinstance(raw, bool):
                 raise TypeError("JSON true and false are not scores")
-            score = float(raw_score)
+            score = float(raw)
         except (TypeError, ValueError):
-            raise ValidationError(f"{where}: raw_score is not a number: {raw_score!r}") from None
+            raise ValidationError(f"{entry}raw_score is not a number: {raw!r}", line, "raw_score") from None
         except OverflowError:  # an integer beyond the float range
             score = math.inf
         if not math.isfinite(score) or score < 0:
-            raise ValidationError(f"{where}: raw_score must be finite and nonnegative, got {raw_score!r}")
+            raise ValidationError(f"{entry}raw_score must be finite and nonnegative, got {raw!r}", line, "raw_score")
         name = normalize_name(venue) if isinstance(venue, str) else ""
         if not name:
-            raise ValidationError(f"{where}: missing or empty venue name: {venue!r}")
+            raise ValidationError(f"{entry}missing or empty venue name: {venue!r}", line, "venue")
         earlier = first_seen.setdefault(fold(name), where)
         if earlier != where:
-            raise ValidationError(f"{where}: venue {name!r} is listed twice (first at {earlier})")
+            raise ValidationError(f"{entry}venue {name!r} is listed twice (first at {earlier})", line, "venue")
         names.append(name)
         scores.append(score)
     total = math.fsum(scores)

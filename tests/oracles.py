@@ -17,7 +17,8 @@ as JSONL or CSV.
 ``jsonl_objects``, ``load_author_pubs`` and ``rank_authors`` are the JSONL
 reader and the author path as they were before lines were decoded in one C
 call and venue names memoized: every line goes through ``json.loads``, and
-every name is normalized and folded where it is met.
+every name is normalized and folded where it is met. A per-paper author line
+is read by ``_authors``, the records' author rule.
 """
 
 from __future__ import annotations
@@ -249,13 +250,21 @@ def _name(value, field, lineno):
     return _norm(value)
 
 
-def _record(lineno, paper_id, authors, group, venue, title, year):
-    """Check the fields in the order ``ingest`` reports them: authors, group, venue, title, year."""
-    if not all(isinstance(a, str) for a in authors):
+def _authors(value, lineno):
+    """The listed author names, for a record and a per-paper author line alike."""
+    if value is None:
+        raise ValidationError("missing required field 'authors'", line=lineno, field="authors")
+    if not isinstance(value, list) or not all(isinstance(a, str) for a in value):
         raise ValidationError("field 'authors' must be an array of strings", line=lineno, field="authors")
-    names = tuple(_norm(a) for a in authors if _norm(a))
+    names = tuple(_norm(a) for a in value if _norm(a))
     if not names:
         raise ValidationError("field 'authors' is empty", line=lineno, field="authors")
+    return names
+
+
+def _record(lineno, paper_id, authors, group, venue, title, year):
+    """Check the fields in the order ``ingest`` reports them: authors, group, venue, title, year."""
+    names = _authors(authors, lineno)
     group, venue = _name(group, "group", lineno), _name(venue, "venue", lineno)
     if title is not None and not isinstance(title, str):
         raise ValidationError("field 'title' must be a string", line=lineno, field="title")
@@ -278,12 +287,7 @@ def _jsonl_records(text):
             paper_id = str(paper_id)
         if paper_id is not None and not isinstance(paper_id, str):
             raise ValidationError("field 'id' must be a string", line=lineno, field="id")
-        authors = obj.get("authors")
-        if authors is None:
-            raise ValidationError("missing required field 'authors'", line=lineno, field="authors")
-        if not isinstance(authors, list):
-            raise ValidationError("field 'authors' must be an array of strings", line=lineno, field="authors")
-        yield _record(lineno, paper_id and paper_id.strip() or None, authors,
+        yield _record(lineno, paper_id and paper_id.strip() or None, obj.get("authors"),
                       obj.get("group"), obj.get("venue"), obj.get("title"), obj.get("year"))
 
 
@@ -397,14 +401,10 @@ def load_author_pubs(text):
                 raise ValidationError(f"'count' must lie in [1, 2**53], got {count}", line=lineno, field="count")
             add(obj.get("author"), obj.get("venue"), count, lineno)
         elif "authors" in obj:
-            authors = obj.get("authors")
-            if not isinstance(authors, list) or not authors:
-                raise ValidationError("'authors' must be a nonempty array", line=lineno, field="authors")
             credited = set()
-            for author in authors:
-                a = _norm(author).casefold() if isinstance(author, str) else None
-                add(author, obj.get("venue"), 0 if a in credited else 1, lineno)  # a repeat is checked, not counted
-                credited.add(a)
+            for author in _authors(obj.get("authors"), lineno):  # the records' rule, then the venue
+                add(author, obj.get("venue"), 0 if author.casefold() in credited else 1, lineno)  # a repeat adds 0
+                credited.add(author.casefold())
         else:
             raise ParseError("expected author/venue/count or authors/venue keys", line=lineno)
     if not pubs:
@@ -428,6 +428,7 @@ def rank_authors(author_pub_lists, nu):
     smap = {n.casefold(): float(x) for n, x in zip(nu.names, nu.scores)}
     names, totals, unknown = [], [], set()
     for author, pubs in author_pub_lists.items():
+        _name(author, "author", None)
         items = pubs.items() if isinstance(pubs, Mapping) else pubs
         total = 0.0
         for venue, count in items:

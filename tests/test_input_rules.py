@@ -1,22 +1,28 @@
-"""One count rule and one name rule for every loader.
+"""One rule per input value, and one place that writes where an input error is.
 
 ``records.check_count`` says what a count is: an integer, not a ``bool``,
 in [low, 2**53]. ``records.required_name`` says what a name is: a string
-that is not blank. Every entry point that reads a count or a name, from a
-file or from a library caller's mapping, goes through them, so each gives
-the same two count messages and the same three name messages, with the
-line when there is one and the field always.
+that is not blank. ``records.author_names`` says what an author list is: a
+list of strings with at least one name that is not blank. Every entry
+point that reads one of them, from a file or from a library caller's
+mapping, goes through the rule, so each gives the same messages, with the
+line when there is one and the field always. An input error keeps its
+file, line and field as attributes, and only its ``str`` writes them in
+front of the message.
 """
 
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
 
-from pscore import PublicationRecord, ScoreVector, ValidationError, aggregate, build_dataset, parse_author_counts
-from pscore import rank_authors
+from pscore import DatasetError, ParseError, PublicationRecord, ScoreVector, ValidationError, aggregate
+from pscore import build_dataset, ingest, parse_author_counts, parse_records, rank_authors
+from pscore.cli import _file_context
 from pscore.records import MAX_COUNT, load_author_pubs
+from pscore.scoring import load_venue_scores
 
 TABLE = build_dataset([PublicationRecord(group="G1", authors=("A",), venue="v1")], ["G1"])
 NU = ScoreVector(("v1",), (1.0,))
@@ -92,3 +98,167 @@ def test_author_count_venue_follows_the_name_rule(text, message):
         parse_author_counts(io.StringIO(text), "jsonl")
     assert (str(exc.value), exc.value.field) == (message, "venue")
 
+
+
+def test_jsonl_count_text_is_not_a_count():
+    with pytest.raises(ValidationError) as exc:
+        parse_author_counts(jsonl({"venue": "v0", "count": 1}, {"venue": "v1", "count": " 12 "}), "jsonl")
+    assert (str(exc.value), exc.value.line, exc.value.field) == (
+        "line 2: 'count' must be an integer, got ' 12 '", 2, "count")
+    assert parse_author_counts(io.StringIO("venue,count\nv1, 12 \n"), "csv") == {"v1": 12}
+
+
+@pytest.mark.parametrize("count, message", [
+    (-5, "author-count override for 'nowhere' must lie in [1, 2**53], got -5"),
+    ("3", "author-count override for 'nowhere' must be an integer, got '3'"),
+])
+def test_override_for_an_unknown_venue_is_checked(count, message):
+    with pytest.raises(ValidationError) as exc:
+        aggregate(TABLE, {"nowhere": count})
+    assert (str(exc.value), exc.value.line, exc.value.field) == (message, None, "count")
+
+
+@pytest.mark.parametrize("author, message", [
+    (5, "field 'author' must be a string"),
+    (None, "missing required field 'author'"),
+    (" ", "field 'author' is empty"),
+])
+def test_library_author_names_follow_the_name_rule(author, message):
+    with pytest.raises(ValidationError) as exc:
+        rank_authors({author: {"v1": 1}, "b": {"v1": 2}}, NU)
+    assert (str(exc.value), exc.value.line, exc.value.field) == (message, None, "author")
+
+
+def test_library_author_names_are_ranked_as_given():
+    ranking = rank_authors({" Ana  Silva": {"v1": 2}, "bo": {"v1": 1}}, NU)
+    assert [(e.name, e.score) for e in ranking.entries] == [(" Ana  Silva", 1.0), ("bo", 0.5)]
+
+
+@pytest.mark.parametrize("group", [5, None])
+def test_reference_group_that_is_not_a_string(group):
+    with pytest.raises(DatasetError) as exc:
+        ingest(jsonl({"authors": ["A"], "group": "G", "venue": "v1"}), "jsonl", [group])
+    assert str(exc.value) == f"reference group list contains {group!r}, which is not a name"
+
+
+# ---------------------------------------------------------------------------
+# the author-list rule
+
+
+def author_line(authors):
+    return {"authors": authors, "group": "G", "venue": "v1"}
+
+
+def csv_records(authors):
+    return io.StringIO(f"id,title,group,authors,venue,year\n,,G,{authors},v1,\n")
+
+
+def ingested(table):
+    """The authors ingest credited, as a count: the distinct authors at the one venue."""
+    return table.d_venue.tolist()
+
+
+# each loader reads the list on line 2, after a good line (after the header in CSV), and gives what it credited
+AUTHOR_LIST_LOADERS = {
+    "ingest-jsonl": lambda authors: ingested(ingest(jsonl(author_line(["A"]), author_line(authors)), "jsonl", ["G"])),
+    "parse_records": lambda authors: [r.authors for r in parse_records(
+        jsonl(author_line(["A"]), author_line(authors)), "jsonl")],
+    "load_author_pubs": lambda authors: load_author_pubs(jsonl(author_line(["A"]), author_line(authors))),
+    "ingest-csv": lambda authors: ingested(ingest(csv_records(authors), "csv", ["G"])),
+}
+CREDITED_A = {"ingest-jsonl": [1], "parse_records": [("A",), ("A",)], "load_author_pubs": {"A": {"v1": 2}},
+              "ingest-csv": [1]}
+# (case, the list as JSON, the same list as CSV text or None where CSV cannot write it, the message or None)
+AUTHOR_LISTS = [
+    ("missing", None, "", "missing required field 'authors'"),
+    ("string", "A", None, "field 'authors' must be an array of strings"),
+    ("empty", [], None, "field 'authors' is empty"),
+    ("blank", [" "], " ; ", "field 'authors' is empty"),
+    ("non-string", ["A", 5], None, "field 'authors' must be an array of strings"),
+    ("one-blank", ["A", " "], "A; ", None),
+]
+
+
+@pytest.mark.parametrize("loader, authors, message", [
+    pytest.param(loader, csv_text if loader == "ingest-csv" else authors, message, id=f"{loader}-{case}")
+    for loader in AUTHOR_LIST_LOADERS
+    for case, authors, csv_text, message in AUTHOR_LISTS
+    if loader != "ingest-csv" or csv_text is not None
+])
+def test_author_list_rule(loader, authors, message):
+    read = AUTHOR_LIST_LOADERS[loader]
+    if message is None:
+        assert read(authors) == CREDITED_A[loader]
+        return
+    with pytest.raises(ValidationError) as exc:
+        read(authors)
+    assert (str(exc.value), exc.value.line, exc.value.field) == (f"line 2: {message}", 2, "authors")
+
+
+def test_author_line_checks_the_authors_before_the_venue():
+    with pytest.raises(ValidationError) as exc:
+        load_author_pubs(jsonl({"authors": [], "venue": " "}))
+    assert (str(exc.value), exc.value.field) == ("line 1: field 'authors' is empty", "authors")
+
+
+def test_build_dataset_follows_the_author_list_rule():
+    record = PublicationRecord(group="G", authors=(" ", "A"), venue="v1")
+    assert build_dataset([record], ["G"]).d_venue.tolist() == [1]
+    with pytest.raises(ValidationError) as exc:
+        build_dataset([PublicationRecord(group="G", authors=(" ",), venue="v1")], ["G"])
+    assert (str(exc.value), exc.value.line, exc.value.field) == ("field 'authors' is empty", None, "authors")
+
+
+# ---------------------------------------------------------------------------
+# where an input error is
+
+
+def test_file_context_reraises_the_same_error_with_its_file(tmp_path):
+    path = tmp_path / "pubs.jsonl"
+    path.write_text('{"authors": ["A"], "venue": "v1"}\n{"authors": [], "venue": "v1"}\n')
+    raised = []
+    with pytest.raises(ValidationError) as exc:
+        with _file_context(str(path)) as fh:
+            try:
+                load_author_pubs(fh)
+            except ValidationError as error:
+                raised.append(error)
+                raise
+    assert exc.value is raised[0]
+    assert (exc.value.file, exc.value.line, exc.value.field) == (str(path), 2, "authors")
+    assert str(exc.value) == f"{path}: line 2: field 'authors' is empty"
+
+
+@pytest.mark.parametrize("error, file, text", [
+    (ValidationError("field 'authors' is empty", line=3, field="authors"), "pubs.jsonl",
+     "pubs.jsonl: line 3: field 'authors' is empty"),
+    (ParseError("malformed JSON: x", line=1), None, "line 1: malformed JSON: x"),
+    (ValidationError("no venue scores found"), "scores.tsv", "scores.tsv: no venue scores found"),
+    (ValidationError("no venue scores found"), None, "no venue scores found"),
+], ids=["file-and-line", "line", "file", "neither"])
+def test_located_error_survives_pickle(error, file, text):
+    if file is not None:
+        error.file = file
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error) == text
+    assert (back.file, back.line, back.field) == (error.file, error.line, error.field)
+
+
+@pytest.mark.parametrize("rows, line, field, message", [
+    ("v1\tx\n", 3, "raw_score", "raw_score is not a number: 'x'"),
+    ("v1\t-1\n", 3, "raw_score", "raw_score must be finite and nonnegative, got '-1'"),
+    ("\t1\n", 3, "venue", "missing or empty venue name: ''"),
+    ("v1\t0.5\n\nV1\t0.5\n", 5, "venue", "venue 'V1' is listed twice (first at line 3)"),
+])
+def test_venue_score_tsv_errors_carry_line_and_field(rows, line, field, message):
+    with pytest.raises(ValidationError) as exc:
+        load_venue_scores(io.StringIO(f"# pscore venues\nvenue\traw_score\n{rows}"))
+    assert (str(exc.value), exc.value.line, exc.value.field) == (f"line {line}: {message}", line, field)
+
+
+def test_venue_score_json_errors_name_the_entry():
+    with pytest.raises(ValidationError) as exc:
+        load_venue_scores(io.StringIO('[{"venue": "v1", "raw_score": 1}, {"venue": "v2", "raw_score": "x"}]'))
+    assert (str(exc.value), exc.value.line, exc.value.field) == (
+        "venue-score entry 1: raw_score is not a number: 'x'", None, "raw_score")
