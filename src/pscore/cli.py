@@ -19,9 +19,9 @@ from typing import IO, Iterator
 from . import _np as np
 from .chain import build_alpha, build_beta, build_chain, build_reduced, check_d, check_irreducible, format_matrix_tsv
 from .counts import aggregate, parse_author_counts
-from .errors import ParameterError, ParseError, PScoreError, ValidationError
+from .errors import ParameterError, PScoreError
 from .pipeline import PipelineResult, solve_pipeline
-from .records import CountsTable, ingest, load_author_pubs, text_stream
+from .records import CountsTable, ingest, listed_name, load_author_pubs, locating, text_stream
 from .scoring import (load_venue_scores, make_ranking, rank_authors, ranking_to_json, ranking_to_tsv,
                       venue_report_json, venue_report_tsv)
 
@@ -35,12 +35,8 @@ DEFAULT_D = 0.5
 @contextmanager
 def _file_context(path: str) -> Iterator[IO[bytes]]:
     """Open the input file ``path`` as bytes; input errors it leads to are given it as their ``file``."""
-    try:
-        with open(path, "rb") as fh:
-            yield fh
-    except (ParseError, ValidationError) as exc:
-        exc.file = path
-        raise
+    with open(path, "rb") as fh, locating(file=path):
+        yield fh
 
 
 def _sniff_format(path: str, fh: io.BufferedReader) -> str:
@@ -55,11 +51,14 @@ def _sniff_format(path: str, fh: io.BufferedReader) -> str:
 
 
 def _load_reference_groups(args: argparse.Namespace) -> list[str]:
+    """The ``--groups-file`` names, then the ``--group`` ones, read by the name and repeat rules."""
     names: list[str] = []
+    seen: dict[str, str] = {}
     if args.groups_file:
         with _file_context(args.groups_file) as fh, text_stream(fh) as text:
-            names = [name for line in text if (name := line.strip())]
-    names.extend(args.group)
+            names = [listed_name(line, "group", seen, f"--groups-file line {n}", n)
+                     for n, line in enumerate(text, start=1) if not line.isspace()]
+    names += [listed_name(name, "group", seen, "--group") for name in args.group]
     if not names:
         raise ParameterError("no reference groups given; use --groups-file or --group")
     return names
@@ -106,9 +105,7 @@ def _write_output(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _emit_debug_matrices(output: str | None, result: PipelineResult) -> None:
-    if output is None or output == "-":
-        raise ParameterError("--emit-debug-matrices requires -o FILE to name the siblings")
+def _emit_debug_matrices(output: str, result: PipelineResult) -> None:
     base, solved = Path(output), result.chain.counts
     venues, groups = solved.venue_names, solved.group_names
     for suffix, labels, matrix, comment in (
@@ -139,6 +136,8 @@ def _group_report(result: PipelineResult, args: argparse.Namespace) -> str:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     """``venues`` and ``groups``: solve, then write the command's report."""
+    if args.emit_debug_matrices and args.output in (None, "-"):
+        raise ParameterError("--emit-debug-matrices requires -o FILE to name the siblings")
     table = _load_counts(args)
     result = solve_pipeline(table, args.d, args.allow_largest_component)
     _write_output(args.report(result, args), args.output)

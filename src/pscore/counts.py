@@ -12,7 +12,7 @@ import logging
 from typing import IO, Mapping
 
 from .errors import ValidationError
-from .records import CountsTable, check_count, csv_rows, fold, jsonl_objects, required_name, text_stream
+from .records import CountsTable, check_count, csv_rows, fold, jsonl_objects, listed_name, required_name, text_stream
 
 log = logging.getLogger(__name__)
 
@@ -50,21 +50,16 @@ def parse_author_counts(stream: IO[bytes] | IO[str], format: str) -> dict[str, i
     with normalized venue names.
     """
     counts: dict[str, int] = {}
-    seen: set[str] = set()
+    seen: dict[str, str] = {}
 
     def put(venue: object, count: object, lineno: int) -> None:
-        name = required_name(venue, "venue", lineno)
+        name = listed_name(venue, "venue", seen, f"line {lineno}", lineno)
         if format == "csv":  # CSV fields are text; a JSON count must already be an integer
             try:
                 count = int(count)
             except (TypeError, ValueError):
                 pass  # check_count names the text
-        count = check_count(count, 1, lineno)
-        key = fold(name)
-        if key in seen:
-            raise ValidationError(f"duplicate author-count entry for venue {name!r}", line=lineno)
-        seen.add(key)
-        counts[name] = count
+        counts[name] = check_count(count, 1, lineno)
 
     if format not in ("jsonl", "csv"):
         raise ValidationError(f"unknown author-count format {format!r}; expected 'jsonl' or 'csv'")

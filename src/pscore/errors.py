@@ -8,9 +8,10 @@ class PScoreError(Exception):
 
 
 class _LocatedError(PScoreError):
-    """Bad input that may name its file, line and field; ``str`` gives ``file: line N: message``."""
+    """Bad input that may name its file, entry, line and field; ``str`` gives ``file: entry i: line N: message``."""
 
-    file: str | None = None
+    file: str | None = None  # set by locating, as is entry: the 0-based index of a JSON array or list item
+    entry: int | None = None
 
     def __init__(self, message: str, line: int | None = None, field: str | None = None):
         self.line = line
@@ -19,8 +20,9 @@ class _LocatedError(PScoreError):
 
     def __str__(self) -> str:
         file = "" if self.file is None else f"{self.file}: "
+        entry = "" if self.entry is None else f"entry {self.entry}: "
         line = "" if self.line is None else f"line {self.line}: "
-        return file + line + super().__str__()
+        return file + entry + line + super().__str__()
 
 
 class ParseError(_LocatedError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence
 
 from . import _np as np
-from .errors import DatasetError, InternalError, ParseError, ValidationError
+from .errors import DatasetError, InternalError, ParseError, ValidationError, _LocatedError
 
 log = logging.getLogger(__name__)
 
@@ -159,6 +159,16 @@ def text_stream(stream: IO[bytes] | IO[str]) -> Iterator[IO[str]]:
             text.detach()
 
 
+@contextmanager
+def locating(**where: object) -> Iterator[None]:
+    """Give an input error leaving the block ``where`` (``file``, ``entry``) as attributes, and re-raise it."""
+    try:
+        yield
+    except _LocatedError as exc:
+        vars(exc).update(where)
+        raise
+
+
 def _undecodable_line(stream: IO[bytes], start: int | None) -> int | None:
     """Line of the first bytes after ``start`` in ``stream`` that are not UTF-8; None if it cannot seek there."""
     if start is None:
@@ -226,6 +236,16 @@ def required_name(value: object, name: str, line: int | None = None) -> str:
     if not normalized:
         raise ValidationError(f"field '{name}' is empty", line=line, field=name)
     return normalized
+
+
+def listed_name(value: object, name: str, seen: dict[str, str], where: str, line: int | None = None) -> str:
+    """The repeat rule: ``value`` by the name rule, unless ``seen`` (folded name -> where listed) holds it already."""
+    listed = required_name(value, name, line)
+    key = fold(listed)
+    if key in seen:
+        raise ValidationError(f"{name} {listed!r} is listed twice (first at {seen[key]})", line=line, field=name)
+    seen[key] = where
+    return listed
 
 
 def check_count(value: object, low: int, line: int | None = None, what: str = "'count'") -> int:
@@ -434,23 +454,15 @@ class _Tally:
     """
 
     def __init__(self, reference_groups: Sequence[str], years: tuple[int | None, int | None] | None):
-        groups: list[str] = []
-        group_index: dict[str, int] = {}
-        for raw in reference_groups:
-            if not isinstance(raw, str):
-                raise DatasetError(f"reference group list contains {raw!r}, which is not a name")
-            name = normalize_name(raw)
-            if not name:
-                raise DatasetError("reference group list contains an empty name")
-            key = fold(name)
-            if key in group_index:
-                raise DatasetError(f"duplicate reference group {name!r}")
-            group_index[key] = len(groups)
-            groups.append(name)
+        seen: dict[str, str] = {}
+        groups = []
+        for i, raw in enumerate(reference_groups):
+            with locating(entry=i):
+                groups.append(listed_name(raw, "group", seen, f"entry {i}"))
         if not groups:
             raise DatasetError("reference group list is empty")
         self.groups = tuple(groups)
-        self._group_index = group_index
+        self._group_index = {key: row for row, key in enumerate(seen)}
         self._years = None if years in (None, (None, None)) else years
 
         self._group_of: dict[str, int] = {}   # raw group -> row, -1 outside the reference set
@@ -595,7 +607,7 @@ def build_dataset(records: Iterable[PublicationRecord], reference_groups: Sequen
 
     Raises :class:`DatasetError` if nothing survives or if any reference
     group ends up with zero publications, since a silent group has no
-    publication fractions to propagate.
+    publication fractions to propagate. A group list that breaks :func:`listed_name` is a ValidationError.
     """
     tally = _Tally(reference_groups, None)
     for rec in records:

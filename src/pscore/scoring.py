@@ -22,7 +22,8 @@ from typing import IO, NamedTuple
 from . import _np as np
 from .chain import TOL, ReputationChain
 from .errors import DegenerateInputError, InternalError, ValidationError
-from .records import MAX_COUNT, check_count, csv_rows, fold, json_loads, normalize_name, required_name, text_stream
+from .records import (MAX_COUNT, check_count, csv_rows, fold, json_loads, listed_name, locating, required_name,
+                      text_stream)
 from .solver import StationaryDistribution
 
 log = logging.getLogger(__name__)
@@ -215,54 +216,45 @@ def load_venue_scores(stream: IO[bytes] | IO[str]) -> ScoreVector:
     A file whose first non-whitespace character is ``[`` is a JSON array
     of ``{venue, raw_score}`` objects. Any other file is TSV with a header
     naming ``venue`` and ``raw_score``: tab-separated, with no quoting,
-    ``#`` lines skipped above the header and blank lines anywhere. Every
-    error names the TSV line or the JSON entry it comes from: a malformed
-    file, a ``raw_score`` that is not a finite nonnegative number, a
-    missing or empty venue name, and a venue listed twice (names compare
-    case-insensitively).
+    ``#`` lines skipped above the header and blank lines anywhere. A
+    ``raw_score`` must be a finite nonnegative number, and a venue follows
+    the name rule and the repeat rule of :func:`pscore.records.listed_name`.
+    Every error carries the TSV ``line`` or the JSON ``entry`` it comes
+    from, and its ``field``.
     """
     with text_stream(stream) as text:
         content = text.read().replace("\r\n", "\n").replace("\r", "\n")  # lines end at \n, \r or \r\n
-    rows: list[tuple[str, int | None, object, object]] = []  # (where, line, venue, raw_score)
     if content.lstrip().startswith("["):
-        for i, item in enumerate(json_loads(content)):
-            if not isinstance(item, dict) or "venue" not in item or "raw_score" not in item:
-                raise ValidationError(f"venue-score entry {i} lacks venue/raw_score")
-            rows.append((f"venue-score entry {i}", None, item["venue"], item["raw_score"]))
+        rows = [(f"entry {i}", None, i, item) for i, item in enumerate(json_loads(content))]  # where, line, entry, row
     else:
         lines = content.split("\n")
         header = next((i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")), len(lines))
         # '#' lines above the header are comments, below it rows; a skipped line stays, empty, to keep line numbers
         lines = ("" if i < header or not line.strip() else line for i, line in enumerate(lines))
-        for lineno, row in csv_rows(lines, ("venue", "raw_score"), delimiter="\t", quoting=csv.QUOTE_NONE):
-            rows.append((f"line {lineno}", lineno, row.get("venue"), row.get("raw_score")))
+        rows = [(f"line {n}", n, None, row)
+                for n, row in csv_rows(lines, ("venue", "raw_score"), delimiter="\t", quoting=csv.QUOTE_NONE)]
     if not rows:
         raise ValidationError("no venue scores found")
 
-    names: list[str] = []
-    scores: list[float] = []
-    first_seen: dict[str, str] = {}
-    for where, line, venue, raw in rows:
-        entry = "" if line else f"{where}: "  # a JSON entry has no line, so its message names it
-        try:
-            if isinstance(raw, bool):
-                raise TypeError("JSON true and false are not scores")
-            score = float(raw)
-        except (TypeError, ValueError):
-            raise ValidationError(f"{entry}raw_score is not a number: {raw!r}", line, "raw_score") from None
-        except OverflowError:  # an integer beyond the float range
-            score = math.inf
-        if not math.isfinite(score) or score < 0:
-            raise ValidationError(f"{entry}raw_score must be finite and nonnegative, got {raw!r}", line, "raw_score")
-        name = normalize_name(venue) if isinstance(venue, str) else ""
-        if not name:
-            raise ValidationError(f"{entry}missing or empty venue name: {venue!r}", line, "venue")
-        earlier = first_seen.setdefault(fold(name), where)
-        if earlier != where:
-            raise ValidationError(f"{entry}venue {name!r} is listed twice (first at {earlier})", line, "venue")
-        names.append(name)
-        scores.append(score)
-    total = math.fsum(scores)
+    scores: dict[str, float] = {}  # venue -> raw score
+    seen: dict[str, str] = {}
+    for where, line, entry, row in rows:
+        with locating(entry=entry):
+            if entry is not None and not (isinstance(row, dict) and "venue" in row and "raw_score" in row):
+                raise ValidationError("expected an object with venue and raw_score")
+            raw = row.get("raw_score")
+            try:
+                if isinstance(raw, bool):
+                    raise TypeError("JSON true and false are not scores")
+                score = float(raw)
+            except (TypeError, ValueError):
+                raise ValidationError(f"raw_score is not a number: {raw!r}", line, "raw_score") from None
+            except OverflowError:  # an integer beyond the float range
+                score = math.inf
+            if not math.isfinite(score) or score < 0:
+                raise ValidationError(f"raw_score must be finite and nonnegative, got {raw!r}", line, "raw_score")
+            scores[listed_name(row.get("venue"), "venue", seen, where, line)] = score
+    total = math.fsum(scores.values())
     if abs(total - 1.0) > TOL:
         raise ValidationError(f"raw venue scores sum to {total!r}, not 1 (tolerance {TOL})")
-    return ScoreVector(names, scores)
+    return ScoreVector(tuple(scores), tuple(scores.values()))

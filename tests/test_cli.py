@@ -97,8 +97,11 @@ class TestVenuesCommand:
         assert "Chebyshev steps, more than the cap of 100000" in err and "d = 1" in err
 
     def test_debug_matrices_need_output_path(self, capsys):
-        assert main(["venues", *GOLDEN_ARGS, "--emit-debug-matrices"]) == 1
-        assert "requires -o" in capsys.readouterr().err
+        for output in ([], ["-o", "-"]):
+            assert main(["venues", *GOLDEN_ARGS, "--emit-debug-matrices", *output]) == 1
+            captured = capsys.readouterr()
+            assert "requires -o" in captured.err
+            assert captured.out == ""  # refused before any input is read, so no report is written
 
     def test_bad_d_rejected(self, capsys):
         args = GOLDEN_ARGS[:-1] + ["1.5"]
@@ -232,7 +235,7 @@ class TestVenueScoreFileErrors:
     def test_nan_json_score(self, tmp_path, capsys):
         code, path = self.run_authors(tmp_path, "v.json", '[{"venue": "v1", "raw_score": NaN}]')
         assert code == 1
-        assert f"{path}: venue-score entry 0: raw_score must be finite" in capsys.readouterr().err
+        assert f"{path}: entry 0: raw_score must be finite" in capsys.readouterr().err
 
     def test_truncated_json(self, tmp_path, capsys):
         code, path = self.run_authors(tmp_path, "v.json", '[{"venue": "v1",\n "raw_score": ')
@@ -243,24 +246,24 @@ class TestVenueScoreFileErrors:
         text = '[{"venue": "v1", "raw_score": 1.0}, {"venue": "v2", "raw_score": "x"}]'
         code, path = self.run_authors(tmp_path, "v.json", text)
         assert code == 1
-        assert f"{path}: venue-score entry 1: raw_score is not a number: 'x'" in capsys.readouterr().err
+        assert f"{path}: entry 1: raw_score is not a number: 'x'" in capsys.readouterr().err
 
     def test_json_boolean_score(self, tmp_path, capsys):
         text = '[{"venue": "v1", "raw_score": true}]'
         code, path = self.run_authors(tmp_path, "v.json", text)
         assert code == 1
-        assert f"{path}: venue-score entry 0: raw_score is not a number: True" in capsys.readouterr().err
+        assert f"{path}: entry 0: raw_score is not a number: True" in capsys.readouterr().err
 
     def test_empty_tsv_venue(self, tmp_path, capsys):
         code, path = self.run_authors(tmp_path, "v.tsv", "venue\traw_score\nv1\t0.5\n\t0.5\n")
         assert code == 1
-        assert f"{path}: line 3: missing or empty venue name: ''" in capsys.readouterr().err
+        assert f"{path}: line 3: field 'venue' is empty" in capsys.readouterr().err
 
     def test_null_json_venue(self, tmp_path, capsys):
         text = '[{"venue": "v1", "raw_score": 0.5}, {"venue": null, "raw_score": 0.5}]'
         code, path = self.run_authors(tmp_path, "v.json", text)
         assert code == 1
-        assert f"{path}: venue-score entry 1: missing or empty venue name: None" in capsys.readouterr().err
+        assert f"{path}: entry 1: missing required field 'venue'" in capsys.readouterr().err
 
     def test_duplicate_tsv_venue(self, tmp_path, capsys):
         code, path = self.run_authors(tmp_path, "v.tsv", "venue\traw_score\nv1\t0.5\nV1\t0.5\n")
@@ -288,7 +291,7 @@ class TestVenueScoreFileErrors:
         scores.write_text('[{"venue": "v1", "raw_score": 0.5}, {"venue": " V1 ", "raw_score": 0.5}]')
         with pytest.raises(ValidationError) as exc, open(scores, "rb") as fh:
             load_venue_scores(fh)
-        assert str(exc.value) == "venue-score entry 1: venue 'V1' is listed twice (first at venue-score entry 0)"
+        assert str(exc.value) == "entry 1: venue 'V1' is listed twice (first at entry 0)"
 
 
 class TestValidateCommand:

@@ -3,7 +3,8 @@
 Hypothesis writes small publication lists as JSONL or CSV, with case and
 whitespace variants of every name, groups outside the reference set,
 duplicates by id and by title, records with neither, optional years and
-optionally one malformed line. ``ingest`` must agree with
+optionally one malformed line, from a fixed list or a one-character
+mutation of a valid line. ``ingest`` must agree with
 ``oracles.parse_records`` -> ``oracles.filter_by_year`` ->
 ``oracles.count_records``, which share no code with ``pscore.records``, on
 the counts table, the dropped, merged and undated counts, and on the error
@@ -53,6 +54,8 @@ BAD_CSV = [
     "p9,t,Group A,a,v,soon",
 ]
 
+MUTATIONS = '{}[]",: a1'  # characters a one-character mutation of a valid line inserts or puts in place of another
+
 
 @st.composite
 def spelling(draw, names):
@@ -88,6 +91,15 @@ def write(records: list[dict], fmt: str) -> list[str]:
 
 
 @st.composite
+def mutated_line(draw, fmt):
+    """A valid record line with one character inserted, deleted or replaced."""
+    line = write([draw(record())], fmt)[-1]
+    at = draw(st.integers(0, len(line) - 1))
+    new, cut = draw(st.sampled_from([(c, 0) for c in MUTATIONS] + [("", 1)] + [(c, 1) for c in MUTATIONS]))
+    return line[:at] + new + line[at + cut:]
+
+
+@st.composite
 def inputs(draw):
     fmt = draw(st.sampled_from(["jsonl", "csv"]))
     records = draw(st.lists(record(), min_size=1, max_size=25))
@@ -99,7 +111,7 @@ def inputs(draw):
     if draw(st.integers(0, 2)) == 0:
         first = 0 if fmt == "jsonl" else 1  # never replace the CSV header
         at = draw(st.integers(first, len(lines)))
-        lines.insert(at, draw(st.sampled_from(BAD_JSONL if fmt == "jsonl" else BAD_CSV)))
+        lines.insert(at, draw(st.one_of(st.sampled_from(BAD_JSONL if fmt == "jsonl" else BAD_CSV), mutated_line(fmt))))
     window = draw(st.one_of(
         st.none(),
         st.tuples(st.one_of(st.none(), st.integers(2010, 2013)), st.one_of(st.none(), st.integers(2013, 2016))),

@@ -3,12 +3,14 @@
 ``records.check_count`` says what a count is: an integer, not a ``bool``,
 in [low, 2**53]. ``records.required_name`` says what a name is: a string
 that is not blank. ``records.author_names`` says what an author list is: a
-list of strings with at least one name that is not blank. Every entry
+list of strings with at least one name that is not blank.
+``records.listed_name`` adds the repeat rule to the name rule: a name
+list may not name one thing twice, in any case or spacing. Every entry
 point that reads one of them, from a file or from a library caller's
 mapping, goes through the rule, so each gives the same messages, with the
-line when there is one and the field always. An input error keeps its
-file, line and field as attributes, and only its ``str`` writes them in
-front of the message.
+line or entry when there is one and the field always. An input error
+keeps its file, entry, line and field as attributes, and only its
+``str`` writes them in front of the message.
 """
 
 import io
@@ -18,10 +20,10 @@ import pickle
 import numpy as np
 import pytest
 
-from pscore import DatasetError, ParseError, PublicationRecord, ScoreVector, ValidationError, aggregate
+from pscore import ParseError, PublicationRecord, ScoreVector, ValidationError, aggregate
 from pscore import build_dataset, ingest, parse_author_counts, parse_records, rank_authors
-from pscore.cli import _file_context
-from pscore.records import MAX_COUNT, load_author_pubs
+from pscore.cli import _file_context, build_parser
+from pscore.records import MAX_COUNT, load_author_pubs, locating
 from pscore.scoring import load_venue_scores
 
 TABLE = build_dataset([PublicationRecord(group="G1", authors=("A",), venue="v1")], ["G1"])
@@ -136,9 +138,10 @@ def test_library_author_names_are_ranked_as_given():
 
 @pytest.mark.parametrize("group", [5, None])
 def test_reference_group_that_is_not_a_string(group):
-    with pytest.raises(DatasetError) as exc:
-        ingest(jsonl({"authors": ["A"], "group": "G", "venue": "v1"}), "jsonl", [group])
-    assert str(exc.value) == f"reference group list contains {group!r}, which is not a name"
+    with pytest.raises(ValidationError) as exc:
+        ingest(jsonl({"authors": ["A"], "group": "G", "venue": "v1"}), "jsonl", ["G", group])
+    message = "missing required field 'group'" if group is None else "field 'group' must be a string"
+    assert (str(exc.value), exc.value.entry, exc.value.field) == (f"entry 1: {message}", 1, "group")
 
 
 # ---------------------------------------------------------------------------
@@ -229,26 +232,28 @@ def test_file_context_reraises_the_same_error_with_its_file(tmp_path):
     assert str(exc.value) == f"{path}: line 2: field 'authors' is empty"
 
 
-@pytest.mark.parametrize("error, file, text", [
-    (ValidationError("field 'authors' is empty", line=3, field="authors"), "pubs.jsonl",
+@pytest.mark.parametrize("error, file, entry, text", [
+    (ValidationError("field 'authors' is empty", line=3, field="authors"), "pubs.jsonl", None,
      "pubs.jsonl: line 3: field 'authors' is empty"),
-    (ParseError("malformed JSON: x", line=1), None, "line 1: malformed JSON: x"),
-    (ValidationError("no venue scores found"), "scores.tsv", "scores.tsv: no venue scores found"),
-    (ValidationError("no venue scores found"), None, "no venue scores found"),
-], ids=["file-and-line", "line", "file", "neither"])
-def test_located_error_survives_pickle(error, file, text):
-    if file is not None:
-        error.file = file
+    (ParseError("malformed JSON: x", line=1), None, None, "line 1: malformed JSON: x"),
+    (ValidationError("no venue scores found"), "scores.tsv", None, "scores.tsv: no venue scores found"),
+    (ValidationError("no venue scores found"), None, None, "no venue scores found"),
+    (ValidationError("field 'venue' is empty", field="venue"), "scores.json", 2,
+     "scores.json: entry 2: field 'venue' is empty"),
+], ids=["file-and-line", "line", "file", "neither", "file-and-entry"])
+def test_located_error_survives_pickle(error, file, entry, text):
+    with pytest.raises(type(error)), locating(file=file, entry=entry):
+        raise error
     back = pickle.loads(pickle.dumps(error))
     assert type(back) is type(error)
     assert str(back) == str(error) == text
-    assert (back.file, back.line, back.field) == (error.file, error.line, error.field)
+    assert (back.file, back.entry, back.line, back.field) == (error.file, error.entry, error.line, error.field)
 
 
 @pytest.mark.parametrize("rows, line, field, message", [
     ("v1\tx\n", 3, "raw_score", "raw_score is not a number: 'x'"),
     ("v1\t-1\n", 3, "raw_score", "raw_score must be finite and nonnegative, got '-1'"),
-    ("\t1\n", 3, "venue", "missing or empty venue name: ''"),
+    ("\t1\n", 3, "venue", "field 'venue' is empty"),
     ("v1\t0.5\n\nV1\t0.5\n", 5, "venue", "venue 'V1' is listed twice (first at line 3)"),
 ])
 def test_venue_score_tsv_errors_carry_line_and_field(rows, line, field, message):
@@ -260,5 +265,83 @@ def test_venue_score_tsv_errors_carry_line_and_field(rows, line, field, message)
 def test_venue_score_json_errors_name_the_entry():
     with pytest.raises(ValidationError) as exc:
         load_venue_scores(io.StringIO('[{"venue": "v1", "raw_score": 1}, {"venue": "v2", "raw_score": "x"}]'))
-    assert (str(exc.value), exc.value.line, exc.value.field) == (
-        "venue-score entry 1: raw_score is not a number: 'x'", None, "raw_score")
+    assert (str(exc.value), exc.value.entry, exc.value.line, exc.value.field) == (
+        "entry 1: raw_score is not a number: 'x'", 1, None, "raw_score")
+
+
+# ---------------------------------------------------------------------------
+# the repeat rule and the name rule over every name list
+
+
+def cli(*argv):
+    """A run of ``pscore argv`` that raises its error instead of printing it."""
+    def run():
+        args = build_parser().parse_args(argv)
+        args.func(args)
+    return run
+
+
+RECORDS = {"r.jsonl": '{"authors": ["A"], "group": "G1", "venue": "v1"}\n'}
+PUBS = {"p.jsonl": '{"author": "A", "venue": "v1", "count": 1}\n'}
+ON_GROUPS = ("validate", "--input", "r.jsonl")
+ON_COUNTS = (*ON_GROUPS, "--group", "G1", "--author-counts")
+ON_SCORES = ("authors", "--author-pubs", "p.jsonl", "--venue-scores")
+
+# (the run, its input files, str of its error, and the error's file, entry, line and field);
+# a groups file skips blank lines, so no line of it can break the name rule
+NAME_LISTS = [
+    pytest.param(cli(*ON_GROUPS, "--groups-file", "groups.txt"), {**RECORDS, "groups.txt": "G1\n\n g1 \n"},
+                 "groups.txt: line 3: group 'g1' is listed twice (first at --groups-file line 1)",
+                 "groups.txt", None, 3, "group", id="groups-file-repeat"),
+    pytest.param(cli(*ON_GROUPS, "--group", "G1", "--group", "g1 "), RECORDS,
+                 "group 'g1' is listed twice (first at --group)", None, None, None, "group", id="group-repeat"),
+    pytest.param(cli(*ON_GROUPS, "--groups-file", "groups.txt", "--group", "g1"), {**RECORDS, "groups.txt": "G1\n"},
+                 "group 'g1' is listed twice (first at --groups-file line 1)", None, None, None, "group",
+                 id="groups-file-and-group-repeat"),
+    pytest.param(cli(*ON_GROUPS, "--group", "G1", "--group", " "), RECORDS,
+                 "field 'group' is empty", None, None, None, "group", id="group-name"),
+    pytest.param(lambda: ingest(io.StringIO(RECORDS["r.jsonl"]), "jsonl", ["G1", " g1"]), {},
+                 "entry 1: group 'g1' is listed twice (first at entry 0)", None, 1, None, "group",
+                 id="library-groups-repeat"),
+    pytest.param(lambda: build_dataset([], ["G1", " "]), {},
+                 "entry 1: field 'group' is empty", None, 1, None, "group", id="library-groups-name"),
+    pytest.param(cli(*ON_COUNTS, "c.jsonl"), {**RECORDS, "c.jsonl": '{"venue": "v1", "count": 3}\n'
+                                                                 '{"venue": " V1", "count": 4}\n'},
+                 "c.jsonl: line 2: venue 'V1' is listed twice (first at line 1)", "c.jsonl", None, 2, "venue",
+                 id="author-counts-jsonl-repeat"),
+    pytest.param(cli(*ON_COUNTS, "c.jsonl"), {**RECORDS, "c.jsonl": '{"venue": "v1", "count": 3}\n{"count": 4}\n'},
+                 "c.jsonl: line 2: missing required field 'venue'", "c.jsonl", None, 2, "venue",
+                 id="author-counts-jsonl-name"),
+    pytest.param(cli(*ON_COUNTS, "c.csv"), {**RECORDS, "c.csv": "venue,count\nv1,3\nV1 ,4\n"},
+                 "c.csv: line 3: venue 'V1' is listed twice (first at line 2)", "c.csv", None, 3, "venue",
+                 id="author-counts-csv-repeat"),
+    pytest.param(cli(*ON_COUNTS, "c.csv"), {**RECORDS, "c.csv": "venue,count\nv1,3\n ,4\n"},
+                 "c.csv: line 3: field 'venue' is empty", "c.csv", None, 3, "venue", id="author-counts-csv-name"),
+    pytest.param(cli(*ON_SCORES, "s.tsv"), {**PUBS, "s.tsv": "venue\traw_score\nv1\t0.5\nV1\t0.5\n"},
+                 "s.tsv: line 3: venue 'V1' is listed twice (first at line 2)", "s.tsv", None, 3, "venue",
+                 id="venue-scores-tsv-repeat"),
+    pytest.param(cli(*ON_SCORES, "s.tsv"), {**PUBS, "s.tsv": "venue\traw_score\nv1\t0.5\n \t0.5\n"},
+                 "s.tsv: line 3: field 'venue' is empty", "s.tsv", None, 3, "venue", id="venue-scores-tsv-name"),
+    pytest.param(cli(*ON_SCORES, "s.json"), {**PUBS, "s.json": '[{"venue": "v1", "raw_score": 0.5},'
+                                                               ' {"venue": "v 1", "raw_score": 0.25},'
+                                                               ' {"venue": "V1", "raw_score": 0.25}]'},
+                 "s.json: entry 2: venue 'V1' is listed twice (first at entry 0)", "s.json", 2, None, "venue",
+                 id="venue-scores-json-repeat"),
+    pytest.param(cli(*ON_SCORES, "s.json"), {**PUBS, "s.json": '[{"venue": "v1", "raw_score": 0.5},'
+                                                               ' {"venue": 5, "raw_score": 0.5}]'},
+                 "s.json: entry 1: field 'venue' must be a string", "s.json", 1, None, "venue",
+                 id="venue-scores-json-name"),
+]
+
+
+@pytest.mark.parametrize("run, files, text, file, entry, line, field", NAME_LISTS)
+def test_every_name_list_follows_the_name_and_repeat_rules(tmp_path, monkeypatch, run, files, text, file, entry,
+                                                           line, field):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    with pytest.raises(ValidationError) as exc:
+        run()
+    assert (str(exc.value), exc.value.file, exc.value.entry, exc.value.line, exc.value.field) == (
+        text, file, entry, line, field)
+    assert "r.jsonl" not in str(exc.value)  # a group list error is never the records file's

@@ -251,7 +251,7 @@ OVERFLOWING_SCORE = b'[{"venue": "v", "raw_score": 1' + b"0" * 400 + b"}]"
 
 
 def test_score_beyond_the_float_range():
-    with pytest.raises(ValidationError, match="^venue-score entry 0: raw_score must be finite and nonnegative, got 10+$"):
+    with pytest.raises(ValidationError, match="^entry 0: raw_score must be finite and nonnegative, got 10+$"):
         load_venue_scores(io.BytesIO(OVERFLOWING_SCORE))
 
 

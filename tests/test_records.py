@@ -218,7 +218,7 @@ class TestBuildDataset:
             build_dataset([make(group="G1")], ["G1", "Silent"])
 
     def test_duplicate_reference_groups_rejected(self):
-        with pytest.raises(DatasetError):
+        with pytest.raises(ValidationError):
             build_dataset([make()], ["G1", "g1"])
 
     def test_display_casing_is_first_seen(self):
