@@ -12,7 +12,7 @@ import logging
 from typing import IO, Mapping
 
 from .errors import ValidationError
-from .records import CountsTable, check_count, csv_rows, fold, jsonl_objects, listed_name, required_name, text_stream
+from .records import CountsTable, check_count, csv_rows, fold, jsonl_objects, listed_name, text_stream
 
 log = logging.getLogger(__name__)
 
@@ -25,14 +25,17 @@ def aggregate(table: CountsTable, author_counts: Mapping[str, int] | None = None
     ``author_counts`` (venue -> count, as :func:`parse_author_counts`
     reads it from a file) overrides the count for that venue. Overrides
     for unknown venues are ignored with a warning. With no overrides the
-    table itself comes back. Every override is checked, known venue or not.
+    table itself comes back. Every override is checked, known venue or not,
+    and its venue by the name and repeat rules of
+    :func:`pscore.records.listed_name`.
     """
     if not author_counts:
         return table
     d_venue = table.d_venue.copy()
     venue_index = {fold(name): j for j, name in enumerate(table.venue_names)}
+    seen: dict[str, str] = {}
     for name, count in author_counts.items():
-        j = venue_index.get(fold(required_name(name, "venue")))
+        j = venue_index.get(fold(listed_name(name, "venue", seen, f"key {name!r}")))
         count = check_count(count, 1, what=f"author-count override for {name!r}")
         if j is None:
             log.warning("ignoring author-count override for unknown venue %r", name)

@@ -17,20 +17,22 @@ import io
 import json
 import logging
 import numbers
+import os
 from array import array
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import _np as np
-from .errors import DatasetError, InternalError, ParseError, ValidationError, _LocatedError
+from .errors import DatasetError, InternalError, ParseError, PScoreError, ValidationError, _LocatedError
 
 log = logging.getLogger(__name__)
 
 CSV_COLUMNS = ("id", "title", "group", "authors", "venue", "year")
 AUTHOR_SEP = ";"
 MAX_COUNT = 2**53  # largest count a count field may hold or sum to: float64 holds every integer up to it
+MIN_RANGE = 1 << 20  # bytes: a JSONL input is split only into ranges at least this long
 
 
 def normalize_name(name: str) -> str:
@@ -337,6 +339,129 @@ def csv_rows(text: Iterable[str], columns: Sequence[str], **dialect) -> Iterator
         raise ParseError(f"malformed CSV: {exc}", line=reader.line_num) from exc
 
 
+def _split_read(stream: IO[bytes] | IO[str], read: Callable[[IO[str]], object], split: bool = True):
+    """``read`` of each line-aligned range of ``stream``, the first here and each other in a forked worker.
+
+    ``read(text)`` returns the counts of one range. Their ``merge(later)``
+    adds, in place, those of the range that follows, or returns False when
+    the sum fails a check that a serial read makes at a line. When a fork,
+    a range or a merge fails, the stream is read again as one range, which
+    raises what a serial read raises. The stream is left at EOF.
+    """
+    cuts = _cuts(stream) if split else []
+    if len(cuts) > 2:
+        merged = _read_forked(stream.fileno(), cuts, read)
+        if merged is not None:
+            stream.seek(cuts[-1])
+            return merged
+        stream.seek(cuts[0])
+    with text_stream(stream) as text:
+        return read(text)
+
+
+def _cuts(stream: IO[bytes] | IO[str]) -> list[int]:
+    """Offsets that cut the rest of ``stream`` right after newline bytes into ranges, one per usable CPU.
+
+    No offsets unless ``stream`` is a binary file that can seek, in a
+    process that runs one thread: a forked copy of a process with threads
+    may deadlock, and OpenBLAS, for one, starts threads that Python does
+    not list. No cuts between the two ends unless each range can hold
+    ``MIN_RANGE`` bytes.
+    """
+    try:
+        if not (isinstance(stream.read(0), bytes) and stream.seekable() and len(os.listdir("/proc/self/task")) == 1):
+            return []
+        fd, start = stream.fileno(), stream.tell()
+    except OSError:  # no file descriptor (io.UnsupportedOperation), or no /proc, as on a system without fork
+        return []
+    end = os.fstat(fd).st_size
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n = min(cpus, (end - start) // MIN_RANGE)
+    cuts = [start]
+    for k in range(1, n):
+        at = max(start + (end - start) * k // n, cuts[-1] + 1) - 1
+        at += len(io.BufferedReader(_Range(fd, at, end)).readline())  # to just past the next newline byte
+        if at < end:
+            cuts.append(at)
+    return cuts + [end]
+
+
+class _Range(io.RawIOBase):
+    """Bytes ``start`` to ``end`` of the file ``fd``, read by ``os.pread``: the shared file offset never moves."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        self._fd, self._at, self._end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self._fd, min(len(buffer), self._end - self._at), self._at)
+        buffer[:len(data)] = data
+        self._at += len(data)
+        return len(data)
+
+
+def _read_range(read: Callable[[IO[str]], object], fd: int, start: int, end: int, encoding: str) -> object:
+    """``read`` of a range, decoded as :func:`text_stream` decodes; only the first range strips a BOM."""
+    with io.TextIOWrapper(io.BufferedReader(_Range(fd, start, end), 1 << 16), encoding, newline="") as text:
+        return read(text)
+
+
+def _read_forked(fd: int, cuts: list[int], read: Callable[[IO[str]], object]):
+    """The first range's counts, with each later range's merged in; None if a fork, range or merge fails.
+
+    A worker sends its counts back pickled, or nothing if it fails, and
+    ends with ``os._exit``, so it never flushes this process's buffers or
+    runs its exit hooks. Whatever happens here, every worker still running
+    is killed, and every worker is reaped.
+    """
+    import pickle
+    import signal
+
+    running = {}  # pid -> pipe of each worker not yet reaped, in file order
+    try:
+        for start, end in zip(cuts[1:], cuts[2:]):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no room for another process: the stream is read serially
+                os.close(r)
+                os.close(w)
+                return None
+            if pid == 0:  # in the worker
+                code = 1
+                try:
+                    with open(w, "wb") as out:
+                        pickle.dump(_read_range(read, fd, start, end, "utf-8"), out, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            running[pid] = open(r, "rb")
+        try:
+            merged = _read_range(read, fd, cuts[0], cuts[1], "utf-8-sig")
+        except (PScoreError, UnicodeDecodeError):
+            return None
+        for pid, pipe in list(running.items()):
+            part = None
+            with pipe:
+                try:
+                    part = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # a failed worker sent nothing, or part of a pickle
+                    pass
+            failed = os.waitpid(pid, 0)[1]
+            del running[pid]
+            if failed or not merged.merge(part):
+                return None
+        return merged
+    finally:
+        for pid, pipe in running.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
     """Read author publication lists (JSONL).
 
@@ -346,30 +471,48 @@ def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
     records' :func:`author_names` rule, which credit every distinct listed
     author (compared case-insensitively) with one paper at the venue.
     Authors and venues come back in first-seen order, under their
-    first-seen spelling.
+    first-seen spelling. A large file is read on every usable CPU, in
+    line-aligned ranges whose counts are summed in file order.
     """
-    author_display: dict[str, str] = {}  # folded author -> display name
-    venue_display: dict[str, str] = {}   # folded venue -> display name
-    # raw venue -> display name; raw author strings are too many to be worth a memo
-    venue_of: dict[str, str] = {}
-    pubs: dict[str, dict[str, int]] = {}
+    pubs = _split_read(stream, lambda text: _Credits().read(text)).pubs
+    if not pubs:
+        raise ValidationError("author publication file holds no entries")
+    return pubs
 
-    def venue_name(venue: object, lineno: int) -> str:
-        try:
-            return venue_of[venue]
-        except (KeyError, TypeError):
-            pass
-        v = required_name(venue, "venue", lineno)
-        v = venue_of[venue] = venue_display.setdefault(fold(v), v)
-        return v
 
-    def add(author: str, venue: str, count: int, lineno: int) -> None:
-        per_author = pubs.setdefault(author, {})
-        total = per_author[venue] = per_author.get(venue, 0) + count
-        if total > MAX_COUNT:
-            check_count(total, 1, lineno, f"total 'count' for {author!r} at {venue!r}")
+class _Credits:
+    """The counts :func:`load_author_pubs` reads from one range: author -> venue -> count.
 
-    with text_stream(stream) as text:
+    Pickled, as a worker sends them, they are ``sent``, flat: the authors
+    and venues in first-seen order and an (author, venue, count) triple per
+    count. An unpickled one holds only that, for :meth:`merge`.
+    """
+
+    def __init__(self):
+        self.pubs: dict[str, dict[str, int]] = {}
+        self.authors: dict[str, str] = {}  # folded author -> display name
+        self.venues: dict[str, str] = {}   # folded venue -> display name
+
+    def read(self, text: IO[str]) -> "_Credits":
+        pubs, author_display, venue_display = self.pubs, self.authors, self.venues
+        # raw venue -> display name; raw author strings are too many to be worth a memo
+        venue_of: dict[str, str] = {}
+
+        def venue_name(venue: object, lineno: int) -> str:
+            try:
+                return venue_of[venue]
+            except (KeyError, TypeError):
+                pass
+            v = required_name(venue, "venue", lineno)
+            v = venue_of[venue] = venue_display.setdefault(fold(v), v)
+            return v
+
+        def add(author: str, venue: str, count: int, lineno: int) -> None:
+            per_author = pubs.setdefault(author, {})
+            total = per_author[venue] = per_author.get(venue, 0) + count
+            if total > MAX_COUNT:
+                check_count(total, 1, lineno, f"total 'count' for {author!r} at {venue!r}")
+
         for lineno, obj in jsonl_objects(text):
             if "count" in obj or "author" in obj:
                 count = obj.get("count")
@@ -389,9 +532,28 @@ def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
                         add(author, venue, 1, lineno)
             else:
                 raise ParseError("expected author/venue/count or authors/venue keys", line=lineno)
-    if not pubs:
-        raise ValidationError("author publication file holds no entries")
-    return pubs
+        return self
+
+    def __getstate__(self) -> dict:
+        venues = {venue: j for j, venue in enumerate(self.venues.values())}
+        triples = array("q")
+        for a, per_author in enumerate(self.pubs.values()):
+            for venue, count in per_author.items():
+                triples.extend((a, venues[venue], count))
+        return {"sent": (list(self.pubs), list(venues), triples)}
+
+    def merge(self, later: "_Credits") -> bool:
+        """Add the counts of the range that follows; False if a total passes 2**53, at a line a serial read knows."""
+        authors, venues, triples = later.sent
+        venues = [self.venues.setdefault(fold(v), v) for v in venues]
+        rows = [self.pubs.setdefault(self.authors.setdefault(fold(a), a), {}) for a in authors]
+        it = iter(triples)
+        for a, v, count in zip(it, it, it):
+            per_author, venue = rows[a], venues[v]
+            total = per_author[venue] = per_author.get(venue, 0) + count
+            if total > MAX_COUNT:
+                return False
+        return True
 
 
 def _csv_fields(text: IO[str]) -> Iterator[tuple]:
@@ -448,9 +610,13 @@ class _Tally:
 
     Every distinct raw group, venue and author string is normalized and
     case-folded once and interned. A record that lies in the year window,
-    belongs to a reference group and is new to it leaves one (venue, group)
-    cell and one (author, venue) pair per author, all as integers, and its
-    id, else its folded title, in the group's set of ids or of titles.
+    belongs to a reference group and is new to it is kept: it leaves one
+    (venue spelling, group) cell, one (author, record) pair per author, all
+    as integers, and its id, else its folded title, in the group's seen-set
+    and in the list of kept records' keys.
+
+    A tally can :meth:`merge` the tally of the input that follows; pickled,
+    as a worker sends it, it carries only what a merge reads.
     """
 
     def __init__(self, reference_groups: Sequence[str], years: tuple[int | None, int | None] | None):
@@ -466,15 +632,16 @@ class _Tally:
         self._years = None if years in (None, (None, None)) else years
 
         self._group_of: dict[str, int] = {}   # raw group -> row, -1 outside the reference set
-        self._venue_of: dict[str, tuple[int, str]] = {}  # raw venue -> (venue id, normalized)
-        self._venue_id: dict[str, int] = {}   # folded venue -> venue id
-        self._shown: dict[int, str] = {}      # venue id -> spelling of its first kept record
+        self._venue_of: dict[str, int] = {}   # raw venue -> spelling id
+        self._spelling: dict[str, int] = {}   # normalized venue -> spelling id
         self._author_of: dict[str, int] = {}  # raw author -> author id, or _BLANK
         self._author_id: dict[str, int] = {}  # folded author -> author id
-        self._ids: defaultdict[int, set[str]] = defaultdict(set)     # row -> paper ids counted
-        self._titles: defaultdict[int, set[str]] = defaultdict(set)  # row -> folded titles counted
-        self._cells = array("q")  # venue * T + row, one per kept record
-        self._pairs = array("q")  # author << 32 | venue, one per author of a kept record
+        # row -> keys counted: an id as itself, a folded title as a 1-tuple, so the two never meet; a dict
+        # (values None) as it takes about half the memory of a set of the same size
+        self._seen: defaultdict[int, dict] = defaultdict(dict)
+        self._keys: list = []      # key of each kept record, None if it has neither id nor title
+        self._cells = array("q")  # spelling * T + row, one per kept record
+        self._pairs = array("q")  # author << 32 | kept record, one per author of a kept record
         self.undated = self.dropped = self.merged = 0
 
     def add(self, line: int | None, paper_id: str | None, authors: object,
@@ -502,11 +669,10 @@ class _Tally:
         except (KeyError, TypeError):
             row = self._group_of[group] = self._group_index.get(fold(required_name(group, "group", line)), -1)
         try:
-            venue_id, spelling = self._venue_of[venue]
+            spelling = self._venue_of[venue]
         except (KeyError, TypeError):
-            spelling = required_name(venue, "venue", line)
-            venue_id = self._venue_id.setdefault(fold(spelling), len(self._venue_id))
-            self._venue_of[venue] = venue_id, spelling
+            name = required_name(venue, "venue", line)
+            spelling = self._venue_of[venue] = self._spelling.setdefault(name, len(self._spelling))
         if title is not None and not isinstance(title, str):
             raise ValidationError("field 'title' must be a string", line=line, field="title")
         if year is not None and year.__class__ is not int:
@@ -523,20 +689,53 @@ class _Tally:
             self.dropped += 1
             return
         if paper_id is not None:
-            seen, key = self._ids[row], paper_id
+            key = paper_id
         elif title and (name := normalize_name(title)):
-            seen, key = self._titles[row], fold(name)
+            key = (fold(name),)
         else:
-            seen = None
-        if seen is not None:
+            key = None
+        if key is not None:
+            seen = self._seen[row]
             if key in seen:
                 self.merged += 1
                 return
-            seen.add(key)
-        if venue_id not in self._shown:
-            self._shown[venue_id] = spelling
-        self._cells.append(venue_id * len(self.groups) + row)
-        self._pairs.extend([author << 32 | venue_id for author in ids])
+            seen[key] = None
+        record = len(self._cells)
+        self._keys.append(key)
+        self._cells.append(spelling * len(self.groups) + row)
+        self._pairs.extend([author << 32 | record for author in ids])
+
+    def __getstate__(self) -> dict:
+        return {"_spelling": list(self._spelling), "_author_id": list(self._author_id), "_keys": self._keys,
+                "_cells": self._cells, "_pairs": self._pairs,
+                "undated": self.undated, "dropped": self.dropped, "merged": self.merged}
+
+    def merge(self, later: "_Tally") -> bool:
+        """Count ``later``, the tally of the range that follows, after this tally's records; True.
+
+        A record kept there whose key this tally saw in its group is a
+        duplicate: it is merged, and leaves no cell, pair or venue spelling.
+        """
+        t, seen = len(self.groups), self._seen
+        cells = np.frombuffer(later._cells, dtype=np.int64)
+        rows = (cells % t).tolist()
+        keep = np.fromiter((key is None or key not in seen[row] for key, row in zip(later._keys, rows)),
+                           bool, len(rows))
+        spelling = np.array([self._spelling.setdefault(s, len(self._spelling)) for s in later._spelling], np.int64)
+        author = np.array([self._author_id.setdefault(a, len(self._author_id)) for a in later._author_id], np.int64)
+        record = np.cumsum(keep) + (len(self._cells) - 1)  # a kept record's index here
+        pairs = np.frombuffer(later._pairs, dtype=np.int64)
+        pairs = pairs[keep[pairs & 0xFFFFFFFF]]
+        self._pairs.frombytes((author[pairs >> 32] << 32 | record[pairs & 0xFFFFFFFF]).tobytes())
+        cells = cells[keep]
+        self._cells.frombytes((spelling[cells // t] * t + cells % t).tobytes())
+        del pairs, cells, record  # before the seen-sets grow, which lowers the peak
+        for key, row in zip(later._keys, rows):
+            if key is not None:
+                seen[row][key] = None
+        self.undated, self.dropped = self.undated + later.undated, self.dropped + later.dropped
+        self.merged += later.merged + len(rows) - int(keep.sum())
+        return True
 
     def dataset(self) -> CountsTable:
         """Check the tallies and lay them out as group-major cells; once only, as it sorts them in place."""
@@ -548,16 +747,23 @@ class _Tally:
             raise DatasetError("empty dataset: no records remain for the reference groups")
         cells = np.frombuffer(self._cells, dtype=np.int64)
         pairs = np.frombuffer(self._pairs, dtype=np.int64)
-        del self._ids, self._titles, self._group_of, self._venue_of, self._author_of, self._author_id  # spent
+        spellings = list(self._spelling)
+        del self._seen, self._keys, self._group_of, self._venue_of, self._author_of, self._author_id  # spent
         del self._cells, self._pairs  # sorted in place, so a second call must fail, not count them again
+        t = len(self.groups)
 
-        # kept venues in case-folded order (one venue per folded name)
-        keys = list(self._venue_id)
-        order = sorted(self._shown, key=keys.__getitem__)
-        column = np.full(len(keys), -1, dtype=np.int64)
-        column[order] = np.arange(len(order))
-        t, v = len(self.groups), len(order)
+        # a venue shows the spelling of its first kept record; kept venues in case-folded order
+        used, first = np.unique(cells // t, return_index=True)
+        shown: dict[str, str] = {}  # folded venue -> spelling
+        for s in used[np.argsort(first)].tolist():
+            shown.setdefault(fold(spellings[s]), spellings[s])
+        keys = sorted(shown)
+        index = {key: j for j, key in enumerate(keys)}
+        column = np.array([index.get(fold(name), -1) for name in spellings], dtype=np.int64)
+        v = len(keys)
 
+        # pairs become author << 32 | venue column before the cells are sorted
+        pairs[:] = pairs >> 32 << 32 | column[cells[pairs & 0xFFFFFFFF] // t]
         # counts are the run lengths of the sorted codes; a hashed np.unique costs more memory
         cells[:] = cells % t * v + column[cells // t]
         cells.sort()
@@ -567,10 +773,9 @@ class _Tally:
             if count == 0:
                 raise DatasetError(f"reference group {name!r} has no publications in the dataset")
         pairs.sort()
-        d_venue = np.bincount(column[pairs[np.diff(pairs, prepend=-1) != 0] & 0xFFFFFFFF], minlength=v)
+        d_venue = np.bincount(pairs[np.diff(pairs, prepend=-1) != 0] & 0xFFFFFFFF, minlength=v)
 
-        venue_names = tuple(self._shown[j] for j in order)
-        return CountsTable(cell // v, cell % v, n_group_venue, d_venue, self.groups, venue_names,
+        return CountsTable(cell // v, cell % v, n_group_venue, d_venue, self.groups, tuple(shown[k] for k in keys),
                            dropped_foreign=self.dropped, dedup_merged=self.merged)
 
 
@@ -587,14 +792,18 @@ def ingest(
     ``years``, then :func:`build_dataset`, with the same errors, but holds
     no record objects. ``years`` is an inclusive (start, end) window where
     either bound may be ``None``; undated records fall outside any window
-    and are counted in a warning.
+    and are counted in a warning. A large JSONL file is read on every
+    usable CPU, in line-aligned ranges whose tallies are merged in file
+    order; CSV is read in one range, as a quoted field may span lines.
     """
-    tally = _Tally(reference_groups, years)
-    add = tally.add
-    with text_stream(stream) as text:
+    def count(text: IO[str]) -> _Tally:
+        tally = _Tally(reference_groups, years)
+        add = tally.add
         for fields in _decode(text, format):
             add(*fields)
-    return tally.dataset()
+        return tally
+
+    return _split_read(stream, count, format == "jsonl").dataset()
 
 
 def build_dataset(records: Iterable[PublicationRecord], reference_groups: Sequence[str]) -> CountsTable:

@@ -16,15 +16,52 @@ written, and are frozen here as the test oracle:
 
 from __future__ import annotations
 
+import os
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from pscore import CountsTable
+from pscore import CountsTable, records
+# numpy as the library loads it, with one BLAS thread: a test process with a second OS thread never splits a read
+from pscore import _np as np
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+@contextmanager
+def split_reads(cpus: int = 4):
+    """Read every JSONL file in up to ``cpus`` ranges however small; yields the pids of the workers forked.
+
+    A read splits only in a process with one OS thread, which the numpy
+    import above keeps this one.
+    """
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(records, "MIN_RANGE", 1)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        patch.setattr(os, "fork", counted_fork)
+        yield forked
+
+
+@contextmanager
+def binary_file(data: bytes):
+    """An unnamed temporary file holding ``data``, open for binary reading at its start."""
+    with tempfile.TemporaryFile() as fh:
+        fh.write(data)
+        fh.seek(0)
+        yield fh
+
 
 GOLDEN_MATRIX = [[3, 2, 1], [2, 4, 2]]
 GOLDEN_AUTHOR_COUNTS = [10, 60, 20]

@@ -3,10 +3,11 @@
 Hypothesis writes small author-publication files in both line shapes, with
 case and whitespace variants of every name, unscored venues, repeated
 authors on a per-paper line, ill-typed and unhashable fields, and
-malformed lines. ``load_author_pubs`` and ``rank_authors`` must agree
-with ``oracles.load_author_pubs`` and ``oracles.rank_authors`` on the
-dict (key order included at both levels), bit for bit on the scores, on
-the warnings, and on the error class, line, field and message.
+malformed lines. ``load_author_pubs``, reading the file as bytes in 2-4
+ranges, and ``rank_authors`` must agree with ``oracles.load_author_pubs``
+and ``oracles.rank_authors`` on the dict (key order included at both
+levels), bit for bit on the scores, on the warnings, and on the error
+class, line, field and message.
 """
 
 import io
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 import oracles
 from pscore import PScoreError, ScoreVector, rank_authors
 from pscore.records import load_author_pubs
+from conftest import binary_file, split_reads
 from test_ingest import Warnings, spelling
 
 SCORED = ["SIGIR", "Venue X", "kdd"]
@@ -92,7 +94,8 @@ def as_rows(ranking):
 
 
 def by_library(text, nu):
-    pubs = load_author_pubs(io.StringIO(text, newline=""))
+    with binary_file(text.encode()) as fh:
+        pubs = load_author_pubs(fh)
     return [(a, list(v.items())) for a, v in pubs.items()], as_rows(rank_authors(pubs, nu))
 
 
@@ -121,9 +124,16 @@ WEIGHTS = st.lists(st.floats(0.01, 1.0), min_size=len(SCORED), max_size=len(SCOR
 @example(['{"authors": ["dee"], "venue": {"a": 1}}'], False, [1.0, 1.0, 1.0])
 # a repeated author, then a bad one, on a per-paper line
 @example(['{"authors": ["Dee", "dee ", 7], "venue": "kdd"}'], False, [1.0, 1.0, 1.0])
-def test_author_path_matches_oracle(lines, crlf, weights):
+def author_path_matches_oracle(lines, crlf, weights):
     text, nu = pub_file(lines, crlf), score_vector(weights)
     assert outcome(lambda: by_library(text, nu)) == outcome(lambda: by_oracle(text, nu))
+
+
+def test_author_path_matches_oracle():
+    # files are read in 2-4 ranges, as a large file is on a machine with that many CPUs
+    with split_reads() as forked:
+        author_path_matches_oracle()
+    assert forked
 
 
 COUNTS = st.one_of(st.integers(-2, 5), st.integers(0, 5).map(np.int64),

@@ -4,7 +4,8 @@ Hypothesis writes small publication lists as JSONL or CSV, with case and
 whitespace variants of every name, groups outside the reference set,
 duplicates by id and by title, records with neither, optional years and
 optionally one malformed line, from a fixed list or a one-character
-mutation of a valid line. ``ingest`` must agree with
+mutation of a valid line. ``ingest``, reading the list as bytes from a
+file that a JSONL list splits into 2-4 ranges, must agree with
 ``oracles.parse_records`` -> ``oracles.filter_by_year`` ->
 ``oracles.count_records``, which share no code with ``pscore.records``, on
 the counts table, the dropped, merged and undated counts, and on the error
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from pscore import DatasetError, PScoreError, ingest
 from pscore.records import _Tally
 
+from conftest import binary_file, split_reads
 from oracles import count_records, dense_counts, filter_by_year, parse_records
 
 REFERENCE = ["Group A", "Group B"]
@@ -155,15 +157,23 @@ def by_oracle(text, fmt, window):
 
 
 def by_ingest(text, fmt, window):
-    table = ingest(io.StringIO(text), fmt, REFERENCE, years=window)
+    with binary_file(text.encode()) as fh:
+        table = ingest(fh, fmt, REFERENCE, years=window)
     return (table.group_names, table.venue_names, dense_counts(table).tolist(), table.d_venue.tolist(),
             table.dropped_foreign, table.dedup_merged)
 
 
 @settings(max_examples=300, deadline=None)
 @given(inputs())
-def test_ingest_matches_record_oracle(case):
+def ingest_matches_record_oracle(case):
     assert outcome(lambda: by_ingest(*case)) == outcome(lambda: by_oracle(*case))
+
+
+def test_ingest_matches_record_oracle():
+    # JSONL files are read in 2-4 ranges, as a large file is on a machine with that many CPUs
+    with split_reads() as forked:
+        ingest_matches_record_oracle()
+    assert forked
 
 
 def test_undated_records_counted_once_per_run(caplog):

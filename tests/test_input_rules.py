@@ -305,6 +305,9 @@ NAME_LISTS = [
                  id="library-groups-repeat"),
     pytest.param(lambda: build_dataset([], ["G1", " "]), {},
                  "entry 1: field 'group' is empty", None, 1, None, "group", id="library-groups-name"),
+    pytest.param(lambda: aggregate(TABLE, {"v1": 3, " V1": 4}), {},
+                 "venue 'V1' is listed twice (first at key 'v1')", None, None, None, "venue",
+                 id="library-author-counts-repeat"),
     pytest.param(cli(*ON_COUNTS, "c.jsonl"), {**RECORDS, "c.jsonl": '{"venue": "v1", "count": 3}\n'
                                                                  '{"venue": " V1", "count": 4}\n'},
                  "c.jsonl: line 2: venue 'V1' is listed twice (first at line 1)", "c.jsonl", None, 2, "venue",
