@@ -87,7 +87,7 @@ def solve_pipeline(
     gamma = steady_state(chain)
     nu = venue_scores(gamma, chain)
     residual = group_consistency_check(gamma, nu, chain)
-    if residual > TOL:
+    if not residual <= TOL:  # a NaN too
         raise InternalError(f"group/venue fixed point violated: residual {residual:.3e} exceeds {TOL}")
 
     group_scores = np.zeros(counts.num_groups)

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import logging
+import math
 import numbers
 import os
 from array import array
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import _np as np
-from .errors import DatasetError, InternalError, ParseError, PScoreError, ValidationError, _LocatedError
+from .errors import DatasetError, InternalError, ParameterError, ParseError, PScoreError, ValidationError, _LocatedError
 
 log = logging.getLogger(__name__)
 
@@ -77,7 +78,9 @@ class CountsTable:
     publications. ``dropped_foreign`` and ``dedup_merged`` count the
     records :func:`ingest` dropped as outside the reference set and merged
     as duplicates; a table from :meth:`restrict` or built directly reads 0
-    in both.
+    in both. Cell indices and counts must be integers, not ``bool``, of
+    at most 2**53, and so must the marginals; else a ValidationError whose
+    ``field`` names the array.
     """
 
     group: np.ndarray
@@ -93,7 +96,7 @@ class CountsTable:
 
     def __post_init__(self):
         for name in ("group", "venue", "n_group_venue", "d_venue"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+            object.__setattr__(self, name, _integers(getattr(self, name), name))
         object.__setattr__(self, "group_names", tuple(self.group_names))
         object.__setattr__(self, "venue_names", tuple(self.venue_names))
         t, v, cells = self.num_groups, self.num_venues, self.n_group_venue.shape
@@ -105,6 +108,9 @@ class CountsTable:
             raise InternalError("counts table cells are not sorted group-major without repeats")
         for name, axis, size in (("n_group", self.group, t), ("n_venue", self.venue, v)):
             total = np.bincount(axis, weights=self.n_group_venue, minlength=size)
+            for k in np.flatnonzero(total >= MAX_COUNT).tolist():  # a float sum is exact only below 2**53
+                if sum(self.n_group_venue[axis == k].tolist()) > MAX_COUNT:
+                    raise ValidationError(f"n_group_venue sums past 2**53 at {name[2:]} {k}", field="n_group_venue")
             object.__setattr__(self, name, total.astype(np.int64))
         for values, what in ((self.n_group_venue, "cell with no publications"),
                              (self.n_venue, "venue with zero publications"),
@@ -127,9 +133,13 @@ class CountsTable:
         Venues that lose all their publications under the restriction are
         dropped, so the sub-table satisfies the same positivity invariants
         as a full one. Returns the sub-table and the indices, in this
-        table, of the venues it keeps.
+        table, of the venues it keeps. An index outside the group axis is a
+        ParameterError.
         """
-        rows = np.array(sorted(set(group_indices)), dtype=np.int64)
+        rows = _integers(sorted(set(group_indices)), "group_indices")
+        if rows.size and not 0 <= rows[0] <= rows[-1] < self.num_groups:
+            raise ParameterError(f"group index {rows[0] if rows[0] < 0 else rows[-1]} is outside "
+                                 f"the table's {self.num_groups} groups")
         kept = np.flatnonzero(np.isin(self.group, rows))  # still group-major
         keep = np.unique(self.venue[kept])
         # a cell's new index on either axis is its rank among the kept ones
@@ -137,6 +147,18 @@ class CountsTable:
                           self.n_group_venue[kept], self.d_venue[keep],
                           [self.group_names[w] for w in rows], [self.venue_names[j] for j in keep])
         return sub, keep
+
+
+def _integers(values: object, name: str) -> np.ndarray:
+    """``values`` as an int64 array if each is an integer, not a ``bool``, of at most 2**53; else a ValidationError."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":  # any other kind may still hold Python ints, as an object array does
+        for x in values.ravel().tolist():
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise ValidationError(f"{name} must hold integers, got {x!r}", field=name)
+    if values.size and values.max() > MAX_COUNT:
+        raise ValidationError(f"{name} must not exceed 2**53, got {values.max()}", field=name)
+    return np.asarray(values, dtype=np.int64)
 
 
 @contextmanager
@@ -261,6 +283,24 @@ def check_count(value: object, low: int, line: int | None = None, what: str = "'
     if not low <= value <= MAX_COUNT:
         raise ValidationError(f"{what} must lie in [{low}, 2**53], got {value}", line=line, field="count")
     return int(value)
+
+
+def check_score(value: object, line: int | None = None) -> float:
+    """The score rule: ``value`` as a float if ``float()`` reads it as finite and nonnegative, else a ValidationError.
+
+    ``bool`` is not a score; an integer beyond the float range reads as inf.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError("true and false are not scores")
+        score = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"raw_score is not a number: {value!r}", line, "raw_score") from None
+    except OverflowError:
+        score = math.inf
+    if not math.isfinite(score) or score < 0:
+        raise ValidationError(f"raw_score must be finite and nonnegative, got {value!r}", line, "raw_score")
+    return score
 
 
 def _optional_text(value: object, name: str, line: int | None) -> str | None:
@@ -481,12 +521,7 @@ def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
 
 
 class _Credits:
-    """The counts :func:`load_author_pubs` reads from one range: author -> venue -> count.
-
-    Pickled, as a worker sends them, they are ``sent``, flat: the authors
-    and venues in first-seen order and an (author, venue, count) triple per
-    count. An unpickled one holds only that, for :meth:`merge`.
-    """
+    """The counts :func:`load_author_pubs` reads from one range: author -> venue -> count."""
 
     def __init__(self):
         self.pubs: dict[str, dict[str, int]] = {}
@@ -534,25 +569,16 @@ class _Credits:
                 raise ParseError("expected author/venue/count or authors/venue keys", line=lineno)
         return self
 
-    def __getstate__(self) -> dict:
-        venues = {venue: j for j, venue in enumerate(self.venues.values())}
-        triples = array("q")
-        for a, per_author in enumerate(self.pubs.values()):
-            for venue, count in per_author.items():
-                triples.extend((a, venues[venue], count))
-        return {"sent": (list(self.pubs), list(venues), triples)}
-
     def merge(self, later: "_Credits") -> bool:
         """Add the counts of the range that follows; False if a total passes 2**53, at a line a serial read knows."""
-        authors, venues, triples = later.sent
-        venues = [self.venues.setdefault(fold(v), v) for v in venues]
-        rows = [self.pubs.setdefault(self.authors.setdefault(fold(a), a), {}) for a in authors]
-        it = iter(triples)
-        for a, v, count in zip(it, it, it):
-            per_author, venue = rows[a], venues[v]
-            total = per_author[venue] = per_author.get(venue, 0) + count
-            if total > MAX_COUNT:
-                return False
+        venue_of = {v: self.venues.setdefault(key, v) for key, v in later.venues.items()}  # its spelling -> ours
+        for author, counts in later.pubs.items():
+            per_author = self.pubs.setdefault(self.authors.setdefault(fold(author), author), {})
+            for venue, count in counts.items():
+                venue = venue_of[venue]
+                total = per_author[venue] = per_author.get(venue, 0) + count
+                if total > MAX_COUNT:
+                    return False
         return True
 
 
@@ -629,7 +655,10 @@ class _Tally:
             raise DatasetError("reference group list is empty")
         self.groups = tuple(groups)
         self._group_index = {key: row for row, key in enumerate(seen)}
-        self._years = None if years in (None, (None, None)) else years
+        if not (years is None or isinstance(years, (tuple, list)) and len(years) == 2 and all(
+                y is None or isinstance(y, numbers.Integral) and not isinstance(y, bool) for y in years)):
+            raise ParameterError(f"years must be a (start, end) pair of integers or None, got {years!r}")
+        self._years = None if years is None or tuple(years) == (None, None) else tuple(years)
 
         self._group_of: dict[str, int] = {}   # raw group -> row, -1 outside the reference set
         self._venue_of: dict[str, int] = {}   # raw venue -> spelling id
@@ -790,8 +819,9 @@ def ingest(
 
     Equivalent to :func:`parse_records`, keeping the records dated inside
     ``years``, then :func:`build_dataset`, with the same errors, but holds
-    no record objects. ``years`` is an inclusive (start, end) window where
-    either bound may be ``None``; undated records fall outside any window
+    no record objects. ``years`` is an inclusive (start, end) window of
+    integers where either bound may be ``None``, else a
+    :class:`ParameterError`; undated records fall outside any window
     and are counted in a warning. A large JSONL file is read on every
     usable CPU, in line-aligned ranges whose tallies are merged in file
     order; CSV is read in one range, as a quoted field may span lines.

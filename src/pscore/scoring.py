@@ -22,8 +22,8 @@ from typing import IO, NamedTuple
 from . import _np as np
 from .chain import TOL, ReputationChain
 from .errors import DegenerateInputError, InternalError, ValidationError
-from .records import (MAX_COUNT, check_count, csv_rows, fold, json_loads, listed_name, locating, required_name,
-                      text_stream)
+from .records import (MAX_COUNT, check_count, check_score, csv_rows, fold, json_loads, listed_name, locating,
+                      required_name, text_stream)
 from .solver import StationaryDistribution
 
 log = logging.getLogger(__name__)
@@ -33,25 +33,26 @@ PRINTED_DECIMALS = 6
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """Raw venue scores: duplicate-free names, and finite nonnegative
-    scores, a tuple of floats, that sum to 1 within :data:`~pscore.chain.TOL`."""
+    """Raw venue scores under a venue-score file's rules: names, normalized, by :func:`~pscore.records.listed_name`,
+    and scores, a tuple of floats, by :func:`~pscore.records.check_score`, that sum to 1 within
+    :data:`~pscore.chain.TOL`. A broken rule is a :class:`ValidationError` with the ``entry`` it is at."""
 
     names: tuple[str, ...]
     scores: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "scores", tuple(map(float, self.scores)))
-        if len(self.names) != len(self.scores):
-            raise InternalError("score vector names and scores differ in length")
-        if len({fold(n) for n in self.names}) != len(self.names):
-            raise InternalError("score vector names are not duplicate-free")
-        if not all(map(math.isfinite, self.scores)):
-            raise InternalError("non-finite score")
-        if any(s < 0 for s in self.scores):
-            raise InternalError("negative score")
-        if abs(math.fsum(self.scores) - 1.0) > TOL:
-            raise InternalError("raw venue scores do not sum to 1")
+        names, scores, seen = list(self.names), list(self.scores), {}
+        if len(names) != len(scores):
+            raise ValidationError(f"score vector names and scores differ in length ({len(names)} and {len(scores)})")
+        for i, (name, score) in enumerate(zip(names, scores)):
+            with locating(entry=i):
+                scores[i] = check_score(score)
+                names[i] = listed_name(name, "venue", seen, f"entry {i}")
+        total = math.fsum(scores)
+        if abs(total - 1.0) > TOL:
+            raise ValidationError(f"raw venue scores sum to {total!r}, not 1 (tolerance {TOL})")
+        object.__setattr__(self, "names", tuple(names))
+        object.__setattr__(self, "scores", tuple(scores))
 
 
 class RankEntry(NamedTuple):
@@ -78,9 +79,20 @@ def make_ranking(names: Sequence[str], scores: Sequence[float]) -> Ranking:
     Order and ties follow the score as printed, to 6 decimals: ``round``
     rounds correctly, as ``format(x, ".6f")`` does, so two scores share a
     rank exactly when their printed forms are equal. Entries keep the
-    unrounded score.
+    unrounded score. Each name needs a score that ``float()`` reads as
+    finite, else a :class:`ValidationError`, whose ``entry`` is that of
+    a score that is not finite.
     """
-    values = [float(s) for s in scores]
+    if len(names) != len(scores):
+        raise ValidationError(f"{len(names)} names to rank but {len(scores)} scores")
+    try:
+        values = [float(s) for s in scores]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"a score to rank is not a number ({exc})", field="score") from None
+    if not all(map(math.isfinite, values)):
+        i = next(i for i, v in enumerate(values) if not math.isfinite(v))
+        with locating(entry=i):
+            raise ValidationError(f"score must be finite, got {values[i]!r}", field="score")
     # negated printed scores for the sort keys and the tie test, unboxed
     printed = array("d", [-round(v, PRINTED_DECIMALS) for v in values])
     order = sorted(range(len(names)), key=lambda i: (printed[i], fold(names[i]), names[i]))
@@ -217,8 +229,8 @@ def load_venue_scores(stream: IO[bytes] | IO[str]) -> ScoreVector:
     of ``{venue, raw_score}`` objects. Any other file is TSV with a header
     naming ``venue`` and ``raw_score``: tab-separated, with no quoting,
     ``#`` lines skipped above the header and blank lines anywhere. A
-    ``raw_score`` must be a finite nonnegative number, and a venue follows
-    the name rule and the repeat rule of :func:`pscore.records.listed_name`.
+    ``raw_score`` follows the score rule of :func:`pscore.records.check_score`,
+    and a venue the name and repeat rules of :func:`pscore.records.listed_name`.
     Every error carries the TSV ``line`` or the JSON ``entry`` it comes
     from, and its ``field``.
     """
@@ -242,19 +254,6 @@ def load_venue_scores(stream: IO[bytes] | IO[str]) -> ScoreVector:
         with locating(entry=entry):
             if entry is not None and not (isinstance(row, dict) and "venue" in row and "raw_score" in row):
                 raise ValidationError("expected an object with venue and raw_score")
-            raw = row.get("raw_score")
-            try:
-                if isinstance(raw, bool):
-                    raise TypeError("JSON true and false are not scores")
-                score = float(raw)
-            except (TypeError, ValueError):
-                raise ValidationError(f"raw_score is not a number: {raw!r}", line, "raw_score") from None
-            except OverflowError:  # an integer beyond the float range
-                score = math.inf
-            if not math.isfinite(score) or score < 0:
-                raise ValidationError(f"raw_score must be finite and nonnegative, got {raw!r}", line, "raw_score")
+            score = check_score(row.get("raw_score"), line)
             scores[listed_name(row.get("venue"), "venue", seen, where, line)] = score
-    total = math.fsum(scores.values())
-    if abs(total - 1.0) > TOL:
-        raise ValidationError(f"raw venue scores sum to {total!r}, not 1 (tolerance {TOL})")
-    return ScoreVector(tuple(scores), tuple(scores.values()))
+    return ScoreVector(tuple(scores), tuple(scores.values()))  # which checks the sum

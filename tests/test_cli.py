@@ -141,6 +141,32 @@ class TestGroupsCommand:
         assert lines[-1] == "1\tGB\t0.500000"
 
 
+def report_rows(text, format):
+    """(rank, name, score to 6 decimals) per row of a ranking report, TSV or JSON."""
+    if format == "json":
+        return [[str(e["rank"]), e["name"], f"{e['score']:.6f}"] for e in json.loads(text)]
+    return [line.split("\t") for line in text.splitlines() if not line.startswith("#")][1:]
+
+
+@pytest.mark.parametrize("command", ["groups", "authors"])
+def test_json_ranking_holds_the_tsv_rows(tmp_path, capsys, command):
+    if command == "authors":
+        scores = tmp_path / "venues.tsv"
+        assert main(["venues", *GOLDEN_ARGS, "-o", str(scores)]) == 0
+        argv = ["authors", "--venue-scores", str(scores), "--author-pubs", str(DATA_DIR / "golden_author_pubs.jsonl")]
+    else:
+        argv = ["groups", *GOLDEN_ARGS]
+    rows = {}
+    for format in ("tsv", "json"):
+        capsys.readouterr()
+        assert main([*argv, "--format", format]) == 0
+        rows[format] = report_rows(capsys.readouterr().out, format)
+    assert rows["json"] == rows["tsv"]
+    assert len(rows["tsv"]) == 2 and rows["tsv"][0][0] == "1"
+    if command == "authors":
+        assert rows["tsv"] == [["1", "Bob", "1.000000"], ["2", "Alice", f"{891 / 1051:.6f}"]]
+
+
 class TestAuthorsCommand:
     def test_end_to_end(self, tmp_path):
         scores = tmp_path / "venues.tsv"

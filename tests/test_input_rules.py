@@ -4,7 +4,9 @@
 in [low, 2**53]. ``records.required_name`` says what a name is: a string
 that is not blank. ``records.author_names`` says what an author list is: a
 list of strings with at least one name that is not blank.
-``records.listed_name`` adds the repeat rule to the name rule: a name
+``records.check_score`` says what a venue score is: a value ``float()``
+reads, not a ``bool``, that is finite and nonnegative; a venue-score file
+and a library ``ScoreVector`` both go through it. ``records.listed_name`` adds the repeat rule to the name rule: a name
 list may not name one thing twice, in any case or spacing. Every entry
 point that reads one of them, from a file or from a library caller's
 mapping, goes through the rule, so each gives the same messages, with the
@@ -20,10 +22,11 @@ import pickle
 import numpy as np
 import pytest
 
-from pscore import ParseError, PublicationRecord, ScoreVector, ValidationError, aggregate
-from pscore import build_dataset, ingest, parse_author_counts, parse_records, rank_authors
+from pscore import CountsTable, DatasetError, ParameterError, ParseError, PublicationRecord, ScoreVector
+from pscore import ValidationError, aggregate, build_dataset, ingest, make_ranking, parse_author_counts
+from pscore import parse_records, rank_authors
 from pscore.cli import _file_context, build_parser
-from pscore.records import MAX_COUNT, load_author_pubs, locating
+from pscore.records import MAX_COUNT, check_score, load_author_pubs, locating
 from pscore.scoring import load_venue_scores
 
 TABLE = build_dataset([PublicationRecord(group="G1", authors=("A",), venue="v1")], ["G1"])
@@ -348,3 +351,171 @@ def test_every_name_list_follows_the_name_and_repeat_rules(tmp_path, monkeypatch
     assert (str(exc.value), exc.value.file, exc.value.entry, exc.value.line, exc.value.field) == (
         text, file, entry, line, field)
     assert "r.jsonl" not in str(exc.value)  # a group list error is never the records file's
+
+
+# ---------------------------------------------------------------------------
+# the score rule, in a venue-score file and in a library score vector
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x", "raw_score is not a number: 'x'"),
+    (None, "raw_score is not a number: None"),
+    (True, "raw_score is not a number: True"),
+    ("-1", "raw_score must be finite and nonnegative, got '-1'"),
+    ("nan", "raw_score must be finite and nonnegative, got 'nan'"),
+    (float("inf"), "raw_score must be finite and nonnegative, got inf"),
+    (2**1024, f"raw_score must be finite and nonnegative, got {2**1024}"),
+], ids=["text", "null", "bool", "negative", "nan", "inf", "int-overflow"])
+def test_score_rule(value, message):
+    with pytest.raises(ValidationError) as exc:
+        check_score(value, 7)
+    assert (str(exc.value), exc.value.line, exc.value.field) == (f"line 7: {message}", 7, "raw_score")
+
+
+def test_score_rule_reads_what_float_reads():
+    assert [check_score(v) for v in (0, "0.25", " 1e-3 ", np.float64(0.5), 2**53)] == [0.0, 0.25, 1e-3, 0.5, 2.0**53]
+
+
+@pytest.mark.parametrize("names, scores, text, entry, field", [
+    (("v1", "V1"), (0.5, 0.5), "entry 1: venue 'V1' is listed twice (first at entry 0)", 1, "venue"),
+    (("v1",), (float("nan"),), "entry 0: raw_score must be finite and nonnegative, got nan", 0, "raw_score"),
+    (("a",), ("x",), "entry 0: raw_score is not a number: 'x'", 0, "raw_score"),
+    (("a", "b"), (0.5, True), "entry 1: raw_score is not a number: True", 1, "raw_score"),
+    (("a", " "), (0.5, 0.5), "entry 1: field 'venue' is empty", 1, "venue"),
+    (("a", 5), (0.5, 0.5), "entry 1: field 'venue' must be a string", 1, "venue"),
+], ids=["repeat", "nan", "text", "bool", "blank-name", "non-string-name"])
+def test_score_vector_follows_the_venue_score_rules(names, scores, text, entry, field):
+    with pytest.raises(ValidationError) as exc:
+        ScoreVector(names, scores)
+    assert (str(exc.value), exc.value.entry, exc.value.line, exc.value.field) == (text, entry, None, field)
+
+
+def test_score_vector_holds_normalized_names_and_floats():
+    nu = ScoreVector((" v  1 ", "v2"), ("0.25", np.float64(0.75)))
+    assert (nu.names, nu.scores) == (("v 1", "v2"), (0.25, 0.75))
+    assert [type(s) for s in nu.scores] == [float, float]
+
+
+# ---------------------------------------------------------------------------
+# the record fields that only parse_records and ingest read
+
+
+RECORD_READERS = {
+    "parse_records": lambda text: parse_records(io.StringIO(text), "jsonl"),
+    "ingest": lambda text: ingest(io.StringIO(text), "jsonl", ["G"], years=(None, 2030)),
+}
+
+
+@pytest.mark.parametrize("reader", RECORD_READERS)
+@pytest.mark.parametrize("fields, text, field", [
+    ({"title": 5}, "field 'title' must be a string", "title"),
+    ({"year": True}, "field 'year' must be an integer", "year"),
+    ({"year": "20x"}, "field 'year' must be an integer, got '20x'", "year"),
+    ({"id": 1.5}, "field 'id' must be a string", "id"),
+    ({"id": False}, "field 'id' must be a string", "id"),
+], ids=["title", "bool-year", "text-year", "float-id", "bool-id"])
+def test_record_field_rules(reader, fields, text, field):
+    lines = json.dumps(author_line(["A"])) + "\n" + json.dumps({**author_line(["A"]), **fields}) + "\n"
+    with pytest.raises(ValidationError) as exc:
+        RECORD_READERS[reader](lines)
+    assert (str(exc.value), exc.value.line, exc.value.field) == (f"line 2: {text}", 2, field)
+
+
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda: ingest(jsonl(author_line(["A"])), "jsonl", []), id="ingest"),
+    pytest.param(lambda: build_dataset([PublicationRecord(group="G", authors=("A",), venue="v1")], []),
+                 id="build_dataset"),
+])
+def test_empty_reference_group_list(read):
+    with pytest.raises(DatasetError) as exc:
+        read()
+    assert (type(exc.value), str(exc.value)) == (DatasetError, "reference group list is empty")
+
+
+def test_unknown_author_count_format():
+    with pytest.raises(ValidationError) as exc:
+        parse_author_counts(io.StringIO("venue\tcount\nv1\t3\n"), "tsv")
+    assert (str(exc.value), exc.value.line, exc.value.field) == (
+        "unknown author-count format 'tsv'; expected 'jsonl' or 'csv'", None, None)
+
+
+# ---------------------------------------------------------------------------
+# library arguments: a counts table, a ranking, a year window, a group subset
+
+
+CELLS = {"group": [0], "venue": [0], "n_group_venue": [1], "d_venue": [1]}
+
+
+@pytest.mark.parametrize("field, values, text", [
+    ("n_group_venue", [1.5], "n_group_venue must hold integers, got 1.5"),
+    ("d_venue", [2.7], "d_venue must hold integers, got 2.7"),
+    ("n_group_venue", ["3"], "n_group_venue must hold integers, got '3'"),
+    ("n_group_venue", [True], "n_group_venue must hold integers, got True"),
+    ("group", np.array([0.0]), "group must hold integers, got 0.0"),
+    ("venue", [False], "venue must hold integers, got False"),
+    ("d_venue", [MAX_COUNT + 1], f"d_venue must not exceed 2**53, got {MAX_COUNT + 1}"),
+    ("n_group_venue", np.array([2**63], dtype=np.uint64), f"n_group_venue must not exceed 2**53, got {2**63}"),
+    ("n_group_venue", [2**70], f"n_group_venue must not exceed 2**53, got {2**70}"),
+], ids=["float-count", "float-d-venue", "text-count", "bool-count", "float-group", "bool-venue",
+        "d-venue-past-2**53", "uint64-past-int64", "object-past-int64"])
+def test_counts_table_refuses_counts_that_are_not_integers(field, values, text):
+    with pytest.raises(ValidationError) as exc:
+        CountsTable(**{**CELLS, field: values}, group_names=["g"], venue_names=["v"])
+    assert (str(exc.value), exc.value.line, exc.value.field) == (text, None, field)
+
+
+@pytest.mark.filterwarnings("error")  # no numpy cast warning on the way
+@pytest.mark.parametrize("cells, text", [
+    ([2**62, 2**62], f"n_group_venue must not exceed 2**53, got {2**62}"),
+    ([2**52, 2**52 + 1], "n_group_venue sums past 2**53 at venue 0"),
+], ids=["cells-past-2**53", "venue-sum-past-2**53"])
+def test_counts_table_refuses_a_marginal_past_2_53(cells, text):
+    with pytest.raises(ValidationError) as exc:
+        CountsTable([0, 1], [0, 0], cells, [1], ["g", "h"], ["v"])
+    assert (str(exc.value), exc.value.field) == (text, "n_group_venue")
+    table = CountsTable([0, 1], [0, 0], [2**52, 2**52], [1], ["g", "h"], ["v"])
+    assert table.n_venue.tolist() == [MAX_COUNT]
+
+
+@pytest.mark.parametrize("names, scores, text, entry, field", [
+    (["a", "b"], [1.0], "2 names to rank but 1 scores", None, None),
+    (["a"], ["x"], "a score to rank is not a number (could not convert string to float: 'x')", None, "score"),
+    (["a", "b"], [float("nan"), 1.0], "entry 0: score must be finite, got nan", 0, "score"),
+    (["a", "b"], [1.0, float("-inf")], "entry 1: score must be finite, got -inf", 1, "score"),
+], ids=["length", "text", "nan", "inf"])
+def test_make_ranking_refuses_scores_it_cannot_rank(names, scores, text, entry, field):
+    with pytest.raises(ValidationError) as exc:
+        make_ranking(names, scores)
+    assert (str(exc.value), exc.value.entry, exc.value.field) == (text, entry, field)
+
+
+@pytest.mark.parametrize("years", [(2010,), ("a", None), (None, True), 2010, (2010, 2012, 2014)])
+def test_year_window_must_be_a_pair_of_integers(years):
+    with pytest.raises(ParameterError) as exc:
+        ingest(jsonl({**author_line(["A"]), "year": 2011}), "jsonl", ["G"], years=years)
+    assert str(exc.value) == f"years must be a (start, end) pair of integers or None, got {years!r}"
+
+
+@pytest.mark.parametrize("years, kept", [(None, 1), ((None, None), 1), ([2010, None], 1), ((2012, 2014), 0)])
+def test_year_window_as_a_pair(years, kept):
+    lines = jsonl({**author_line(["A"]), "year": 2011}, {**author_line(["B"]), "group": "H"})
+    if kept:
+        assert ingest(lines, "jsonl", ["G"], years=years).n_group.tolist() == [kept]
+    else:
+        with pytest.raises(DatasetError):
+            ingest(lines, "jsonl", ["G"], years=years)
+
+
+@pytest.mark.parametrize("indices, text", [
+    ([5], "group index 5 is outside the table's 2 groups"),
+    ([0, -1], "group index -1 is outside the table's 2 groups"),
+])
+def test_restrict_refuses_a_group_outside_the_table(indices, text):
+    table = CountsTable([0, 1], [0, 0], [1, 2], [1], ["g", "h"], ["v"])
+    with pytest.raises(ParameterError) as exc:
+        table.restrict(indices)
+    assert str(exc.value) == text
+    with pytest.raises(ValidationError) as exc:
+        table.restrict([0.5])
+    assert (str(exc.value), exc.value.field) == ("group_indices must hold integers, got 0.5", "group_indices")
+    assert table.restrict([1])[0].group_names == ("h",)

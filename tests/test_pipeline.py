@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from pscore import CountsTable, DisconnectedChainError, aggregate, build_alpha, ingest, solve_pipeline
+from pscore import (CountsTable, DisconnectedChainError, InternalError, StationaryDistribution, aggregate,
+                    build_alpha, ingest, pipeline, solve_pipeline)
 from pscore.cli import main
 
 from conftest import DATA_DIR, table_from_matrix
@@ -32,6 +33,14 @@ def test_largest_component_indexes_the_solved_axes():
     assert build_alpha(result.chain.counts).shape == (1, 1)
     assert_array_equal(result.group_scores, [1.0, 0.0])
     assert_array_equal(result.nu_raw.scores, [1.0, 0.0])
+
+
+def test_nan_from_the_solver_is_an_internal_error(monkeypatch):
+    """A NaN fails the fixed-point check as a bug; it never reaches ScoreVector, where it would read as bad input."""
+    nan = StationaryDistribution(gamma=np.full(2, np.nan), residual=np.nan, method="chebyshev")
+    monkeypatch.setattr(pipeline, "steady_state", lambda chain: nan)
+    with pytest.raises(InternalError, match=r"^group/venue fixed point violated: residual nan exceeds 1e-10$"):
+        solve_pipeline(DISJOINT, 0.5)
 
 
 def test_connected_solve_keeps_every_axis():

@@ -277,29 +277,38 @@ class TestRankingFormats:
 
 
 class TestScoreVectorInvariants:
+    """A score vector is held to the venue-score file's rules; a broken one is a ValidationError at its entry."""
+
+    @staticmethod
+    def refused(names, scores):
+        with pytest.raises(ValidationError) as exc:
+            ScoreVector(names, scores)
+        return str(exc.value), exc.value.entry, exc.value.field
+
     def test_length_mismatch(self):
-        with pytest.raises(InternalError, match="differ in length"):
-            ScoreVector(("a",), np.array([0.5, 0.5]))
+        assert self.refused(("a",), np.array([0.5, 0.5])) == (
+            "score vector names and scores differ in length (1 and 2)", None, None)
 
     def test_duplicate_names(self):
-        with pytest.raises(InternalError, match="duplicate-free"):
-            ScoreVector(("a", "A"), np.array([0.5, 0.5]))
+        assert self.refused(("a", "A"), np.array([0.5, 0.5])) == (
+            "entry 1: venue 'A' is listed twice (first at entry 0)", 1, "venue")
 
     def test_negative_scores(self):
-        with pytest.raises(InternalError, match="negative"):
-            ScoreVector(("a", "b"), np.array([-0.1, 1.1]))
+        scores = np.array([-0.1, 1.1])
+        assert self.refused(("a", "b"), scores) == (
+            f"entry 0: raw_score must be finite and nonnegative, got {scores[0]!r}", 0, "raw_score")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_scores(self, bad):
-        with pytest.raises(InternalError, match="non-finite"):
-            ScoreVector(("a", "b"), np.array([bad, 1.0]))
+        scores = np.array([bad, 1.0])
+        refused = (f"entry 0: raw_score must be finite and nonnegative, got {scores[0]!r}", 0, "raw_score")
+        assert self.refused(("a", "b"), scores) == refused
         # abs(nan - 1) > tol is False, so the sum check alone would let nan through
-        with pytest.raises(InternalError, match="non-finite"):
-            ScoreVector(("v1",), np.array([bad]))
+        assert self.refused(("v1",), np.array([bad])) == refused
 
     def test_raw_venue_vector_must_sum_to_one(self):
-        with pytest.raises(InternalError, match="do not sum to 1"):
-            ScoreVector(("v1", "v2"), np.array([0.7, 0.7]))
+        assert self.refused(("v1", "v2"), np.array([0.7, 0.7])) == (
+            "raw venue scores sum to 1.4, not 1 (tolerance 1e-10)", None, None)
         assert ScoreVector(["v1", "v2"], [0.25, 0.75]).names == ("v1", "v2")
 
     def test_score_lookup_is_case_insensitive(self, golden_pipeline, caplog):
