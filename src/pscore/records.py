@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import _np as np
-from .errors import DatasetError, InternalError, ParameterError, ParseError, PScoreError, ValidationError, _LocatedError
+from .errors import DatasetError, ParameterError, ParseError, PScoreError, ValidationError, _LocatedError
 
 log = logging.getLogger(__name__)
 
@@ -78,9 +78,10 @@ class CountsTable:
     publications. ``dropped_foreign`` and ``dedup_merged`` count the
     records :func:`ingest` dropped as outside the reference set and merged
     as duplicates; a table from :meth:`restrict` or built directly reads 0
-    in both. Cell indices and counts must be integers, not ``bool``, of
-    at most 2**53, and so must the marginals; else a ValidationError whose
-    ``field`` names the array.
+    in both. Indices and counts are integers, not ``bool``, of at most
+    2**53, as are the marginals, and the cells keep the layout above. A
+    broken rule is a ValidationError whose ``field`` names the array; a
+    group with no cell is a DatasetError.
     """
 
     group: np.ndarray
@@ -95,29 +96,33 @@ class CountsTable:
     n_venue: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("group", "venue", "n_group_venue", "d_venue"):
-            object.__setattr__(self, name, _integers(getattr(self, name), name))
         object.__setattr__(self, "group_names", tuple(self.group_names))
         object.__setattr__(self, "venue_names", tuple(self.venue_names))
-        t, v, cells = self.num_groups, self.num_venues, self.n_group_venue.shape
-        if len(cells) != 1 or not self.group.shape == self.venue.shape == cells or self.d_venue.shape != (v,):
-            raise InternalError("counts table cells and axes do not match the name lists")
-        if np.any((self.group < 0) | (self.group >= t) | (self.venue < 0) | (self.venue >= v)):
-            raise InternalError("counts table cell outside the group or venue axis")
+        t, v = self.num_groups, self.num_venues
+        for name in ("n_group_venue", "group", "venue", "d_venue"):  # the cells first: they fix the length
+            object.__setattr__(self, name, _integers(getattr(self, name), name))
+            if getattr(self, name).shape != ((v,) if name == "d_venue" else (self.n_group_venue.size,)):
+                raise ValidationError("counts table cells and axes do not match the name lists", field=name)
+        for name, size in (("group", t), ("venue", v)):
+            if np.any((getattr(self, name) < 0) | (getattr(self, name) >= size)):
+                raise ValidationError("counts table cell outside the group or venue axis", field=name)
         if np.any(np.diff(self.group * v + self.venue) <= 0):
-            raise InternalError("counts table cells are not sorted group-major without repeats")
+            raise ValidationError("counts table cells are not sorted group-major without repeats",
+                                  field="group" if np.any(np.diff(self.group) < 0) else "venue")
         for name, axis, size in (("n_group", self.group, t), ("n_venue", self.venue, v)):
             total = np.bincount(axis, weights=self.n_group_venue, minlength=size)
             for k in np.flatnonzero(total >= MAX_COUNT).tolist():  # a float sum is exact only below 2**53
                 if sum(self.n_group_venue[axis == k].tolist()) > MAX_COUNT:
                     raise ValidationError(f"n_group_venue sums past 2**53 at {name[2:]} {k}", field="n_group_venue")
             object.__setattr__(self, name, total.astype(np.int64))
-        for values, what in ((self.n_group_venue, "cell with no publications"),
-                             (self.n_venue, "venue with zero publications"),
-                             (self.n_group, "group with zero publications"),
-                             (self.d_venue, "venue with zero distinct authors")):
+        for values, what, name in ((self.n_group_venue, "cell with no publications", "n_group_venue"),
+                                   (self.n_venue, "venue with zero publications", "venue"),
+                                   (self.d_venue, "venue with zero distinct authors", "d_venue")):
             if np.any(values < 1):
-                raise InternalError(f"{what} in the counts table")
+                raise ValidationError(f"{what} in the counts table", field=name)
+        if not self.n_group.all():  # every cell counts at least 1, so this group has none
+            silent = self.group_names[int(np.argmin(self.n_group))]
+            raise DatasetError(f"reference group {silent!r} has no publications in the dataset")
 
     @property
     def num_groups(self) -> int:
@@ -384,9 +389,9 @@ def _split_read(stream: IO[bytes] | IO[str], read: Callable[[IO[str]], object], 
 
     ``read(text)`` returns the counts of one range. Their ``merge(later)``
     adds, in place, those of the range that follows, or returns False when
-    the sum fails a check that a serial read makes at a line. When a fork,
-    a range or a merge fails, the stream is read again as one range, which
-    raises what a serial read raises. The stream is left at EOF.
+    the sum fails a check that a serial read makes at a line. When a pipe,
+    a fork, a range or a merge fails, the stream is read again as one range,
+    which raises what a serial read raises. The stream is left at EOF.
     """
     cuts = _cuts(stream) if split else []
     if len(cuts) > 2:
@@ -449,7 +454,7 @@ def _read_range(read: Callable[[IO[str]], object], fd: int, start: int, end: int
 
 
 def _read_forked(fd: int, cuts: list[int], read: Callable[[IO[str]], object]):
-    """The first range's counts, with each later range's merged in; None if a fork, range or merge fails.
+    """The first range's counts, with each later range's merged in; None if a pipe, fork, range or merge fails.
 
     A worker sends its counts back pickled, or nothing if it fails, and
     ends with ``os._exit``, so it never flushes this process's buffers or
@@ -462,10 +467,13 @@ def _read_forked(fd: int, cuts: list[int], read: Callable[[IO[str]], object]):
     running = {}  # pid -> pipe of each worker not yet reaped, in file order
     try:
         for start, end in zip(cuts[1:], cuts[2:]):
-            r, w = os.pipe()
+            try:
+                r, w = os.pipe()
+            except OSError:  # no file descriptors left for a pipe: the stream is read serially
+                return None
             try:
                 pid = os.fork()
-            except OSError:  # no room for another process: the stream is read serially
+            except OSError:  # no room for another process: likewise
                 os.close(r)
                 os.close(w)
                 return None
@@ -798,9 +806,6 @@ class _Tally:
         cells.sort()
         starts = np.flatnonzero(np.diff(cells, prepend=-1))
         cell, n_group_venue = cells[starts], np.diff(starts, append=len(cells))
-        for name, count in zip(self.groups, np.bincount(cell // v, minlength=t)):
-            if count == 0:
-                raise DatasetError(f"reference group {name!r} has no publications in the dataset")
         pairs.sort()
         d_venue = np.bincount(pairs[np.diff(pairs, prepend=-1) != 0] & 0xFFFFFFFF, minlength=v)
 

@@ -41,7 +41,10 @@ class ScoreVector:
     scores: tuple[float, ...]
 
     def __post_init__(self):
-        names, scores, seen = list(self.names), list(self.scores), {}
+        try:
+            names, scores, seen = list(self.names), list(self.scores), {}
+        except TypeError as exc:  # an argument that cannot be iterated
+            raise ValidationError(f"score vector names and scores must be iterable ({exc})") from None
         if len(names) != len(scores):
             raise ValidationError(f"score vector names and scores differ in length ({len(names)} and {len(scores)})")
         for i, (name, score) in enumerate(zip(names, scores)):
@@ -73,7 +76,7 @@ class Ranking:
     entries: tuple[RankEntry, ...]
 
 
-def make_ranking(names: Sequence[str], scores: Sequence[float]) -> Ranking:
+def make_ranking(names: Iterable[str], scores: Iterable[float]) -> Ranking:
     """Order names by descending score under the competition tie rule.
 
     Order and ties follow the score as printed, to 6 decimals: ``round``
@@ -81,8 +84,12 @@ def make_ranking(names: Sequence[str], scores: Sequence[float]) -> Ranking:
     rank exactly when their printed forms are equal. Entries keep the
     unrounded score. Each name needs a score that ``float()`` reads as
     finite, else a :class:`ValidationError`, whose ``entry`` is that of
-    a score that is not finite.
+    a score that is not finite. Each argument is read once, so either may be an iterator.
     """
+    try:
+        names, scores = list(names), list(scores)
+    except TypeError as exc:  # an argument that cannot be iterated
+        raise ValidationError(f"names and scores to rank must be iterable ({exc})") from None
     if len(names) != len(scores):
         raise ValidationError(f"{len(names)} names to rank but {len(scores)} scores")
     try:

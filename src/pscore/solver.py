@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from . import _np as np
-from .chain import ReputationChain, check_stochastic
+from .chain import TOL, ReputationChain
 from .errors import ChainError, DisconnectedChainError, ParameterError
 
 # 1-norm error bound on the Chebyshev iterate: ||gamma_k - gamma*||_1 <= EPS
@@ -66,7 +66,10 @@ def gth_steady_state(p_reduced) -> StationaryDistribution:
     original = np.asarray(p_reduced, dtype=np.float64)
     if original.ndim != 2 or original.shape[0] != original.shape[1]:
         raise ChainError(f"expected a square matrix, got shape {original.shape}")
-    check_stochastic(original, "transition matrix rows")
+    if np.any(original < 0):
+        raise ChainError("negative transition probability")
+    if not (drift := float(np.max(np.abs(original.sum(axis=1) - 1.0), initial=0.0))) <= TOL:  # a NaN too
+        raise ChainError(f"transition matrix rows drift from 1 by {drift:.3e}")
     p = original.copy()
     n = p.shape[0]
 

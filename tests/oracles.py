@@ -39,7 +39,6 @@ from pscore import (
     StationaryDistribution,
     ValidationError,
 )
-from pscore.chain import TOL
 from pscore.records import AUTHOR_SEP, CSV_COLUMNS
 
 log = logging.getLogger(__name__)
@@ -110,11 +109,6 @@ def dense_blocks(counts, d: float, breadth, dtype=np.float64) -> tuple[np.ndarra
     alpha = (n / n.sum(axis=0, keepdims=True)).T
     beta = dtype(d) * (n / n.sum(axis=1, keepdims=True)) + (dtype(1) - dtype(d)) * np.asarray(breadth, dtype)
     return alpha, beta
-
-
-def rejects_rows(*blocks, tol: float = TOL) -> bool:
-    """Whether some block has a negative entry or a row whose sum is not 1 within ``tol``."""
-    return any(np.any(b < 0) or np.max(np.abs(b.sum(axis=-1) - 1.0)) > tol for b in blocks)
 
 
 def components(counts) -> tuple[frozenset[int], ...]:

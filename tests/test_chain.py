@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pscore import (
-    ChainError,
     CountsTable,
     ParameterError,
     ReputationChain,
@@ -35,7 +34,7 @@ from conftest import (
     random_counts_table,
     table_from_matrix,
 )
-from oracles import components, dense_blocks, rejects_rows
+from oracles import components, dense_blocks
 
 
 def counts(matrix, d_venue):
@@ -81,10 +80,9 @@ class TestBuildBeta:
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
     def test_every_entry_point_checks_d(self, golden_counts, bad):
-        chain = build_chain(golden_counts, 0.5)
         calls = (
             lambda: build_chain(golden_counts, bad),
-            lambda: ReputationChain(counts=golden_counts, d=bad, breadth=chain.breadth),
+            lambda: ReputationChain(counts=golden_counts, d=bad),
             lambda: solve_pipeline(golden_counts, bad),
         )
         for call in calls:
@@ -132,28 +130,11 @@ class TestBuildReduced:
 
 
 class TestChainInvariants:
-    def test_row_sum_drift_raises(self):
-        with pytest.raises(ChainError, match="drift"):
-            ReputationChain(counts=DISJOINT, d=0.5, breadth=[0.6, 0.3])
-
-    def test_negative_entry_raises(self):
-        with pytest.raises(ChainError):
-            ReputationChain(counts=DISJOINT, d=0.5, breadth=[1.5, -0.5])
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ChainError):
-            ReputationChain(counts=DISJOINT, d=0.5, breadth=[1.0])
-
     def test_breadth_total_does_not_wrap(self):
         # 1,025 counts of 2**53 sum past 2**63; an int64 total wrapped negative
         table, uniform = counts([[1] * 1025], [2**53] * 1025), np.full(1025, 1 / 1025)
         assert_array_equal(build_chain(table, 0.5).breadth, uniform)
         assert_array_equal(build_beta(table, 0.0)[0], uniform)
-
-    def test_nan_share_raises(self):
-        # NaN compares false both ways, so "drift > TOL" let it through
-        with pytest.raises(ChainError, match="drift"):
-            ReputationChain(counts=DISJOINT, d=0.5, breadth=[float("nan"), 1.0])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
@@ -220,23 +201,27 @@ class TestSparseAgainstDense:
         expected = float(np.max(np.abs(g.astype(ld) - back)))
         assert abs(group_consistency_check(gamma, nu, chain) - expected) <= 1e-15 * g.max()
 
+    # one group whose 10**5 cells sum to just under 2**53, and one venue shared by 10**5 groups
+    WIDE = CountsTable(np.zeros(10**5, int), np.arange(10**5), np.full(10**5, 2**53 // 10**5 - 7),
+                       np.arange(1, 10**5 + 1), ["g"], [f"v{j}" for j in range(10**5)])
+    TALL = CountsTable(np.arange(10**5), np.zeros(10**5, int), np.arange(10**5) % 9 + 1, [3],
+                       [f"g{w}" for w in range(10**5)], ["v"])
+
     @settings(max_examples=200, deadline=None)
-    @given(count_tables(), D, st.sampled_from([0.0, 1e-13, -1e-13, 1e-6, -1e-6, None]))
-    def test_row_checks_reject_the_same_chains(self, table, d, drift):
-        breadth = table.d_venue / table.d_venue.sum()
-        if drift is None:  # a negative share; with two venues or more the sum stays 1
-            breadth[0] -= 2.0
-            breadth[1:] += 2.0 / max(len(breadth) - 1, 1)
-        else:
-            breadth *= 1.0 + drift
-        alpha, beta = dense_blocks(table, d, breadth)
-        try:
-            ReputationChain(counts=table, d=d, breadth=breadth)
-            rejected = False
-        except ChainError:
-            rejected = True
-        assert rejected == rejects_rows(alpha, beta, breadth)
-        assert rejected == (drift is None or abs(drift) > 1e-10)
+    @given(count_tables(), D, st.integers(0, 2**32 - 1))
+    @example(WIDE, 0.5, 1)
+    @example(TALL, 0.5, 2)
+    @example(WIDE, 1.0, 3)
+    @example(TALL, 0.0, 4)
+    def test_one_step_keeps_the_mass(self, table, d, seed):
+        # the property the chain's blocks hold by construction, so that they need no runtime row check:
+        # a step through beta and alpha keeps a group vector's total, and the breadth shares sum to 1
+        chain = build_chain(table, d)
+        rng = np.random.default_rng(seed)
+        g = rng.exponential(size=table.num_groups) * (rng.random(table.num_groups) < 0.8)
+        step = d * chain.to_groups(chain.to_venues(g)) + (1 - d) * g.sum() * chain.to_groups(chain.breadth)
+        assert abs(step.sum() - g.sum()) <= 1e-14 * g.sum()
+        assert abs(chain.breadth.sum() - 1.0) <= 1e-14
 
     @settings(max_examples=200, deadline=None)
     @given(count_tables())

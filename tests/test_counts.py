@@ -8,7 +8,6 @@ from numpy.testing import assert_array_equal
 
 from pscore import (
     CountsTable,
-    InternalError,
     ParseError,
     PublicationRecord,
     ValidationError,
@@ -122,21 +121,23 @@ class TestAggregate:
 
 class TestCountsTable:
     def test_zero_venue_rejected(self):
-        with pytest.raises(InternalError):
+        with pytest.raises(ValidationError, match="^venue with zero publications in the counts table$") as exc:
             table_from_matrix([[1, 0]], [1, 1], ("g",), ("a", "b"))
+        assert exc.value.field == "venue"
 
-    @pytest.mark.parametrize("group, venue, n, match", [
-        ([0, 0], [1, 0], [1, 1], "not sorted group-major"),
-        ([0, 0], [0, 0], [1, 1], "not sorted group-major"),
-        ([0, 1], [0, 1], [1, 1], "outside the group or venue axis"),
-        ([0, 0], [0, 2], [1, 1], "outside the group or venue axis"),
-        ([0, 0], [0, 1], [1, 0], "cell with no publications"),
-        ([0, 0], [0, 1], [1, -1], "cell with no publications"),
-        ([0], [0, 1], [1, 1], "cells and axes do not match"),
+    @pytest.mark.parametrize("group, venue, n, match, field", [
+        ([0, 0], [1, 0], [1, 1], "not sorted group-major", "venue"),
+        ([0, 0], [0, 0], [1, 1], "not sorted group-major", "venue"),
+        ([0, 1], [0, 1], [1, 1], "outside the group or venue axis", "group"),
+        ([0, 0], [0, 2], [1, 1], "outside the group or venue axis", "venue"),
+        ([0, 0], [0, 1], [1, 0], "cell with no publications", "n_group_venue"),
+        ([0, 0], [0, 1], [1, -1], "cell with no publications", "n_group_venue"),
+        ([0], [0, 1], [1, 1], "cells and axes do not match", "group"),
     ])
-    def test_malformed_cells_rejected(self, group, venue, n, match):
-        with pytest.raises(InternalError, match=match):
+    def test_malformed_cells_rejected(self, group, venue, n, match, field):
+        with pytest.raises(ValidationError, match=match) as exc:
             CountsTable(group, venue, n, [1, 1], ("g",), ("a", "b"))
+        assert exc.value.field == field
 
     def test_diagnostics_read_zero_unless_ingest_set_them(self):
         table = table_from_matrix([[2, 0, 1], [0, 3, 0]], [5, 6, 7])

@@ -390,6 +390,18 @@ def test_score_vector_follows_the_venue_score_rules(names, scores, text, entry, 
     assert (str(exc.value), exc.value.entry, exc.value.line, exc.value.field) == (text, entry, None, field)
 
 
+@pytest.mark.parametrize("names, scores", [(("a",), 1.0), (None, (1.0,))], ids=["float-scores", "no-names"])
+def test_score_vector_refuses_an_argument_that_cannot_be_iterated(names, scores):
+    with pytest.raises(ValidationError, match="^score vector names and scores must be iterable") as exc:
+        ScoreVector(names, scores)
+    assert (exc.value.entry, exc.value.field) == (None, None)
+
+
+def test_score_vector_reads_iterators():
+    nu = ScoreVector(iter(["v1", "v2"]), (s for s in (0.25, 0.75)))
+    assert (nu.names, nu.scores) == (("v1", "v2"), (0.25, 0.75))
+
+
 def test_score_vector_holds_normalized_names_and_floats():
     nu = ScoreVector((" v  1 ", "v2"), ("0.25", np.float64(0.75)))
     assert (nu.names, nu.scores) == (("v 1", "v2"), (0.25, 0.75))
@@ -477,6 +489,27 @@ def test_counts_table_refuses_a_marginal_past_2_53(cells, text):
     assert table.n_venue.tolist() == [MAX_COUNT]
 
 
+@pytest.mark.parametrize("cells, text, field", [
+    (([0, 1], [0, 0], [0, 1], [1]), "cell with no publications in the counts table", "n_group_venue"),
+    (([1, 0], [0, 0], [1, 1], [1]), "counts table cells are not sorted group-major without repeats", "group"),
+    (([0, 1], [0, 0], [1, 1], [0]), "venue with zero distinct authors in the counts table", "d_venue"),
+    (([0, 1], [0, 0], [1, 1], [1, 1]), "counts table cells and axes do not match the name lists", "d_venue"),
+    (([[0, 1]], [[0, 0]], [[1, 1]], [1]), "counts table cells and axes do not match the name lists",
+     "n_group_venue"),
+    (([0, 1], [0, 0], 5, [1]), "counts table cells and axes do not match the name lists", "n_group_venue"),
+], ids=["zero-cell", "groups-out-of-order", "venue-without-authors", "d-venue-too-long", "2-d-cells", "scalar-cells"])
+def test_counts_table_refuses_a_malformed_table(cells, text, field):
+    with pytest.raises(ValidationError) as exc:
+        CountsTable(*cells, ["g", "h"], ["v"])
+    assert (str(exc.value), exc.value.field) == (text, field)
+
+
+def test_counts_table_refuses_a_group_with_no_cell():
+    with pytest.raises(DatasetError) as exc:
+        CountsTable([0], [0], [1], [1], ["g", "h"], ["v"])
+    assert (type(exc.value), str(exc.value)) == (DatasetError, "reference group 'h' has no publications in the dataset")
+
+
 @pytest.mark.parametrize("names, scores, text, entry, field", [
     (["a", "b"], [1.0], "2 names to rank but 1 scores", None, None),
     (["a"], ["x"], "a score to rank is not a number (could not convert string to float: 'x')", None, "score"),
@@ -487,6 +520,18 @@ def test_make_ranking_refuses_scores_it_cannot_rank(names, scores, text, entry, 
     with pytest.raises(ValidationError) as exc:
         make_ranking(names, scores)
     assert (str(exc.value), exc.value.entry, exc.value.field) == (text, entry, field)
+
+
+@pytest.mark.parametrize("names, scores", [(["a"], 1.0), (5, [1.0])], ids=["float-scores", "int-names"])
+def test_make_ranking_refuses_an_argument_that_cannot_be_iterated(names, scores):
+    with pytest.raises(ValidationError, match="^names and scores to rank must be iterable") as exc:
+        make_ranking(names, scores)
+    assert (exc.value.entry, exc.value.field) == (None, None)
+
+
+def test_make_ranking_reads_generators():
+    ranking = make_ranking((n for n in ["a", "b"]), (s for s in [0.25, 0.75]))
+    assert [(e.rank, e.name, e.score) for e in ranking.entries] == [(1, "b", 0.75), (2, "a", 0.25)]
 
 
 @pytest.mark.parametrize("years", [(2010,), ("a", None), (None, True), 2010, (2010, 2012, 2014)])

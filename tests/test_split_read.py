@@ -8,6 +8,7 @@ the case depends on it.
 """
 
 import bisect
+import errno
 import io
 import json
 import os
@@ -207,4 +208,22 @@ def test_a_fork_that_fails_leaves_a_serial_read():
     with split_reads(), pytest.MonkeyPatch.context() as patch, binary_file(data) as fh:
         patch.setattr(os, "fork", no_fork)
         assert counts(fh) == counts(io.BytesIO(data)) and fh.tell() == len(data)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_a_pipe_that_cannot_be_made_leaves_a_serial_read():
+    pipe, calls = os.pipe, []
+
+    def second_pipe_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return pipe()
+
+    data = records_file(20)
+    fds = len(os.listdir("/proc/self/fd"))
+    with split_reads(3) as forked, pytest.MonkeyPatch.context() as patch, binary_file(data) as fh:
+        patch.setattr(os, "pipe", second_pipe_fails)
+        assert counts(fh) == counts(io.BytesIO(data)) and fh.tell() == len(data)
+    assert len(calls) == 2 and len(forked) == 1 and reaped(forked)
     assert len(os.listdir("/proc/self/fd")) == fds
