@@ -14,8 +14,6 @@ authors against a venue-score file runs without it.
 from .chain import (
     ConnectivityReport,
     ReputationChain,
-    build_alpha,
-    build_beta,
     build_chain,
     build_reduced,
     check_irreducible,
@@ -78,8 +76,6 @@ __all__ = [
     "ValidationError",
     "__version__",
     "aggregate",
-    "build_alpha",
-    "build_beta",
     "build_chain",
     "build_dataset",
     "build_reduced",

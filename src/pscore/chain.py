@@ -15,7 +15,7 @@ venue (publication volume) and the venue's share of all distinct authors
 
 Both blocks are row-stochastic by construction on a valid counts table, so no
 row is checked here; the pipeline holds the solve's fixed-point residual to
-:data:`TOL`. Only the debugging builders below form the blocks densely.
+:data:`TOL`.
 """
 
 from __future__ import annotations
@@ -88,41 +88,20 @@ def check_d(d: float) -> None:
         raise ParameterError(f"mixing parameter d must lie in [0, 1], got {d}")
 
 
-def _dense(counts: CountsTable) -> np.ndarray:
-    n = np.zeros((counts.num_groups, counts.num_venues), dtype=np.int64)
-    n[counts.group, counts.venue] = counts.n_group_venue
-    return n
-
-
-def build_alpha(counts: CountsTable) -> np.ndarray:
-    """Dense venue-to-group block: each venue splits its mass by paper share."""
-    return (_dense(counts) / counts.n_venue[np.newaxis, :]).T
-
-
-def build_beta(counts: CountsTable, d: float) -> np.ndarray:
-    """Dense group-to-venue block: volume and breadth mixed by ``d``.
-
-    At d = 1 the result is exactly the per-group publication fractions;
-    at d = 0 every row equals the breadth vector.
-    """
-    check_d(d)
-    volume = _dense(counts) / counts.n_group[:, np.newaxis]
-    breadth = counts.d_venue / counts.d_venue.sum(dtype=np.float64)
-    return d * volume + (1.0 - d) * breadth[np.newaxis, :]
-
-
 def build_chain(counts: CountsTable, d: float) -> ReputationChain:
     """The chain on one counts table at mixing parameter ``d``."""
     return ReputationChain(counts, float(d))
 
 
 def build_reduced(chain: ReputationChain) -> np.ndarray:
-    """The dense reduced chain P' = beta @ alpha, for debugging.
+    """The reduced chain P' = beta @ alpha as a T x T matrix, one group's step per row.
 
-    The product of two row-stochastic blocks is row-stochastic; its
-    stationary vector is the group reputation vector.
+    Row w is ``d * to_groups(to_venues(e_w)) + (1 - d) * to_groups(breadth)``;
+    no T x V block is formed. Its stationary vector is the group reputation vector.
     """
-    return build_beta(chain.counts, chain.d) @ build_alpha(chain.counts)
+    d, breadth = chain.d, chain.to_groups(chain.breadth)
+    return np.array([d * chain.to_groups(chain.to_venues(e)) + (1.0 - d) * breadth
+                     for e in np.eye(chain.counts.num_groups)])
 
 
 def check_irreducible(chain: ReputationChain) -> ConnectivityReport:
@@ -151,13 +130,3 @@ def check_irreducible(chain: ReputationChain) -> ConnectivityReport:
         label = spread
     components = tuple(frozenset(np.flatnonzero(label == root).tolist()) for root in np.unique(label))
     return ConnectivityReport(irreducible=len(components) == 1, components=components)
-
-
-def format_matrix_tsv(row_labels, matrix: np.ndarray, comment: str | None = None) -> str:
-    """Render a matrix as TSV (row label, then entries to 12 significant digits)."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    for label, row in zip(row_labels, np.atleast_2d(matrix)):
-        lines.append(label + "\t" + "\t".join(format(x, ".12g") for x in row))
-    return "".join(line + "\n" for line in lines)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import IO, Iterator
 
 from . import _np as np
-from .chain import build_alpha, build_beta, build_chain, build_reduced, check_d, check_irreducible, format_matrix_tsv
+from .chain import build_chain, check_d, check_irreducible
 from .counts import aggregate, parse_author_counts
 from .errors import ParameterError, PScoreError
 from .pipeline import PipelineResult, solve_pipeline
@@ -105,18 +105,6 @@ def _write_output(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _emit_debug_matrices(output: str, result: PipelineResult) -> None:
-    base, solved = Path(output), result.chain.counts
-    venues, groups = solved.venue_names, solved.group_names
-    for suffix, labels, matrix, comment in (
-        (".alpha.tsv", venues, build_alpha(solved), "venue -> group block (one venue per row)"),
-        (".beta.tsv", groups, build_beta(solved, result.chain.d), "group -> venue block (one group per row)"),
-        (".reduced.tsv", groups, build_reduced(result.chain), "group -> group reduced chain"),
-    ):
-        target = base.with_name(base.name + suffix)
-        target.write_text(format_matrix_tsv(labels, matrix, comment), encoding="utf-8", newline="\n")
-
-
 def _venue_report(result: PipelineResult, args: argparse.Namespace) -> str:
     if args.format == "json":
         return venue_report_json(result.nu_raw, result.nu_max_one)
@@ -136,13 +124,9 @@ def _group_report(result: PipelineResult, args: argparse.Namespace) -> str:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     """``venues`` and ``groups``: solve, then write the command's report."""
-    if args.emit_debug_matrices and args.output in (None, "-"):
-        raise ParameterError("--emit-debug-matrices requires -o FILE to name the siblings")
     table = _load_counts(args)
     result = solve_pipeline(table, args.d, args.allow_largest_component)
     _write_output(args.report(result, args), args.output)
-    if args.emit_debug_matrices:
-        _emit_debug_matrices(args.output, result)
     return 0
 
 
@@ -213,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         solve = sub.add_parser(name, help=help_text)
         _add_dataset_args(solve)
         _add_output_args(solve)
-        solve.add_argument("--emit-debug-matrices", action="store_true",
-                           help="also write the chain blocks as TSV next to the output file")
         solve.add_argument("--allow-largest-component", action="store_true",
                            help="at d = 1, solve the largest connected component instead of failing")
         solve.set_defaults(func=_cmd_solve, report=report)

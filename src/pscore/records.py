@@ -75,10 +75,12 @@ class CountsTable:
 
     ``group_names`` keeps the reference groups in caller order;
     ``venue_names`` lists, in case-folded order, the venues that received
-    publications. ``dropped_foreign`` and ``dedup_merged`` count the
-    records :func:`ingest` dropped as outside the reference set and merged
-    as duplicates; a table from :meth:`restrict` or built directly reads 0
-    in both. Indices and counts are integers, not ``bool``, of at most
+    publications. Both hold names by :func:`listed_name`'s rules, stored
+    normalized; a broken one is a ValidationError on ``group`` or ``venue``
+    whose ``entry`` is the name's index. ``dropped_foreign`` and
+    ``dedup_merged`` count the records :func:`ingest` dropped as outside
+    the reference set and merged as duplicates; a table from
+    :meth:`restrict` or built directly reads 0 in both. Indices and counts are integers, not ``bool``, of at most
     2**53, as are the marginals, and the cells keep the layout above. A
     broken rule is a ValidationError whose ``field`` names the array; a
     group with no cell is a DatasetError.
@@ -96,8 +98,8 @@ class CountsTable:
     n_venue: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "group_names", tuple(self.group_names))
-        object.__setattr__(self, "venue_names", tuple(self.venue_names))
+        object.__setattr__(self, "group_names", listed_names(self.group_names, "group"))
+        object.__setattr__(self, "venue_names", listed_names(self.venue_names, "venue"))
         t, v = self.num_groups, self.num_venues
         for name in ("n_group_venue", "group", "venue", "d_venue"):  # the cells first: they fix the length
             object.__setattr__(self, name, _integers(getattr(self, name), name))
@@ -275,6 +277,16 @@ def listed_name(value: object, name: str, seen: dict[str, str], where: str, line
         raise ValidationError(f"{name} {listed!r} is listed twice (first at {seen[key]})", line=line, field=name)
     seen[key] = where
     return listed
+
+
+def listed_names(values: Iterable[object], name: str) -> tuple[str, ...]:
+    """A name list by the repeat rule; an error gives the 0-based index of its item as ``entry``."""
+    seen: dict[str, str] = {}
+    try:
+        return tuple(listed_name(value, name, seen, f"entry {i}") for i, value in enumerate(values))
+    except ValidationError as exc:
+        exc.entry = len(seen)  # each item before the failing one was added to seen
+        raise
 
 
 def check_count(value: object, low: int, line: int | None = None, what: str = "'count'") -> int:
@@ -654,15 +666,10 @@ class _Tally:
     """
 
     def __init__(self, reference_groups: Sequence[str], years: tuple[int | None, int | None] | None):
-        seen: dict[str, str] = {}
-        groups = []
-        for i, raw in enumerate(reference_groups):
-            with locating(entry=i):
-                groups.append(listed_name(raw, "group", seen, f"entry {i}"))
-        if not groups:
+        self.groups = listed_names(reference_groups, "group")
+        if not self.groups:
             raise DatasetError("reference group list is empty")
-        self.groups = tuple(groups)
-        self._group_index = {key: row for row, key in enumerate(seen)}
+        self._group_index = {fold(group): row for row, group in enumerate(self.groups)}
         if not (years is None or isinstance(years, (tuple, list)) and len(years) == 2 and all(
                 y is None or isinstance(y, numbers.Integral) and not isinstance(y, bool) for y in years)):
             raise ParameterError(f"years must be a (start, end) pair of integers or None, got {years!r}")

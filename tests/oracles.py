@@ -4,9 +4,10 @@ None of the solvers shares code with ``pscore.solver``: power iteration
 repeats gamma <- gamma @ P from the uniform vector, the LAPACK solve
 replaces one equation of gamma (I - P) = 0 by sum(gamma) = 1, and
 ``stationary_extended`` eliminates states in ``np.longdouble``. ``dense_blocks``
-forms alpha and beta as dense matrices from a counts table's cells, for the
-sparse chain to be checked against; ``components`` finds the connected
-components of the group-venue graph by breadth-first search. ``count_records``
+forms alpha and beta as dense matrices from a counts table's cells, and
+``dense_reduced`` their product, for the sparse chain to be checked
+against; ``components`` finds the connected components of the
+group-venue graph by breadth-first search. ``count_records``
 counts a list of parsed records the way ingestion did before it became a
 single pass over integer ids, sharing no code with ``pscore.records``;
 ``filter_by_year`` is the year window it applies first. ``parse_records``
@@ -98,17 +99,26 @@ def dense_counts(table) -> np.ndarray:
     return n
 
 
-def dense_blocks(counts, d: float, breadth, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+def dense_blocks(counts, d: float, breadth=None, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
     """The blocks alpha (V x T) and beta (T x V), formed densely from the cells.
 
     Takes nothing from ``pscore`` but the table's fields: alpha divides
     each column of the count matrix by its sum, beta mixes the row shares
-    with ``breadth`` under ``d``, in ``dtype``.
+    with ``breadth`` under ``d``, in ``dtype``. ``breadth`` defaults to the
+    distinct-author shares D(j) / sum_k D(k).
     """
+    if breadth is None:
+        breadth = counts.d_venue.astype(dtype) / counts.d_venue.sum(dtype=dtype)
     n = dense_counts(counts).astype(dtype)
     alpha = (n / n.sum(axis=0, keepdims=True)).T
     beta = dtype(d) * (n / n.sum(axis=1, keepdims=True)) + (dtype(1) - dtype(d)) * np.asarray(breadth, dtype)
     return alpha, beta
+
+
+def dense_reduced(counts, d: float) -> np.ndarray:
+    """The reduced chain beta @ alpha (T x T) in float64, from :func:`dense_blocks`."""
+    alpha, beta = dense_blocks(counts, d)
+    return beta @ alpha
 
 
 def components(counts) -> tuple[frozenset[int], ...]:

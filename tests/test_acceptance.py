@@ -13,8 +13,6 @@ from numpy.testing import assert_allclose
 from pscore import (
     CountsTable,
     ScoreVector,
-    build_alpha,
-    build_beta,
     build_chain,
     build_reduced,
     group_consistency_check,
@@ -40,7 +38,7 @@ from conftest import (
     random_stochastic_matrix,
     table_from_matrix,
 )
-from oracles import dense_counts, power_iteration
+from oracles import dense_blocks, dense_counts, dense_reduced, power_iteration
 
 GOLDEN_CLI_ARGS = [
     "--input", str(DATA_DIR / "golden_records.jsonl"),
@@ -93,7 +91,7 @@ def test_criterion_2_fixed_point_residuals():
     worst_stationary = worst_consistency = 0.0
     for table, d in _corpus(seed=20260811, count=200):
         chain, gamma, nu = _solve(table, d)
-        reduced = build_reduced(chain)
+        reduced = dense_reduced(table, d)
         stationary = float(np.max(np.abs(gamma.gamma @ reduced - gamma.gamma)))
         consistency = group_consistency_check(gamma, np.asarray(nu.scores), chain)
         worst_stationary = max(worst_stationary, stationary)
@@ -136,8 +134,8 @@ def test_criterion_5_stochasticity_suite():
     worst_row = worst_nu = 0.0
     for table, d in _corpus(seed=20260811, count=60):
         chain, _, nu = _solve(table, d)
-        reduced = build_reduced(chain)
-        for matrix in (build_alpha(table), build_beta(table, d), reduced):
+        alpha, beta = dense_blocks(table, d)
+        for matrix in (alpha, beta, build_reduced(chain)):
             worst_row = max(worst_row, float(np.max(np.abs(matrix.sum(axis=1) - 1.0))))
         worst_nu = max(worst_nu, abs(float(np.asarray(nu.scores).sum()) - 1.0))
     assert worst_row <= 1e-9

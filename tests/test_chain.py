@@ -11,8 +11,6 @@ from pscore import (
     ParameterError,
     ReputationChain,
     StationaryDistribution,
-    build_alpha,
-    build_beta,
     build_chain,
     build_reduced,
     check_irreducible,
@@ -20,7 +18,6 @@ from pscore import (
     solve_pipeline,
     venue_scores,
 )
-from pscore.chain import format_matrix_tsv
 
 from conftest import (
     GOLDEN_ALPHA,
@@ -34,7 +31,7 @@ from conftest import (
     random_counts_table,
     table_from_matrix,
 )
-from oracles import components, dense_blocks
+from oracles import components, dense_blocks, dense_reduced
 
 
 def counts(matrix, d_venue):
@@ -44,31 +41,46 @@ def counts(matrix, d_venue):
 DISJOINT = counts([[2, 0], [0, 3]], [4, 5])
 
 
+def alpha_of(chain):
+    """alpha as the chain applies it: row j is ``to_groups`` of venue j's unit vector."""
+    return np.array([chain.to_groups(e) for e in np.eye(chain.counts.num_venues)])
+
+
+def beta_of(chain):
+    """beta as the chain applies it: row w is ``venue_scores`` of group w's unit vector."""
+    return np.array([venue_scores(StationaryDistribution(gamma=e, residual=0.0, method="given"), chain)
+                     for e in np.eye(chain.counts.num_groups)])
+
+
 class TestBuildAlpha:
+    """The venue-to-group block, read off the chain."""
+
     def test_golden_rows(self, golden_counts):
-        assert_allclose(build_alpha(golden_counts), GOLDEN_ALPHA, rtol=0, atol=1e-15)
+        assert_allclose(alpha_of(build_chain(golden_counts, GOLDEN_D)), GOLDEN_ALPHA, rtol=0, atol=1e-15)
 
     def test_single_group_rows_are_one(self):
-        alpha = build_alpha(counts([[3, 1, 4]], [1, 1, 1]))
+        alpha = alpha_of(build_chain(counts([[3, 1, 4]], [1, 1, 1]), 0.5))
         assert_array_equal(alpha, [[1.0], [1.0], [1.0]])
 
     def test_identical_groups_split_evenly(self):
-        alpha = build_alpha(counts([[2, 5], [2, 5]], [1, 1]))
+        alpha = alpha_of(build_chain(counts([[2, 5], [2, 5]], [1, 1]), 0.5))
         assert_array_equal(alpha, [[0.5, 0.5], [0.5, 0.5]])
 
 
 class TestBuildBeta:
+    """The group-to-venue block, read off the chain."""
+
     def test_golden_rows(self, golden_counts):
-        beta = build_beta(golden_counts, GOLDEN_D)
+        beta = beta_of(build_chain(golden_counts, GOLDEN_D))
         assert_allclose(beta, GOLDEN_BETA, rtol=0, atol=1e-15)
 
     def test_d_one_is_pure_volume(self, golden_counts):
-        beta = build_beta(golden_counts, 1.0)
+        beta = beta_of(build_chain(golden_counts, 1.0))
         volume = np.asarray(GOLDEN_MATRIX) / np.asarray(GOLDEN_MATRIX).sum(axis=1, keepdims=True)
         assert_array_equal(beta, volume)
 
     def test_d_zero_is_pure_breadth(self, golden_counts):
-        beta = build_beta(golden_counts, 0.0)
+        beta = beta_of(build_chain(golden_counts, 0.0))
         for row in beta:
             assert_array_equal(row, GOLDEN_BREADTH)
         assert math.isclose(beta[0].sum(), 1.0, abs_tol=1e-12)
@@ -76,7 +88,7 @@ class TestBuildBeta:
     @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), float("inf")])
     def test_d_out_of_range(self, golden_counts, bad):
         with pytest.raises(ParameterError):
-            build_beta(golden_counts, bad)
+            build_chain(golden_counts, bad)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
     def test_every_entry_point_checks_d(self, golden_counts, bad):
@@ -91,8 +103,8 @@ class TestBuildBeta:
 
     def test_convex_in_d(self, golden_counts):
         for d in (0.25, 0.5, 0.75, 1 / 3):
-            blended = build_beta(golden_counts, d)
-            endpoints = d * build_beta(golden_counts, 1.0) + (1 - d) * build_beta(golden_counts, 0.0)
+            blended = beta_of(build_chain(golden_counts, d))
+            endpoints = d * beta_of(build_chain(golden_counts, 1.0)) + (1 - d) * beta_of(build_chain(golden_counts, 0.0))
             assert_array_equal(blended, endpoints)
 
 
@@ -100,17 +112,15 @@ class TestScalingInvariance:
     @pytest.mark.parametrize("k", [2, 3, 10])
     def test_count_scaling(self, golden_counts, k):
         scaled = counts((np.asarray(GOLDEN_MATRIX) * k).tolist(), GOLDEN_AUTHOR_COUNTS)
-        assert_allclose(build_alpha(scaled), build_alpha(golden_counts), rtol=0, atol=1e-12)
-        assert_allclose(
-            build_beta(scaled, 1.0), build_beta(golden_counts, 1.0), rtol=0, atol=1e-12
-        )
+        chain, scaled_chain = build_chain(golden_counts, 1.0), build_chain(scaled, 1.0)
+        assert_allclose(alpha_of(scaled_chain), alpha_of(chain), rtol=0, atol=1e-12)
+        assert_allclose(beta_of(scaled_chain), beta_of(chain), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [2, 7])
     def test_breadth_scaling(self, golden_counts, k):
         scaled = counts(GOLDEN_MATRIX, (np.asarray(GOLDEN_AUTHOR_COUNTS) * k).tolist())
-        assert_allclose(
-            build_beta(scaled, GOLDEN_D), build_beta(golden_counts, GOLDEN_D), rtol=0, atol=1e-12
-        )
+        assert_allclose(beta_of(build_chain(scaled, GOLDEN_D)), beta_of(build_chain(golden_counts, GOLDEN_D)),
+                        rtol=0, atol=1e-12)
 
 
 class TestBuildReduced:
@@ -128,13 +138,19 @@ class TestBuildReduced:
         reduced = build_reduced(build_chain(golden_counts, 0.0))
         assert_allclose(reduced[0], reduced[1], rtol=0, atol=1e-15)
 
+    @settings(max_examples=200, deadline=None)
+    @given(count_tables(), st.floats(0.0, 1.0))
+    def test_matches_the_dense_product(self, table, d):
+        # the two sum in different orders; 5,000 random tables came within 2 units in the last place of 1
+        assert_allclose(build_reduced(build_chain(table, d)), dense_reduced(table, d), rtol=0, atol=4.5e-16)
+
 
 class TestChainInvariants:
     def test_breadth_total_does_not_wrap(self):
         # 1,025 counts of 2**53 sum past 2**63; an int64 total wrapped negative
         table, uniform = counts([[1] * 1025], [2**53] * 1025), np.full(1025, 1 / 1025)
         assert_array_equal(build_chain(table, 0.5).breadth, uniform)
-        assert_array_equal(build_beta(table, 0.0)[0], uniform)
+        assert_array_equal(beta_of(build_chain(table, 0.0))[0], uniform)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
@@ -142,7 +158,7 @@ class TestChainInvariants:
         rng = np.random.default_rng(seed)
         table = random_counts_table(rng, max_groups=6, max_venues=12, max_count=9)
         chain = build_chain(table, d)
-        alpha, beta = build_alpha(table), build_beta(table, d)
+        alpha, beta = alpha_of(chain), beta_of(chain)
         assert np.max(np.abs(alpha.sum(axis=1) - 1.0)) <= 1e-9
         assert np.max(np.abs(beta.sum(axis=1) - 1.0)) <= 1e-9
         assert np.max(np.abs(build_reduced(chain).sum(axis=1) - 1.0)) <= 1e-9
@@ -232,10 +248,3 @@ class TestSparseAgainstDense:
         assert report.components == components(table)
         assert report.irreducible == (len(report.components) == 1)
 
-
-def test_format_matrix_tsv():
-    text = format_matrix_tsv(["r1", "r2"], np.array([[1 / 3, 2 / 3], [0.25, 0.75]]), comment="block")
-    lines = text.splitlines()
-    assert lines[0] == "# block"
-    assert lines[1] == "r1\t0.333333333333\t0.666666666667"
-    assert lines[2] == "r2\t0.25\t0.75"

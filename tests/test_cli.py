@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pscore.cli import _file_context, _sniff_format, main, parse_year_range
+from pscore import solve_pipeline
+from pscore.cli import _file_context, _load_counts, _sniff_format, build_parser, main, parse_year_range
 from pscore.errors import ParameterError, ParseError, ValidationError
 from pscore.records import _undecodable_line, ingest, load_author_pubs
 from pscore.scoring import load_venue_scores
 
 from conftest import DATA_DIR, GOLDEN_GAMMA, GOLDEN_NU, GOLDEN_NU_MAX1
-from oracles import parse_records, serialize_records
+from oracles import dense_blocks, parse_records, serialize_records
 
 GOLDEN_ARGS = [
     "--input", str(DATA_DIR / "golden_records.jsonl"),
@@ -26,6 +27,14 @@ DISJOINT_ARGS = [
     "--groups-file", str(DATA_DIR / "disjoint_groups.txt"),
     "--d", "1",
 ]
+
+REPORTS = DATA_DIR / "reports"
+
+
+def solved_chain(argv):
+    """The chain that ``pscore`` solves for the command line ``argv``."""
+    args = build_parser().parse_args(argv)
+    return solve_pipeline(_load_counts(args), args.d, args.allow_largest_component).chain
 
 
 def read_venue_tsv(path):
@@ -67,41 +76,39 @@ class TestVenuesCommand:
         assert lines[2] == "venue\traw_score\tnormalized_score"
         assert lines[3].startswith("v1\t")
 
-    def test_debug_matrices(self, tmp_path):
+    def test_debug_matrices(self, tmp_path, capsys):
+        # the option is gone: it is refused as unknown, before any output is written
         out = tmp_path / "venues.tsv"
-        assert main(["venues", *GOLDEN_ARGS, "-o", str(out), "--emit-debug-matrices"]) == 0
-        alpha = (tmp_path / "venues.tsv.alpha.tsv").read_text().splitlines()
-        assert alpha[1].split("\t")[0] == "v1"
-        assert float(alpha[1].split("\t")[1]) == pytest.approx(0.6, abs=1e-12)
-        beta = (tmp_path / "venues.tsv.beta.tsv").read_text().splitlines()
-        assert beta[1].split("\t")[0] == "Group 1"
-        reduced = (tmp_path / "venues.tsv.reduced.tsv").read_text().splitlines()
-        assert len(reduced) == 3  # comment + two group rows
+        with pytest.raises(SystemExit) as exc:
+            main(["venues", *GOLDEN_ARGS, "-o", str(out), "--emit-debug-matrices"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --emit-debug-matrices" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("dataset, args", [
         ("golden", GOLDEN_ARGS),
         ("disjoint", DISJOINT_ARGS[:-1] + ["0.5"]),
     ])
-    def test_debug_matrices_match_the_dense_release(self, tmp_path, dataset, args):
-        # written by the release that still held the blocks as dense matrices
-        out = tmp_path / "venues.tsv"
-        assert main(["venues", *args, "-o", str(out), "--emit-debug-matrices"]) == 0
-        for block in ("alpha", "beta", "reduced"):
+    def test_debug_matrices_match_the_dense_release(self, dataset, args):
+        # written by a release that printed the blocks of the chain it solved; the oracle's blocks
+        # of that chain, printed the same way, must match them byte for byte
+        chain = solved_chain(["venues", *args])
+        venues, groups = chain.counts.venue_names, chain.counts.group_names
+        alpha, beta = dense_blocks(chain.counts, chain.d)
+        for block, labels, matrix, comment in (
+            ("alpha", venues, alpha, "venue -> group block (one venue per row)"),
+            ("beta", groups, beta, "group -> venue block (one group per row)"),
+            ("reduced", groups, beta @ alpha, "group -> group reduced chain"),
+        ):
+            rows = "".join(label + "".join(f"\t{x:.12g}" for x in row) + "\n" for label, row in zip(labels, matrix))
             expected = (DATA_DIR / "debug_matrices" / f"{dataset}.{block}.tsv").read_bytes()
-            assert (tmp_path / f"venues.tsv.{block}.tsv").read_bytes() == expected
+            assert f"# {comment}\n{rows}".encode() == expected
 
     def test_d_too_close_to_one_fails_fast(self, capsys):
         args = GOLDEN_ARGS[:-1] + ["0.999999999999"]
         assert main(["venues", *args]) == 1
         err = capsys.readouterr().err
         assert "Chebyshev steps, more than the cap of 100000" in err and "d = 1" in err
-
-    def test_debug_matrices_need_output_path(self, capsys):
-        for output in ([], ["-o", "-"]):
-            assert main(["venues", *GOLDEN_ARGS, "--emit-debug-matrices", *output]) == 1
-            captured = capsys.readouterr()
-            assert "requires -o" in captured.err
-            assert captured.out == ""  # refused before any input is read, so no report is written
 
     def test_bad_d_rejected(self, capsys):
         args = GOLDEN_ARGS[:-1] + ["1.5"]
@@ -165,6 +172,20 @@ def test_json_ranking_holds_the_tsv_rows(tmp_path, capsys, command):
     assert len(rows["tsv"]) == 2 and rows["tsv"][0][0] == "1"
     if command == "authors":
         assert rows["tsv"] == [["1", "Bob", "1.000000"], ["2", "Alice", f"{891 / 1051:.6f}"]]
+
+
+@pytest.mark.parametrize("report", sorted(path.name for path in REPORTS.iterdir()))
+def test_reports_match_byte_for_byte(tmp_path, report):
+    # written by an earlier release; any change to a printed digit, a comment line or the layout shows here
+    dataset, command, format = report.rsplit(".", 2)
+    if command == "authors":
+        argv = ["authors", "--venue-scores", str(REPORTS / "golden.venues.tsv"),
+                "--author-pubs", str(DATA_DIR / "golden_author_pubs.jsonl")]
+    else:
+        argv = [command, *{"golden": GOLDEN_ARGS, "disjoint-d0.5": DISJOINT_ARGS[:-1] + ["0.5"],
+                           "disjoint-d1": [*DISJOINT_ARGS, "--allow-largest-component"]}[dataset]]
+    assert main([*argv, "--format", format, "-o", str(tmp_path / report)]) == 0
+    assert (tmp_path / report).read_bytes() == (REPORTS / report).read_bytes()
 
 
 class TestAuthorsCommand:
@@ -396,14 +417,11 @@ class TestDisconnectionHandling:
 
     @pytest.mark.parametrize("command", ["venues", "groups"])
     def test_largest_component_debug_matrices(self, tmp_path, command):
-        out = tmp_path / "report.tsv"
-        code = main([command, *DISJOINT_ARGS, "--allow-largest-component",
-                     "--emit-debug-matrices", "-o", str(out)])
-        assert code == 0
-        # only the solved component's rows: venue v1, group G1
-        for suffix, label in ((".alpha.tsv", "v1"), (".beta.tsv", "G1"), (".reduced.tsv", "G1")):
-            rows = (tmp_path / f"report.tsv{suffix}").read_text().splitlines()[1:]
-            assert rows == [f"{label}\t1"]
+        argv = [command, *DISJOINT_ARGS, "--allow-largest-component", "-o", str(tmp_path / "report.tsv")]
+        assert main(argv) == 0
+        # only the solved component's axes: venue v1, group G1
+        solved = solved_chain(argv).counts
+        assert (solved.group_names, solved.venue_names) == (("G1",), ("v1",))
 
     def test_debug_matrices_label_a_later_component(self, tmp_path):
         records = tmp_path / "records.jsonl"
@@ -412,13 +430,11 @@ class TestDisconnectionHandling:
             '{"id":"b","group":"G2","authors":["y"],"venue":"v2"}\n'
             '{"id":"c","group":"G2","authors":["y"],"venue":"v2"}\n'
         )
-        out = tmp_path / "report.tsv"
-        code = main(["venues", "--input", str(records), "--group", "G1", "--group", "G2", "--d", "1",
-                     "--allow-largest-component", "--emit-debug-matrices", "-o", str(out)])
-        assert code == 0
-        for suffix, label in ((".alpha.tsv", "v2"), (".beta.tsv", "G2"), (".reduced.tsv", "G2")):
-            rows = (tmp_path / f"report.tsv{suffix}").read_text().splitlines()[1:]
-            assert rows == [f"{label}\t1"]
+        argv = ["venues", "--input", str(records), "--group", "G1", "--group", "G2", "--d", "1",
+                "--allow-largest-component", "-o", str(tmp_path / "report.tsv")]
+        assert main(argv) == 0
+        solved = solved_chain(argv).counts
+        assert (solved.group_names, solved.venue_names) == (("G2",), ("v2",))
 
     def test_below_d_one_not_affected(self, tmp_path):
         out = tmp_path / "venues.tsv"

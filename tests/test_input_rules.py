@@ -308,6 +308,16 @@ NAME_LISTS = [
                  id="library-groups-repeat"),
     pytest.param(lambda: build_dataset([], ["G1", " "]), {},
                  "entry 1: field 'group' is empty", None, 1, None, "group", id="library-groups-name"),
+    pytest.param(lambda: CountsTable([0, 1], [0, 0], [1, 2], [1], ["g", "G "], ["v"]), {},
+                 "entry 1: group 'G' is listed twice (first at entry 0)", None, 1, None, "group",
+                 id="library-counts-table-groups-repeat"),
+    pytest.param(lambda: CountsTable([0], [0], [1], [1], [5], ["v"]), {},
+                 "entry 0: field 'group' must be a string", None, 0, None, "group", id="library-counts-table-groups-name"),
+    pytest.param(lambda: CountsTable([0, 0], [0, 1], [1, 1], [1, 1], ["g"], ["v", " V"]), {},
+                 "entry 1: venue 'V' is listed twice (first at entry 0)", None, 1, None, "venue",
+                 id="library-counts-table-venues-repeat"),
+    pytest.param(lambda: CountsTable([0], [0], [1], [1], ["g"], [" "]), {},
+                 "entry 0: field 'venue' is empty", None, 0, None, "venue", id="library-counts-table-venues-name"),
     pytest.param(lambda: aggregate(TABLE, {"v1": 3, " V1": 4}), {},
                  "venue 'V1' is listed twice (first at key 'v1')", None, None, None, "venue",
                  id="library-author-counts-repeat"),
@@ -502,6 +512,11 @@ def test_counts_table_refuses_a_malformed_table(cells, text, field):
     with pytest.raises(ValidationError) as exc:
         CountsTable(*cells, ["g", "h"], ["v"])
     assert (str(exc.value), exc.value.field) == (text, field)
+
+
+def test_counts_table_keeps_its_names_normalized():
+    table = CountsTable([0], [0], [1], [1], ["  Group\t1 "], [" v  1"])
+    assert (table.group_names, table.venue_names) == (("Group 1",), ("v 1",))
 
 
 def test_counts_table_refuses_a_group_with_no_cell():

@@ -12,9 +12,7 @@ from pscore import (
     RankEntry,
     ScoreVector,
     ValidationError,
-    build_beta,
     build_chain,
-    build_reduced,
     group_consistency_check,
     gth_steady_state,
     make_ranking,
@@ -35,12 +33,13 @@ from conftest import (
     random_counts_table,
     table_from_matrix,
 )
+from oracles import dense_blocks, dense_reduced
 
 
 @pytest.fixture
 def golden_pipeline(golden_counts):
     chain = build_chain(golden_counts, GOLDEN_D)
-    gamma = gth_steady_state(build_reduced(chain))
+    gamma = gth_steady_state(dense_reduced(chain.counts, chain.d))
     nu = ScoreVector(golden_counts.venue_names, venue_scores(gamma, chain))
     return chain, gamma, nu
 
@@ -67,20 +66,20 @@ class TestVenueScores:
     def test_single_group_returns_beta_row(self, golden_counts):
         sub, _ = golden_counts.restrict([0])
         chain = build_chain(sub, GOLDEN_D)
-        gamma = gth_steady_state(build_reduced(chain))
+        gamma = gth_steady_state(dense_reduced(chain.counts, chain.d))
         nu = venue_scores(gamma, chain)
-        assert_allclose(nu, build_beta(sub, GOLDEN_D)[0], rtol=0, atol=1e-15)
+        assert_allclose(nu, dense_blocks(sub, GOLDEN_D)[1][0], rtol=0, atol=1e-15)
 
     def test_d_zero_gives_breadth_regardless_of_gamma(self, golden_counts):
         chain = build_chain(golden_counts, 0.0)
-        gamma = gth_steady_state(build_reduced(chain))
+        gamma = gth_steady_state(dense_reduced(chain.counts, chain.d))
         nu = venue_scores(gamma, chain)
         assert_allclose(nu, GOLDEN_BREADTH, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self, golden_pipeline, golden_counts):
         chain, _, _ = golden_pipeline
         sub, _ = golden_counts.restrict([0])
-        one_group = gth_steady_state(build_reduced(build_chain(sub, GOLDEN_D)))
+        one_group = gth_steady_state(dense_reduced(sub, GOLDEN_D))
         with pytest.raises(InternalError, match="gamma has 1 entries but the chain has 2 groups"):
             venue_scores(one_group, chain)
 
@@ -112,7 +111,7 @@ class TestConsistency:
     def test_single_group_exact(self, golden_counts):
         sub, _ = golden_counts.restrict([1])
         chain = build_chain(sub, 0.5)
-        gamma = gth_steady_state(build_reduced(chain))
+        gamma = gth_steady_state(dense_reduced(chain.counts, chain.d))
         nu = venue_scores(gamma, chain)
         assert group_consistency_check(gamma, nu, chain) == 0.0
 
@@ -121,7 +120,7 @@ class TestConsistency:
     def test_random_instances(self, seed, d):
         table = random_counts_table(np.random.default_rng(seed), max_groups=8, max_venues=20, max_count=9)
         chain = build_chain(table, d)
-        gamma = gth_steady_state(build_reduced(chain))
+        gamma = gth_steady_state(dense_reduced(chain.counts, chain.d))
         nu = venue_scores(gamma, chain)
         assert group_consistency_check(gamma, nu, chain) <= 1e-10
         assert abs(nu.sum() - 1.0) <= 1e-10
@@ -217,7 +216,7 @@ class TestRankGroups:
     def test_symmetric_tie(self):
         table = table_from_matrix([[2, 1], [1, 2]], [3, 3], ("gb", "ga"), ("v1", "v2"))
         chain = build_chain(table, 0.5)
-        gamma = gth_steady_state(build_reduced(chain))
+        gamma = gth_steady_state(dense_reduced(chain.counts, chain.d))
         ranking = make_ranking(table.group_names, gamma.gamma)
         assert [(e.rank, e.name, e.score) for e in ranking.entries] == [
             (1, "ga", 0.5), (1, "gb", 0.5),
@@ -225,7 +224,7 @@ class TestRankGroups:
 
     def test_single_group(self, golden_counts):
         sub, _ = golden_counts.restrict([0])
-        gamma = gth_steady_state(build_reduced(build_chain(sub, 0.5)))
+        gamma = gth_steady_state(dense_reduced(sub, 0.5))
         ranking = make_ranking(sub.group_names, gamma.gamma)
         assert ranking.entries == (RankEntry(1, "Group 1", 1.0),)
 

@@ -12,10 +12,7 @@ from pscore import (
     DisconnectedChainError,
     ParameterError,
     ReputationChain,
-    build_alpha,
-    build_beta,
     build_chain,
-    build_reduced,
     check_irreducible,
     gth_steady_state,
     steady_state,
@@ -31,7 +28,8 @@ from conftest import (
     random_stochastic_matrix,
     table_from_matrix,
 )
-from oracles import ConvergenceError, power_iteration, stationary_by_solve, stationary_extended
+from oracles import (ConvergenceError, dense_blocks, dense_reduced, power_iteration, stationary_by_solve,
+                     stationary_extended)
 
 # hand-solved two-state chain: pi1 * 0.4 = pi2 * 0.3  =>  pi = [3/7, 4/7]
 TWO_STATE = np.array([[0.6, 0.4], [0.3, 0.7]])
@@ -162,7 +160,7 @@ class TestSteadyState:
         chain = build_chain(golden_counts, 0.0)
         result = steady_state(chain)
         assert result.method == "chebyshev"
-        assert_allclose(result.gamma, chain.breadth @ build_alpha(golden_counts), rtol=1e-15, atol=0)
+        assert_allclose(result.gamma, chain.breadth @ dense_blocks(golden_counts, 0.0)[0], rtol=1e-15, atol=0)
         assert result.residual <= 1e-15
 
     def test_d_one_is_the_closed_form(self, golden_counts):
@@ -170,7 +168,7 @@ class TestSteadyState:
         assert result.method == "closed_form"
         n_group, n_venue = golden_counts.n_group, golden_counts.n_venue
         assert_array_equal(result.gamma, n_group / n_group.sum())
-        nu = result.gamma @ build_beta(golden_counts, 1.0)
+        nu = result.gamma @ dense_blocks(golden_counts, 1.0)[1]
         assert_allclose(nu, n_venue / n_venue.sum(), rtol=0, atol=1e-15)
         assert result.residual <= 1e-15
 
@@ -222,7 +220,7 @@ class TestSteadyState:
     def test_residual_matches_reduced_matrix(self, golden_counts, monkeypatch):
         monkeypatch.setattr(solver, "iteration_count", lambda n_group, d: 2)  # deliberately unconverged
         result = steady_state(build_chain(golden_counts, 0.7))
-        reduced = build_reduced(build_chain(golden_counts, 0.7))
+        reduced = dense_reduced(golden_counts, 0.7)
         expected = float(np.max(np.abs(result.gamma @ reduced - result.gamma)))
         assert result.residual > 1e-6
         assert result.residual == pytest.approx(expected, rel=1e-12)
@@ -250,11 +248,14 @@ class TestSteadyState:
     def test_paths_agree(self, table, d):
         chain = build_chain(table, d)
         assume(check_irreducible(chain).irreducible)
-        reduced = build_reduced(chain)
+        reduced = dense_reduced(table, d)
         result = steady_state(chain)
-        lapack = stationary_by_solve(reduced)
-        for gamma in (result.gamma, gth_steady_state(reduced).gamma):
-            assert np.max(np.abs(gamma - lapack)) <= 1e-12
+        if np.finfo(np.longdouble).eps < 1e-18:
+            exact, bounds = stationary_extended(table, d), (1e-13, 1e-15)
+        else:  # longdouble is float64 here, so the LAPACK solve is the reference
+            exact, bounds = stationary_by_solve(reduced), (1e-12, 1e-12)
+        for gamma, bound in zip((result.gamma, gth_steady_state(reduced).gamma), bounds):
+            assert np.max(np.abs(gamma - exact)) <= bound
         assert np.all(result.gamma >= 0)
         assert result.residual <= 1e-12
         assert result.method == ("closed_form" if d == 1.0 else "chebyshev")
