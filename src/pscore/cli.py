@@ -12,9 +12,9 @@ import argparse
 import io
 import logging
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 from . import _np as np
 from .chain import build_chain, check_d, check_irreducible
@@ -26,6 +26,7 @@ from .scoring import (load_venue_scores, make_ranking, rank_authors, ranking_to_
                       venue_report_json, venue_report_tsv)
 
 DEFAULT_D = 0.5
+SLICE = 1 << 16  # characters of a report written at a time
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +38,12 @@ def _file_context(path: str) -> Iterator[IO[bytes]]:
     """Open the input file ``path`` as bytes; input errors it leads to are given it as their ``file``."""
     with open(path, "rb") as fh, locating(file=path):
         yield fh
+
+
+def _read_file(path: str, read: Callable[[IO[bytes]], object]):
+    """``read`` of the input file ``path``, opened by :func:`_file_context`."""
+    with _file_context(path) as fh:
+        return read(fh)
 
 
 def _sniff_format(path: str, fh: io.BufferedReader) -> str:
@@ -99,10 +106,11 @@ def parse_year_range(text: str) -> tuple[int | None, int | None]:
 
 
 def _write_output(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    """Write ``text`` to stdout, or to ``path`` as UTF-8 with no newline translation, a slice at a time: no copy
+    of the whole report is ever made as bytes."""
+    with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", encoding="utf-8", newline="\n") as out:
+        for start in range(0, len(text), SLICE):
+            out.write(text[start:start + SLICE])
 
 
 def _venue_report(result: PipelineResult, args: argparse.Namespace) -> str:
@@ -131,11 +139,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_authors(args: argparse.Namespace) -> int:
-    with _file_context(args.venue_scores) as fh:
-        nu = load_venue_scores(fh)
-    with _file_context(args.author_pubs) as fh:
-        pubs = load_author_pubs(fh)
-    ranking = rank_authors(pubs, nu)
+    nu = _read_file(args.venue_scores, load_venue_scores)
+    # bound to no name here, the author lists are freed inside rank_authors once it has the totals
+    ranking = rank_authors(_read_file(args.author_pubs, load_author_pubs), nu)
     if args.format == "json":
         text = ranking_to_json(ranking)
     else:

@@ -82,8 +82,8 @@ class CountsTable:
     the reference set and merged as duplicates; a table from
     :meth:`restrict` or built directly reads 0 in both. Indices and counts are integers, not ``bool``, of at most
     2**53, as are the marginals, and the cells keep the layout above. A
-    broken rule is a ValidationError whose ``field`` names the array; a
-    group with no cell is a DatasetError.
+    broken rule is a ValidationError whose ``field`` names the array; an
+    empty group list, or a group with no cell, is a DatasetError.
     """
 
     group: np.ndarray
@@ -101,6 +101,8 @@ class CountsTable:
         object.__setattr__(self, "group_names", listed_names(self.group_names, "group"))
         object.__setattr__(self, "venue_names", listed_names(self.venue_names, "venue"))
         t, v = self.num_groups, self.num_venues
+        if not t:
+            raise DatasetError("reference group list is empty")
         for name in ("n_group_venue", "group", "venue", "d_venue"):  # the cells first: they fix the length
             object.__setattr__(self, name, _integers(getattr(self, name), name))
             if getattr(self, name).shape != ((v,) if name == "d_venue" else (self.n_group_venue.size,)):
@@ -541,7 +543,13 @@ def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
 
 
 class _Credits:
-    """The counts :func:`load_author_pubs` reads from one range: author -> venue -> count."""
+    """The counts :func:`load_author_pubs` reads from one range: author -> venue -> count.
+
+    Pickled, as a worker sends them, they are ``sent`` flat: the authors
+    and venues in first-seen order and an (author, venue, count) triple per
+    count, which unpickle far smaller than nested dicts. An unpickled one
+    holds only that, for :meth:`merge`.
+    """
 
     def __init__(self):
         self.pubs: dict[str, dict[str, int]] = {}
@@ -589,16 +597,25 @@ class _Credits:
                 raise ParseError("expected author/venue/count or authors/venue keys", line=lineno)
         return self
 
+    def __getstate__(self) -> dict:
+        venues = {venue: j for j, venue in enumerate(self.venues.values())}
+        triples = array("q")
+        for a, per_author in enumerate(self.pubs.values()):
+            for venue, count in per_author.items():
+                triples.extend((a, venues[venue], count))
+        return {"sent": (list(self.pubs), list(venues), triples)}
+
     def merge(self, later: "_Credits") -> bool:
-        """Add the counts of the range that follows; False if a total passes 2**53, at a line a serial read knows."""
-        venue_of = {v: self.venues.setdefault(key, v) for key, v in later.venues.items()}  # its spelling -> ours
-        for author, counts in later.pubs.items():
-            per_author = self.pubs.setdefault(self.authors.setdefault(fold(author), author), {})
-            for venue, count in counts.items():
-                venue = venue_of[venue]
-                total = per_author[venue] = per_author.get(venue, 0) + count
-                if total > MAX_COUNT:
-                    return False
+        """Add the sent counts of the next range; False if a total passes 2**53, at a line a serial read knows."""
+        authors, venues, triples = later.sent
+        venues = [self.venues.setdefault(fold(v), v) for v in venues]  # its spellings -> ours
+        rows = [self.pubs.setdefault(self.authors.setdefault(fold(a), a), {}) for a in authors]
+        it = iter(triples)
+        for a, v, count in zip(it, it, it):
+            per_author, venue = rows[a], venues[v]
+            total = per_author[venue] = per_author.get(venue, 0) + count
+            if total > MAX_COUNT:
+                return False
         return True
 
 

@@ -153,7 +153,8 @@ def rank_authors(
     Each author's weighted score is divided by the maximum over the set,
     so the top author scores exactly 1. Author names follow the name rule
     and are ranked as given. Raises :class:`DegenerateInputError` when
-    nobody scores above zero.
+    nobody scores above zero. The reference to ``author_pub_lists`` is
+    dropped once the totals are summed, before the ranking is built.
     """
     if not author_pub_lists:
         raise DegenerateInputError("no authors to rank")
@@ -181,6 +182,8 @@ def rank_authors(
             total += weight * count
         names.append(author)
         totals.append(total)
+    # the totals are all ranking needs: a mapping the caller no longer holds is freed here, not after the ranking
+    del author_pub_lists, pubs, items
     if unknown:
         log.warning(
             "%d venue(s) outside the scored set were ignored: %s",

@@ -13,15 +13,18 @@ class, line, field and message.
 import io
 import json
 import logging
+import sys
+import weakref
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pscore import PScoreError, ScoreVector, rank_authors
+from pscore import PScoreError, ScoreVector, cli, rank_authors, scoring
 from pscore.records import load_author_pubs
-from conftest import binary_file, split_reads
+from conftest import DATA_DIR, binary_file, split_reads
 from test_ingest import Warnings, spelling
 
 SCORED = ["SIGIR", "Venue X", "kdd"]
@@ -170,3 +173,52 @@ def test_repeated_author_still_counts_once_per_line():
         '{"author": " Ana", "venue": "v1", "count": 2}\n'
     )
     assert load_author_pubs(io.StringIO(text)) == {"Ana": {"v1": 4}}
+
+
+ARGUMENTS_MOVE = pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 the caller's frame holds a "
+                                    "call's arguments until the call returns, so a temporary outlives the ranking")
+
+
+class Pubs(dict):
+    """A dict a weakref can point at."""
+
+
+def freed_before_ranking(monkeypatch, run):
+    """Whether every mapping ``run(temporary)`` passes on, each made by ``temporary(pubs)``, is gone when
+    ``make_ranking`` starts; and ``run``'s result."""
+    refs, dead = [], []
+    make_ranking = scoring.make_ranking
+
+    def ranking(names, scores):
+        dead.append(all(ref() is None for ref in refs))
+        return make_ranking(names, scores)
+
+    def temporary(pubs):
+        pubs = Pubs(pubs)
+        refs.append(weakref.ref(pubs))
+        return pubs
+
+    monkeypatch.setattr(scoring, "make_ranking", ranking)
+    result = run(temporary)
+    return bool(refs) and dead == [True], result
+
+
+@ARGUMENTS_MOVE
+def test_rank_authors_frees_a_temporary_mapping_before_ranking(monkeypatch):
+    nu = score_vector([1.0, 1.0, 1.0])
+    freed, ranking = freed_before_ranking(
+        monkeypatch, lambda temporary: rank_authors(temporary({"Ana": {"kdd": 2}, "Bo": [("SIGIR", 1)]}), nu))
+    assert freed and [(e.rank, e.name) for e in ranking.entries] == [(1, "Ana"), (2, "Bo")]
+
+
+@ARGUMENTS_MOVE
+def test_the_authors_command_frees_the_author_lists_before_ranking(monkeypatch, tmp_path):
+    load = cli.load_author_pubs
+
+    def run(temporary):
+        monkeypatch.setattr(cli, "load_author_pubs", lambda fh: temporary(load(fh)))
+        return cli.main(["authors", "--venue-scores", str(DATA_DIR / "reports" / "golden.venues.tsv"),
+                         "--author-pubs", str(DATA_DIR / "golden_author_pubs.jsonl"), "-o", str(tmp_path / "out")])
+
+    assert freed_before_ranking(monkeypatch, run) == (True, 0)
+    assert (tmp_path / "out").read_bytes() == (DATA_DIR / "reports" / "golden.authors.tsv").read_bytes()

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pscore import solve_pipeline
-from pscore.cli import _file_context, _load_counts, _sniff_format, build_parser, main, parse_year_range
+from pscore.cli import SLICE, _file_context, _load_counts, _sniff_format, _write_output, build_parser, main
+from pscore.cli import parse_year_range
 from pscore.errors import ParameterError, ParseError, ValidationError
 from pscore.records import _undecodable_line, ingest, load_author_pubs
 from pscore.scoring import load_venue_scores
@@ -186,6 +188,19 @@ def test_reports_match_byte_for_byte(tmp_path, report):
                            "disjoint-d1": [*DISJOINT_ARGS, "--allow-largest-component"]}[dataset]]
     assert main([*argv, "--format", format, "-o", str(tmp_path / report)]) == 0
     assert (tmp_path / report).read_bytes() == (REPORTS / report).read_bytes()
+
+
+def test_a_report_is_written_in_slices_byte_for_byte(tmp_path, capfdbinary):
+    # lines of two- to four-byte characters, 201 to a line, so that no slice boundary falls at a newline
+    text = "".join("Å名前\U0001f600" * 50 + "\n" for _ in range(700))
+    assert len(text) > 2 * SLICE and len(text.encode()) > 128 * 1024
+    assert all(len(text[k].encode()) > 1 for k in (SLICE - 1, SLICE, 2 * SLICE - 1, 2 * SLICE))
+    _write_output(text, str(tmp_path / "report.tsv"))
+    assert (tmp_path / "report.tsv").read_bytes() == text.encode("utf-8")
+    for path in (None, "-"):
+        _write_output(text, path)
+        sys.stdout.flush()
+        assert capfdbinary.readouterr().out == text.encode("utf-8")
 
 
 class TestAuthorsCommand:

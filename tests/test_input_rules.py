@@ -24,7 +24,7 @@ import pytest
 
 from pscore import CountsTable, DatasetError, ParameterError, ParseError, PublicationRecord, ScoreVector
 from pscore import ValidationError, aggregate, build_dataset, ingest, make_ranking, parse_author_counts
-from pscore import parse_records, rank_authors
+from pscore import parse_records, rank_authors, solve_pipeline
 from pscore.cli import _file_context, build_parser
 from pscore.records import MAX_COUNT, check_score, load_author_pubs, locating
 from pscore.scoring import load_venue_scores
@@ -517,6 +517,14 @@ def test_counts_table_refuses_a_malformed_table(cells, text, field):
 def test_counts_table_keeps_its_names_normalized():
     table = CountsTable([0], [0], [1], [1], ["  Group\t1 "], [" v  1"])
     assert (table.group_names, table.venue_names) == (("Group 1",), ("v 1",))
+
+
+@pytest.mark.parametrize("d", [0.5, 1.0])
+def test_counts_table_refuses_an_empty_group_list(d):
+    # the iterative path (d < 1) and the closed form (d = 1) would each fail their own way on an unchecked table
+    with pytest.raises(DatasetError) as exc:
+        solve_pipeline(CountsTable([], [], [], [], [], []), d)
+    assert (type(exc.value), str(exc.value)) == (DatasetError, "reference group list is empty")
 
 
 def test_counts_table_refuses_a_group_with_no_cell():

@@ -12,6 +12,7 @@ import errno
 import io
 import json
 import os
+import pickle
 import threading
 import time
 
@@ -147,6 +148,39 @@ def test_authors_and_venues_keep_their_first_place_and_spelling_across_ranges():
     split, forked, serial = split_and_serial(data, lambda fh: list(load_author_pubs(fh).items()))
     assert forked and split == serial
     assert dict(split)["Dee"] == {"kdd": 2} and dict(split)["bo"] == {"kdd": 1, "Sigir": 2}
+
+
+def credits_in_two_ranges(lines, cut):
+    """What merging, in this process, the pickled credits of ``lines[cut:]`` into those of ``lines[:cut]``
+    returns, and the authors' counts after it, key order kept at both levels."""
+    def read(part):
+        with records.text_stream(io.BytesIO("".join(line + "\n" for line in part).encode())) as text:
+            return records._Credits().read(text)
+
+    first = read(lines[:cut])
+    merged = first.merge(pickle.loads(pickle.dumps(read(lines[cut:]), pickle.HIGHEST_PROTOCOL)))
+    return merged, [(author, list(pubs.items())) for author, pubs in first.pubs.items()]
+
+
+def test_credits_sent_flat_merge_as_a_serial_read_counts():
+    lines = [json.dumps({"author": f"a{k % 6}", "venue": f"v{k % 4}", "count": k + 1}) for k in range(16)]
+    lines[2] = json.dumps({"authors": ["Dee", "bo", "DEE"], "venue": "kdd"})
+    lines[9] = json.dumps({"authors": ["dee ", "Cy"], "venue": "KDD"})
+    lines[11] = json.dumps({"author": "BO", "venue": "Sigir", "count": 2})
+    lines[13] = json.dumps({"author": "A0", "venue": "kdd", "count": 3})
+    serial = [(author, list(pubs.items())) for author, pubs in load_author_pubs(
+        io.BytesIO("".join(line + "\n" for line in lines).encode())).items()]
+    for cut in range(len(lines) + 1):
+        assert credits_in_two_ranges(lines, cut) == (True, serial)
+    assert dict(serial)["Dee"] == [("kdd", 2)] and dict(serial)["a0"][-1] == ("kdd", 3)
+
+
+def test_credits_sent_flat_refuse_a_total_past_2_53():
+    lines = [json.dumps({"author": "dee", "venue": "kdd", "count": 2**52}),
+             json.dumps({"author": "Dee", "venue": "KDD", "count": 2**52})]
+    assert credits_in_two_ranges(lines, 1) == (True, [("dee", [("kdd", 2**53)])])
+    lines.append(json.dumps({"authors": ["DEE"], "venue": "kdd"}))
+    assert credits_in_two_ranges(lines, 1)[0] is False
 
 
 def test_a_duplicate_across_ranges_leaves_no_venue_spelling():
