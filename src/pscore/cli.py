@@ -22,7 +22,7 @@ from .counts import aggregate, parse_author_counts
 from .errors import ParameterError, PScoreError
 from .pipeline import PipelineResult, solve_pipeline
 from .records import CountsTable, ingest, listed_name, load_author_pubs, locating, text_stream
-from .scoring import (load_venue_scores, make_ranking, rank_authors, ranking_to_json, ranking_to_tsv,
+from .scoring import (Ranking, load_venue_scores, make_ranking, rank_authors, ranking_to_json, ranking_to_tsv,
                       venue_report_json, venue_report_tsv)
 
 DEFAULT_D = 0.5
@@ -119,11 +119,13 @@ def _venue_report(result: PipelineResult, args: argparse.Namespace) -> str:
     return venue_report_tsv(result.nu_raw, result.nu_max_one, args.d)
 
 
+def _ranking_report(ranking: Ranking, args: argparse.Namespace, *comments: str) -> str:
+    return ranking_to_json(ranking) if args.format == "json" else ranking_to_tsv(ranking, comments)
+
+
 def _group_report(result: PipelineResult, args: argparse.Namespace) -> str:
     ranking = make_ranking(result.counts.group_names, result.group_scores)
-    if args.format == "json":
-        return ranking_to_json(ranking)
-    return ranking_to_tsv(ranking, comments=("pscore groups", f"d = {args.d!r}"))
+    return _ranking_report(ranking, args, "pscore groups", f"d = {args.d!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +144,7 @@ def _cmd_authors(args: argparse.Namespace) -> int:
     nu = _read_file(args.venue_scores, load_venue_scores)
     # bound to no name here, the author lists are freed inside rank_authors once it has the totals
     ranking = rank_authors(_read_file(args.author_pubs, load_author_pubs), nu)
-    if args.format == "json":
-        text = ranking_to_json(ranking)
-    else:
-        text = ranking_to_tsv(ranking, comments=("pscore authors",))
-    _write_output(text, args.output)
+    _write_output(_ranking_report(ranking, args, "pscore authors"), args.output)
     return 0
 
 

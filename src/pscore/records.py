@@ -259,6 +259,15 @@ def jsonl_objects(text: IO[str]) -> Iterator[tuple[int, dict]]:
         yield lineno, obj
 
 
+def _check_text(value: str, name: str, line: int | None) -> None:
+    """The text rule of every name: a ValidationError on ``name`` if UTF-8 cannot encode ``value``, as it cannot a lone
+    surrogate, which JSON (``"\\ud800"``) and argv can spell. Callers call it only for text that is not ASCII."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"field '{name}' is not valid Unicode text", line=line, field=name) from None
+
+
 def required_name(value: object, name: str, line: int | None = None) -> str:
     """The name rule: ``value`` normalized if it is a string that is not blank, else a ValidationError on ``name``."""
     if value is None:
@@ -268,6 +277,8 @@ def required_name(value: object, name: str, line: int | None = None) -> str:
     normalized = normalize_name(value)
     if not normalized:
         raise ValidationError(f"field '{name}' is empty", line=line, field=name)
+    if not normalized.isascii():
+        _check_text(normalized, name, line)
     return normalized
 
 
@@ -339,6 +350,8 @@ def author_names(raw: object, line: int | None = None) -> list[str]:
     for a in raw:  # a loop, not a comprehension, which costs a frame per call before Python 3.12
         if not isinstance(a, str):
             raise ValidationError("field 'authors' must be an array of strings", line=line, field="authors")
+        if not a.isascii():
+            _check_text(a, "authors", line)
         if name := " ".join(a.split()):  # normalize_name, inlined: this runs once per listed author
             names.append(name)
     if not names:
@@ -708,7 +721,7 @@ class _Tally:
     def add(self, line: int | None, paper_id: str | None, authors: object,
             group: object, venue: object, title: object, year: object) -> None:
         """Validate one record's fields in order, then count it if it survives."""
-        # the author memo stands in for author_names, called only to raise its error when a guard fails
+        # the author memo stands in for author_names, called only when a guard fails, to raise its error if it has one
         if authors.__class__ is not list:
             author_names(authors, line)
         author_of, author_id = self._author_of, self._author_id
@@ -717,7 +730,7 @@ class _Tally:
             try:
                 author = author_of[raw]
             except (KeyError, TypeError):
-                if not isinstance(raw, str):
+                if not isinstance(raw, str) or not raw.isascii():
                     author_names(authors, line)
                 name = normalize_name(raw)
                 author = author_of[raw] = author_id.setdefault(fold(name), len(author_id)) if name else _BLANK

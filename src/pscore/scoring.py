@@ -15,7 +15,7 @@ import json
 import logging
 import math
 from array import array
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import IO, NamedTuple
 
@@ -93,24 +93,25 @@ def make_ranking(names: Iterable[str], scores: Iterable[float]) -> Ranking:
     if len(names) != len(scores):
         raise ValidationError(f"{len(names)} names to rank but {len(scores)} scores")
     try:
-        values = [float(s) for s in scores]
+        scores = [float(s) for s in scores]  # rebound, so the list read from is freed
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"a score to rank is not a number ({exc})", field="score") from None
-    if not all(map(math.isfinite, values)):
-        i = next(i for i, v in enumerate(values) if not math.isfinite(v))
+    if not all(map(math.isfinite, scores)):
+        i = next(i for i, v in enumerate(scores) if not math.isfinite(v))
         with locating(entry=i):
-            raise ValidationError(f"score must be finite, got {values[i]!r}", field="score")
+            raise ValidationError(f"score must be finite, got {scores[i]!r}", field="score")
     # negated printed scores for the sort keys and the tie test, unboxed
-    printed = array("d", [-round(v, PRINTED_DECIMALS) for v in values])
+    printed = array("d", [-round(v, PRINTED_DECIMALS) for v in scores])
     order = sorted(range(len(names)), key=lambda i: (printed[i], fold(names[i]), names[i]))
-    entries = []
-    prev_printed: float | None = None
-    prev_rank = 0
-    for position, i in enumerate(order, start=1):
-        rank = prev_rank if printed[i] == prev_printed else position
-        entries.append(RankEntry(rank=rank, name=names[i], score=values[i]))
-        prev_printed, prev_rank = printed[i], rank
-    return Ranking(entries=tuple(entries))
+
+    def ranked() -> Iterator[RankEntry]:  # the entries in order, read straight into the ranking's tuple
+        rank, prev = 0, None
+        for position, i in enumerate(order, start=1):
+            if printed[i] != prev:
+                rank, prev = position, printed[i]
+            yield RankEntry(rank, names[i], scores[i])
+
+    return Ranking(entries=tuple(ranked()))
 
 
 def venue_scores(gamma: StationaryDistribution, chain: ReputationChain) -> np.ndarray:
@@ -144,17 +145,14 @@ def group_consistency_check(gamma: StationaryDistribution, nu: np.ndarray, chain
     return float(np.max(np.abs(gamma.gamma - chain.to_groups(nu))))
 
 
-def rank_authors(
-    author_pub_lists: Mapping[str, Mapping[str, int] | Iterable[tuple[str, int]]],
-    nu: ScoreVector,
-) -> Ranking:
+def rank_authors(author_pub_lists: Mapping[str, Mapping[str, int]], nu: ScoreVector) -> Ranking:
     """Rank a set of authors relative to the best one among them.
 
-    Each author's weighted score is divided by the maximum over the set,
-    so the top author scores exactly 1. Author names follow the name rule
-    and are ranked as given. Raises :class:`DegenerateInputError` when
-    nobody scores above zero. The reference to ``author_pub_lists`` is
-    dropped once the totals are summed, before the ranking is built.
+    Each author maps to a mapping of venue to count, else a :class:`ValidationError` names the
+    author. Each author's weighted score is divided by the maximum over the set, so the top
+    author scores exactly 1. Author names follow the name rule and are ranked as given. Raises
+    :class:`DegenerateInputError` when nobody scores above zero. The reference to
+    ``author_pub_lists`` is dropped once the totals are summed, before the ranking is built.
     """
     if not author_pub_lists:
         raise DegenerateInputError("no authors to rank")
@@ -164,11 +162,12 @@ def rank_authors(
     totals: list[float] = []
     unknown: set[str] = set()
     for author, pubs in author_pub_lists.items():
-        if author.__class__ is not str or not author or author.isspace():
+        if author.__class__ is not str or not author.isascii() or not author or author.isspace():
             required_name(author, "author")  # the name rule, called only when the guard fails
-        items = pubs.items() if isinstance(pubs, Mapping) else pubs
+        if not isinstance(pubs, Mapping):
+            raise ValidationError(f"author {author!r} must map venues to counts, got {type(pubs).__name__}")
         total = 0.0
-        for venue, count in items:
+        for venue, count in pubs.items():
             if count.__class__ is not int or not 0 <= count <= MAX_COUNT:
                 count = check_count(count, 0, what=f"publication count for author {author!r}")
             try:
@@ -183,7 +182,7 @@ def rank_authors(
         names.append(author)
         totals.append(total)
     # the totals are all ranking needs: a mapping the caller no longer holds is freed here, not after the ranking
-    del author_pub_lists, pubs, items
+    del author_pub_lists, pubs
     if unknown:
         log.warning(
             "%d venue(s) outside the scored set were ignored: %s",
@@ -197,11 +196,10 @@ def rank_authors(
 
 def ranking_to_tsv(ranking: Ranking, comments: Sequence[str] = ()) -> str:
     """TSV report: rank, name, score to 6 decimals."""
-    lines = [f"# {c}" for c in comments]
-    lines.append("rank\tname\tscore")
-    for entry in ranking.entries:
-        lines.append(f"{entry.rank}\t{entry.name}\t{entry.score:.{PRINTED_DECIMALS}f}")
-    return "".join(line + "\n" for line in lines)
+    lines = [f"# {c}\n" for c in comments]
+    lines.append("rank\tname\tscore\n")
+    lines.extend(f"{e.rank}\t{e.name}\t{e.score:.{PRINTED_DECIMALS}f}\n" for e in ranking.entries)
+    return "".join(lines)
 
 
 def ranking_to_json(ranking: Ranking) -> str:
@@ -214,10 +212,9 @@ def ranking_to_json(ranking: Ranking) -> str:
 
 
 def venue_report_tsv(nu_raw: ScoreVector, nu_max_one: np.ndarray, d: float) -> str:
-    lines = ["# pscore venues", f"# d = {d!r}", "venue\traw_score\tnormalized_score"]
-    for name, raw, norm in zip(nu_raw.names, nu_raw.scores, nu_max_one):
-        lines.append(f"{name}\t{format(raw, '.12g')}\t{format(norm, '.12g')}")
-    return "".join(line + "\n" for line in lines)
+    lines = ["# pscore venues\n", f"# d = {d!r}\n", "venue\traw_score\tnormalized_score\n"]
+    lines.extend(map("{}\t{:.12g}\t{:.12g}\n".format, nu_raw.names, nu_raw.scores, nu_max_one))
+    return "".join(lines)
 
 
 def venue_report_json(nu_raw: ScoreVector, nu_max_one: np.ndarray) -> str:

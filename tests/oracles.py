@@ -20,6 +20,9 @@ reader and the author path as they were before lines were decoded in one C
 call and venue names memoized: every line goes through ``json.loads``, and
 every name is normalized and folded where it is met. A per-paper author line
 is read by ``_authors``, the records' author rule.
+``ranking_to_tsv`` and ``venue_report_tsv`` are the TSV report builders as
+they were before each report became one list of finished lines: a list of
+lines, each given its newline as the list is joined.
 """
 
 from __future__ import annotations
@@ -433,9 +436,10 @@ def rank_authors(author_pub_lists, nu):
     names, totals, unknown = [], [], set()
     for author, pubs in author_pub_lists.items():
         _name(author, "author", None)
-        items = pubs.items() if isinstance(pubs, Mapping) else pubs
+        if not isinstance(pubs, Mapping):
+            raise ValidationError(f"author {author!r} must map venues to counts, got {type(pubs).__name__}")
         total = 0.0
-        for venue, count in items:
+        for venue, count in pubs.items():
             count = _check_count(count, author)
             weight = smap.get(_name(venue, "venue", None).casefold())
             if weight is None:
@@ -462,3 +466,18 @@ def rank_authors(author_pub_lists, nu):
         rows.append((rank, names[i], values[i]))
         prev_printed, prev_rank = printed, rank
     return rows
+
+
+def ranking_to_tsv(ranking, comments=()):
+    lines = [f"# {c}" for c in comments]
+    lines.append("rank\tname\tscore")
+    for entry in ranking.entries:
+        lines.append(f"{entry.rank}\t{entry.name}\t{entry.score:.6f}")
+    return "".join(line + "\n" for line in lines)
+
+
+def venue_report_tsv(nu_raw, nu_max_one, d):
+    lines = ["# pscore venues", f"# d = {d!r}", "venue\traw_score\tnormalized_score"]
+    for name, raw, norm in zip(nu_raw.names, nu_raw.scores, nu_max_one):
+        lines.append(f"{name}\t{format(raw, '.12g')}\t{format(norm, '.12g')}")
+    return "".join(line + "\n" for line in lines)

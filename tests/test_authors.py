@@ -207,7 +207,7 @@ def freed_before_ranking(monkeypatch, run):
 def test_rank_authors_frees_a_temporary_mapping_before_ranking(monkeypatch):
     nu = score_vector([1.0, 1.0, 1.0])
     freed, ranking = freed_before_ranking(
-        monkeypatch, lambda temporary: rank_authors(temporary({"Ana": {"kdd": 2}, "Bo": [("SIGIR", 1)]}), nu))
+        monkeypatch, lambda temporary: rank_authors(temporary({"Ana": {"kdd": 2}, "Bo": {"SIGIR": 1}}), nu))
     assert freed and [(e.rank, e.name) for e in ranking.entries] == [(1, "Ana"), (2, "Bo")]
 
 

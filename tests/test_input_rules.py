@@ -127,11 +127,19 @@ def test_override_for_an_unknown_venue_is_checked(count, message):
     (5, "field 'author' must be a string"),
     (None, "missing required field 'author'"),
     (" ", "field 'author' is empty"),
+    ("A\ud800", "field 'author' is not valid Unicode text"),
 ])
 def test_library_author_names_follow_the_name_rule(author, message):
     with pytest.raises(ValidationError) as exc:
         rank_authors({author: {"v1": 1}, "b": {"v1": 2}}, NU)
     assert (str(exc.value), exc.value.line, exc.value.field) == (message, None, "author")
+
+
+@pytest.mark.parametrize("pubs, kind", [(5, "int"), (None, "NoneType"), ("v1", "str"), ([("v1", 1)], "list")])
+def test_rank_authors_takes_a_mapping_per_author(pubs, kind):
+    with pytest.raises(ValidationError) as exc:
+        rank_authors({"b": {"v1": 1}, "a": pubs}, NU)
+    assert str(exc.value) == f"author 'a' must map venues to counts, got {kind}"
 
 
 def test_library_author_names_are_ranked_as_given():
@@ -361,6 +369,43 @@ def test_every_name_list_follows_the_name_and_repeat_rules(tmp_path, monkeypatch
     assert (str(exc.value), exc.value.file, exc.value.entry, exc.value.line, exc.value.field) == (
         text, file, entry, line, field)
     assert "r.jsonl" not in str(exc.value)  # a group list error is never the records file's
+
+
+# a lone surrogate, as JSON spells it in a file and as argv reads a byte that is not UTF-8, at every reader of names:
+# (the run, its input files, str of its error, and the error's file, entry, line and field)
+SURROGATE = "line 1: field '{}' is not valid Unicode text"
+LONE_SURROGATES = [
+    pytest.param(cli(*ON_SCORES, "s.tsv"), {"p.jsonl": '{"author": "\\ud800x", "venue": "v1", "count": 1}\n',
+                                            "s.tsv": "venue\traw_score\nv1\t1\n"},
+                 "p.jsonl: " + SURROGATE.format("author"), "p.jsonl", None, 1, "author", id="author-pubs-author"),
+    pytest.param(cli(*ON_SCORES, "s.tsv"), {"p.jsonl": '{"authors": ["A", "B\\udcff"], "venue": "v1"}\n',
+                                            "s.tsv": "venue\traw_score\nv1\t1\n"},
+                 "p.jsonl: " + SURROGATE.format("authors"), "p.jsonl", None, 1, "authors", id="author-pubs-authors"),
+    pytest.param(cli("venues", "--input", "r.jsonl", "--group", "G1"),
+                 {"r.jsonl": '{"authors": ["A"], "group": "G1", "venue": "\\udcffv"}\n'},
+                 "r.jsonl: " + SURROGATE.format("venue"), "r.jsonl", None, 1, "venue", id="records-venue"),
+    pytest.param(cli("venues", "--input", "r.jsonl", "--group", "G1"),
+                 {"r.jsonl": '{"authors": ["A", "\\ud800"], "group": "G1", "venue": "v1"}\n'},
+                 "r.jsonl: " + SURROGATE.format("authors"), "r.jsonl", None, 1, "authors", id="records-authors"),
+    pytest.param(lambda: parse_records(jsonl({"authors": ["\ud800"], "group": "G1", "venue": "v1"}), "jsonl"), {},
+                 SURROGATE.format("authors"), None, None, 1, "authors", id="parse-records-authors"),
+    pytest.param(cli(*ON_SCORES, "s.json"), {**PUBS, "s.json": '[{"venue": "\\ud800", "raw_score": 1}]'},
+                 "s.json: entry 0: field 'venue' is not valid Unicode text", "s.json", 0, None, "venue",
+                 id="venue-scores-json"),
+    pytest.param(cli(*ON_GROUPS, "--group", "G\udcff"), RECORDS,
+                 "field 'group' is not valid Unicode text", None, None, None, "group", id="group-argv"),
+]
+
+
+@pytest.mark.parametrize("run, files, text, file, entry, line, field", LONE_SURROGATES)
+def test_a_lone_surrogate_is_no_name(tmp_path, monkeypatch, run, files, text, file, entry, line, field):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    with pytest.raises(ValidationError) as exc:
+        run()
+    assert (str(exc.value), exc.value.file, exc.value.entry, exc.value.line, exc.value.field) == (
+        text, file, entry, line, field)
 
 
 # ---------------------------------------------------------------------------

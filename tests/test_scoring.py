@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -33,7 +33,9 @@ from conftest import (
     random_counts_table,
     table_from_matrix,
 )
+import oracles
 from oracles import dense_blocks, dense_reduced
+from pscore.scoring import venue_report_tsv
 
 
 @pytest.fixture
@@ -129,34 +131,34 @@ class TestConsistency:
 class TestAuthorScore:
     def test_one_paper_per_golden_venue_sums_to_one(self, golden_pipeline):
         _, _, nu = golden_pipeline
-        s = weighted([("v1", 1), ("v2", 1), ("v3", 1)], nu)
+        s = weighted({"v1": 1, "v2": 1, "v3": 1}, nu)
         assert abs(s - 1.0) <= 1e-12
 
     def test_no_publications(self, golden_pipeline):
         _, _, nu = golden_pipeline
-        assert weighted([], nu) == 0.0
+        assert weighted({}, nu) == 0.0
 
     def test_two_papers_in_middle_venue(self, golden_pipeline):
         _, _, nu = golden_pipeline
-        s = weighted([("v2", 2)], nu)
+        s = weighted({"v2": 2}, nu)
         assert abs(s - 2 * GOLDEN_NU[1]) <= 1e-12
         assert abs(s - 1.180) <= 2e-3  # three-decimal presentation arithmetic
 
     def test_unknown_venue_scores_zero_and_warns(self, golden_pipeline, caplog):
         _, _, nu = golden_pipeline
         with caplog.at_level("WARNING", logger="pscore.scoring"):
-            s = weighted([("workshop of one", 5), ("v1", 1)], nu)
+            s = weighted({"workshop of one": 5, "v1": 1}, nu)
         assert abs(s - GOLDEN_NU[0]) <= 1e-15
         assert "workshop of one" in caplog.text
 
     def test_negative_count_rejected(self, golden_pipeline):
         _, _, nu = golden_pipeline
         with pytest.raises(ValidationError):
-            weighted([("v1", -1)], nu)
+            weighted({"v1": -1}, nu)
 
     def test_venue_name_matching_is_normalized(self, golden_pipeline):
         _, _, nu = golden_pipeline
-        assert abs(weighted([(" V1 ", 1)], nu) - GOLDEN_NU[0]) <= 1e-15
+        assert abs(weighted({" V1 ": 1}, nu) - GOLDEN_NU[0]) <= 1e-15
 
 
 class TestRankAuthors:
@@ -202,7 +204,7 @@ class TestRankAuthors:
 
     def test_adding_a_scored_paper_strictly_increases(self, golden_pipeline):
         _, _, nu = golden_pipeline
-        ranking = rank_authors({"before": [("v3", 1)], "after": [("v3", 2)]}, nu)
+        ranking = rank_authors({"before": {"v3": 1}, "after": {"v3": 2}}, nu)
         scores = {e.name: e.score for e in ranking.entries}
         assert scores["after"] > scores["before"]
 
@@ -273,6 +275,35 @@ class TestRankingFormats:
         for position, (prev, cur) in enumerate(zip(rows, rows[1:]), start=2):
             assert float(cur[2]) <= float(prev[2])
             assert cur[0] == (prev[0] if cur[2] == prev[2] else str(position))
+
+
+# names with non-ASCII letters, marks and spaces, but no lone surrogate, which the name rule refuses
+REPORT_NAMES = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8).filter(
+    lambda name: name.split())
+
+
+class TestTsvReports:
+    """The TSV report builders against the line-list builders in ``tests/oracles.py``, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(REPORT_NAMES, st.floats(0.0, 1.0)), max_size=20), st.lists(REPORT_NAMES, max_size=3))
+    @example([], [])
+    @example([], ["pscore authors"])
+    @example([("Zoë", 0.5), ("東京", 1.0), ("a b", 0.5)], ["pscore groups", "d = 0.5"])
+    def test_ranking_to_tsv(self, rows, comments):
+        ranking = make_ranking([name for name, _ in rows], [score for _, score in rows])
+        assert ranking_to_tsv(ranking, comments) == oracles.ranking_to_tsv(ranking, comments)
+        assert ranking_to_tsv(ranking) == oracles.ranking_to_tsv(ranking)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(REPORT_NAMES, st.floats(1e-3, 1.0)), min_size=1, max_size=20,
+                    unique_by=lambda row: " ".join(row[0].split()).casefold()), st.floats(0.0, 1.0))
+    @example([("Zoë", 0.25), ("東京", 0.75)], 0.5)
+    def test_venue_report_tsv(self, rows, d):
+        raw = np.array([weight for _, weight in rows])
+        nu = ScoreVector([name for name, _ in rows], raw / raw.sum())
+        top = normalize_max_one(np.asarray(nu.scores))
+        assert venue_report_tsv(nu, top, d) == oracles.venue_report_tsv(nu, top, d)
 
 
 class TestScoreVectorInvariants:
