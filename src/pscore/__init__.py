@@ -11,13 +11,7 @@ numpy loads when pscore first uses it (see :mod:`pscore._np`), so ranking
 authors against a venue-score file runs without it.
 """
 
-from .chain import (
-    ConnectivityReport,
-    ReputationChain,
-    build_chain,
-    build_reduced,
-    check_irreducible,
-)
+from .chain import ConnectivityReport, ReputationChain, build_chain, check_irreducible
 from .counts import aggregate, parse_author_counts
 from .errors import (
     ChainError,
@@ -30,14 +24,7 @@ from .errors import (
     PScoreError,
     ValidationError,
 )
-from .records import (
-    CountsTable,
-    PublicationRecord,
-    build_dataset,
-    ingest,
-    normalize_name,
-    parse_records,
-)
+from .records import CountsTable, ingest, normalize_name
 from .pipeline import PipelineResult, solve_pipeline
 from .scoring import (
     Ranking,
@@ -51,7 +38,7 @@ from .scoring import (
     ranking_to_tsv,
     venue_scores,
 )
-from .solver import StationaryDistribution, gth_steady_state, steady_state
+from .solver import StationaryDistribution, steady_state
 
 __version__ = "0.1.0"
 
@@ -67,7 +54,6 @@ __all__ = [
     "ParseError",
     "PScoreError",
     "PipelineResult",
-    "PublicationRecord",
     "RankEntry",
     "Ranking",
     "ReputationChain",
@@ -77,17 +63,13 @@ __all__ = [
     "__version__",
     "aggregate",
     "build_chain",
-    "build_dataset",
-    "build_reduced",
     "check_irreducible",
     "group_consistency_check",
-    "gth_steady_state",
     "ingest",
     "make_ranking",
     "normalize_max_one",
     "normalize_name",
     "parse_author_counts",
-    "parse_records",
     "rank_authors",
     "ranking_to_json",
     "ranking_to_tsv",

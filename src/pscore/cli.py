@@ -21,7 +21,7 @@ from .chain import build_chain, check_d, check_irreducible
 from .counts import aggregate, parse_author_counts
 from .errors import ParameterError, PScoreError
 from .pipeline import PipelineResult, solve_pipeline
-from .records import CountsTable, ingest, listed_name, load_author_pubs, locating, text_stream
+from .records import CountsTable, check_years, ingest, listed_name, load_author_pubs, locating, text_stream
 from .scoring import (Ranking, load_venue_scores, make_ranking, rank_authors, ranking_to_json, ranking_to_tsv,
                       venue_report_json, venue_report_tsv)
 
@@ -87,7 +87,7 @@ def _load_counts(args: argparse.Namespace) -> CountsTable:
 
 
 def parse_year_range(text: str) -> tuple[int | None, int | None]:
-    """Parse an inclusive ``A:B`` year range; either side may be empty."""
+    """Parse an inclusive ``A:B`` year range, either side of which may be empty, and check it by :func:`check_years`."""
     if ":" not in text:
         raise ParameterError(f"year range must look like A:B, got {text!r}")
     lo_text, hi_text = text.split(":", 1)
@@ -96,8 +96,7 @@ def parse_year_range(text: str) -> tuple[int | None, int | None]:
         hi = int(hi_text) if hi_text.strip() else None
     except ValueError:
         raise ParameterError(f"year range bounds must be integers, got {text!r}") from None
-    if lo is not None and hi is not None and lo > hi:
-        raise ParameterError(f"empty year range {text!r}")
+    check_years((lo, hi))
     return lo, hi
 
 

@@ -98,11 +98,9 @@ class CountsTable:
     n_venue: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "group_names", listed_names(self.group_names, "group"))
+        object.__setattr__(self, "group_names", check_groups(self.group_names))
         object.__setattr__(self, "venue_names", listed_names(self.venue_names, "venue"))
         t, v = self.num_groups, self.num_venues
-        if not t:
-            raise DatasetError("reference group list is empty")
         for name in ("n_group_venue", "group", "venue", "d_venue"):  # the cells first: they fix the length
             object.__setattr__(self, name, _integers(getattr(self, name), name))
             if getattr(self, name).shape != ((v,) if name == "d_venue" else (self.n_group_venue.size,)):
@@ -293,13 +291,36 @@ def listed_name(value: object, name: str, seen: dict[str, str], where: str, line
 
 
 def listed_names(values: Iterable[object], name: str) -> tuple[str, ...]:
-    """A name list by the repeat rule; an error gives the 0-based index of its item as ``entry``."""
+    """A name list, not a string, by the repeat rule; an error gives the 0-based index of its item as ``entry``."""
+    if isinstance(values, str):
+        raise ValidationError(f"{name} list must be a list of names, not the string {values!r}", field=name)
     seen: dict[str, str] = {}
     try:
         return tuple(listed_name(value, name, seen, f"entry {i}") for i, value in enumerate(values))
     except ValidationError as exc:
         exc.entry = len(seen)  # each item before the failing one was added to seen
         raise
+
+
+def check_groups(values: Iterable[object]) -> tuple[str, ...]:
+    """The group-list rule: the reference groups by :func:`listed_names`, and a DatasetError if there are none."""
+    if not (groups := listed_names(values, "group")):
+        raise DatasetError("reference group list is empty")
+    return groups
+
+
+def check_years(years: object) -> tuple[int | None, int | None] | None:
+    """The year-window rule: an inclusive (start, end) pair of integers or None, start not after end.
+
+    Comes back as the pair, or None when neither bound is set; anything else is a ParameterError.
+    """
+    if not (years is None or isinstance(years, (tuple, list)) and len(years) == 2 and all(
+            y is None or isinstance(y, numbers.Integral) and not isinstance(y, bool) for y in years)):
+        raise ParameterError(f"years must be a (start, end) pair of integers or None, got {years!r}")
+    start, end = years or (None, None)
+    if start is not None and end is not None and start > end:
+        raise ParameterError(f"empty year range '{start}:{end}'")
+    return None if start is None and end is None else (start, end)
 
 
 def check_count(value: object, low: int, line: int | None = None, what: str = "'count'") -> int:
@@ -695,15 +716,10 @@ class _Tally:
     as a worker sends it, it carries only what a merge reads.
     """
 
-    def __init__(self, reference_groups: Sequence[str], years: tuple[int | None, int | None] | None):
-        self.groups = listed_names(reference_groups, "group")
-        if not self.groups:
-            raise DatasetError("reference group list is empty")
-        self._group_index = {fold(group): row for row, group in enumerate(self.groups)}
-        if not (years is None or isinstance(years, (tuple, list)) and len(years) == 2 and all(
-                y is None or isinstance(y, numbers.Integral) and not isinstance(y, bool) for y in years)):
-            raise ParameterError(f"years must be a (start, end) pair of integers or None, got {years!r}")
-        self._years = None if years is None or tuple(years) == (None, None) else tuple(years)
+    def __init__(self, groups: tuple[str, ...], years: tuple[int | None, int | None] | None):
+        """``groups`` and ``years`` as :func:`check_groups` and :func:`check_years` return them."""
+        self.groups, self._years = groups, years
+        self._group_index = {fold(group): row for row, group in enumerate(groups)}
 
         self._group_of: dict[str, int] = {}   # raw group -> row, -1 outside the reference set
         self._venue_of: dict[str, int] = {}   # raw venue -> spelling id
@@ -861,15 +877,17 @@ def ingest(
 
     Equivalent to :func:`parse_records`, keeping the records dated inside
     ``years``, then :func:`build_dataset`, with the same errors, but holds
-    no record objects. ``years`` is an inclusive (start, end) window of
-    integers where either bound may be ``None``, else a
-    :class:`ParameterError`; undated records fall outside any window
-    and are counted in a warning. A large JSONL file is read on every
-    usable CPU, in line-aligned ranges whose tallies are merged in file
-    order; CSV is read in one range, as a quoted field may span lines.
+    no record objects. The groups follow :func:`check_groups` and the
+    window :func:`check_years`, checked before the stream is cut or read;
+    undated records fall outside any window and are counted in a warning.
+    A large JSONL file is read on every usable CPU, in line-aligned ranges
+    whose tallies are merged in file order; CSV is read in one range, as a
+    quoted field may span lines.
     """
+    groups, years = check_groups(reference_groups), check_years(years)
+
     def count(text: IO[str]) -> _Tally:
-        tally = _Tally(reference_groups, years)
+        tally = _Tally(groups, years)
         add = tally.add
         for fields in _decode(text, format):
             add(*fields)
@@ -888,9 +906,9 @@ def build_dataset(records: Iterable[PublicationRecord], reference_groups: Sequen
 
     Raises :class:`DatasetError` if nothing survives or if any reference
     group ends up with zero publications, since a silent group has no
-    publication fractions to propagate. A group list that breaks :func:`listed_name` is a ValidationError.
+    publication fractions to propagate. A group list that breaks :func:`check_groups` is a ValidationError.
     """
-    tally = _Tally(reference_groups, None)
+    tally = _Tally(check_groups(reference_groups), None)
     for rec in records:
         tally.add(None, rec.paper_id, list(rec.authors), rec.group, rec.venue, rec.title, rec.year)
     return tally.dataset()

@@ -14,16 +14,16 @@ from pscore import (
     CountsTable,
     ScoreVector,
     build_chain,
-    build_reduced,
     group_consistency_check,
-    gth_steady_state,
     normalize_max_one,
     rank_authors,
     solve_pipeline,
     steady_state,
     venue_scores,
 )
+from pscore.chain import build_reduced
 from pscore.cli import main
+from pscore.solver import gth_steady_state
 
 from conftest import (
     DATA_DIR,

@@ -12,12 +12,12 @@ from pscore import (
     ReputationChain,
     StationaryDistribution,
     build_chain,
-    build_reduced,
     check_irreducible,
     group_consistency_check,
     solve_pipeline,
     venue_scores,
 )
+from pscore.chain import build_reduced
 
 from conftest import (
     GOLDEN_ALPHA,

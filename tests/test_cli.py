@@ -78,7 +78,7 @@ class TestVenuesCommand:
         assert lines[2] == "venue\traw_score\tnormalized_score"
         assert lines[3].startswith("v1\t")
 
-    def test_debug_matrices(self, tmp_path, capsys):
+    def test_emit_debug_matrices_is_refused(self, tmp_path, capsys):
         # the option is gone: it is refused as unknown, before any output is written
         out = tmp_path / "venues.tsv"
         with pytest.raises(SystemExit) as exc:
@@ -431,14 +431,14 @@ class TestDisconnectionHandling:
         assert lines[-1] == "2\tG2\t0.000000"
 
     @pytest.mark.parametrize("command", ["venues", "groups"])
-    def test_largest_component_debug_matrices(self, tmp_path, command):
+    def test_largest_component_solves_its_own_axes(self, tmp_path, command):
         argv = [command, *DISJOINT_ARGS, "--allow-largest-component", "-o", str(tmp_path / "report.tsv")]
         assert main(argv) == 0
         # only the solved component's axes: venue v1, group G1
         solved = solved_chain(argv).counts
         assert (solved.group_names, solved.venue_names) == (("G1",), ("v1",))
 
-    def test_debug_matrices_label_a_later_component(self, tmp_path):
+    def test_a_later_largest_component_is_solved(self, tmp_path):
         records = tmp_path / "records.jsonl"
         records.write_text(
             '{"id":"a","group":"G1","authors":["x"],"venue":"v1"}\n'

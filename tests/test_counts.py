@@ -9,13 +9,11 @@ from numpy.testing import assert_array_equal
 from pscore import (
     CountsTable,
     ParseError,
-    PublicationRecord,
     ValidationError,
     aggregate,
-    build_dataset,
     parse_author_counts,
-    parse_records,
 )
+from pscore.records import PublicationRecord, build_dataset, parse_records
 
 from conftest import DATA_DIR, GOLDEN_AUTHOR_COUNTS, GOLDEN_MATRIX, table_from_matrix
 from oracles import dense_counts

@@ -22,11 +22,11 @@ import pickle
 import numpy as np
 import pytest
 
-from pscore import CountsTable, DatasetError, ParameterError, ParseError, PublicationRecord, ScoreVector
-from pscore import ValidationError, aggregate, build_dataset, ingest, make_ranking, parse_author_counts
-from pscore import parse_records, rank_authors, solve_pipeline
-from pscore.cli import _file_context, build_parser
-from pscore.records import MAX_COUNT, check_score, load_author_pubs, locating
+from pscore import CountsTable, DatasetError, ParameterError, ParseError, ScoreVector, ValidationError
+from pscore import aggregate, ingest, make_ranking, parse_author_counts, rank_authors, solve_pipeline
+from pscore.cli import _file_context, build_parser, main
+from pscore.records import MAX_COUNT, PublicationRecord, build_dataset, check_score, load_author_pubs, locating
+from pscore.records import parse_records
 from pscore.scoring import load_venue_scores
 
 TABLE = build_dataset([PublicationRecord(group="G1", authors=("A",), venue="v1")], ["G1"])
@@ -489,14 +489,20 @@ def test_record_field_rules(reader, fields, text, field):
 
 
 @pytest.mark.parametrize("read", [
-    pytest.param(lambda: ingest(jsonl(author_line(["A"])), "jsonl", []), id="ingest"),
-    pytest.param(lambda: build_dataset([PublicationRecord(group="G", authors=("A",), venue="v1")], []),
+    pytest.param(lambda groups: ingest(jsonl(author_line(["A"])), "jsonl", groups), id="ingest"),
+    pytest.param(lambda groups: build_dataset([PublicationRecord(group="G", authors=("A",), venue="v1")], groups),
                  id="build_dataset"),
+    pytest.param(lambda groups: CountsTable([0], [0], [1], [1], groups, ["v1"]), id="CountsTable"),
 ])
 def test_empty_reference_group_list(read):
     with pytest.raises(DatasetError) as exc:
-        read()
+        read([])
     assert (type(exc.value), str(exc.value)) == (DatasetError, "reference group list is empty")
+    # a string is no list of groups: "G1" is not the groups G and 1
+    with pytest.raises(ValidationError) as exc:
+        read("G1")
+    assert (str(exc.value), exc.value.entry, exc.value.field) == (
+        "group list must be a list of names, not the string 'G1'", None, "group")
 
 
 def test_unknown_author_count_format():
@@ -602,11 +608,20 @@ def test_make_ranking_reads_generators():
     assert [(e.rank, e.name, e.score) for e in ranking.entries] == [(1, "b", 0.75), (2, "a", 0.25)]
 
 
-@pytest.mark.parametrize("years", [(2010,), ("a", None), (None, True), 2010, (2010, 2012, 2014)])
+@pytest.mark.parametrize("years", [(2010,), ("a", None), (None, True), 2010, (2010, 2012, 2014), (2020, 2010)])
 def test_year_window_must_be_a_pair_of_integers(years):
     with pytest.raises(ParameterError) as exc:
         ingest(jsonl({**author_line(["A"]), "year": 2011}), "jsonl", ["G"], years=years)
-    assert str(exc.value) == f"years must be a (start, end) pair of integers or None, got {years!r}"
+    assert str(exc.value) == ("empty year range '2020:2010'" if years == (2020, 2010) else
+                              f"years must be a (start, end) pair of integers or None, got {years!r}")
+
+
+def test_a_reversed_year_window_is_refused_as_on_the_command_line(tmp_path, capsys):
+    with pytest.raises(ParameterError) as exc:
+        ingest(jsonl({**author_line(["A"]), "year": 2011}), "jsonl", ["G"], years=(2020, 2010))
+    # refused before the records are opened: this file does not exist
+    assert main(["venues", "--input", str(tmp_path / "missing.jsonl"), "--group", "G", "--years", "2020:2010"]) == 1
+    assert capsys.readouterr() == ("", f"pscore: error: {exc.value}\n")
 
 
 @pytest.mark.parametrize("years, kept", [(None, 1), ((None, None), 1), ([2010, None], 1), ((2012, 2014), 0)])

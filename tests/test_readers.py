@@ -26,9 +26,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR
-from pscore import InternalError, ParseError, PScoreError, ValidationError, ingest, parse_author_counts, parse_records
+from pscore import InternalError, ParseError, PScoreError, ValidationError, ingest, parse_author_counts
 from pscore.cli import main
-from pscore.records import MAX_COUNT, load_author_pubs
+from pscore.records import MAX_COUNT, load_author_pubs, parse_records
 from pscore.scoring import load_venue_scores
 
 FIELD_LIMIT = "field larger than field limit (131072)"

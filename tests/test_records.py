@@ -4,15 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pscore import (
-    DatasetError,
-    ParseError,
-    PublicationRecord,
-    ValidationError,
-    build_dataset,
-    parse_records,
-)
-from pscore.records import normalize_name
+from pscore import DatasetError, ParseError, ValidationError
+from pscore.records import PublicationRecord, build_dataset, normalize_name, parse_records
 
 from conftest import DATA_DIR
 from oracles import dense_counts, filter_by_year, serialize_records

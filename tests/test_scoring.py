@@ -14,7 +14,6 @@ from pscore import (
     ValidationError,
     build_chain,
     group_consistency_check,
-    gth_steady_state,
     make_ranking,
     normalize_max_one,
     rank_authors,
@@ -36,6 +35,7 @@ from conftest import (
 import oracles
 from oracles import dense_blocks, dense_reduced
 from pscore.scoring import venue_report_tsv
+from pscore.solver import gth_steady_state
 
 
 @pytest.fixture

@@ -14,11 +14,10 @@ from pscore import (
     ReputationChain,
     build_chain,
     check_irreducible,
-    gth_steady_state,
     steady_state,
 )
 from pscore import solver
-from pscore.solver import EPS, MAX_STEPS, iteration_count
+from pscore.solver import EPS, MAX_STEPS, gth_steady_state, iteration_count
 
 from conftest import (
     GOLDEN_D,

@@ -11,6 +11,7 @@ import bisect
 import errno
 import io
 import json
+import logging
 import os
 import pickle
 import threading
@@ -19,7 +20,7 @@ import time
 import pytest
 
 from conftest import binary_file, split_reads
-from pscore import ParseError, PScoreError, ingest, records
+from pscore import DatasetError, ParameterError, ParseError, PScoreError, ValidationError, ingest, records
 from pscore.records import load_author_pubs
 
 GROUPS = ["Group A", "Group B"]
@@ -36,8 +37,8 @@ def records_file(n, **lines):
     return "".join(line + "\n" for line in text).encode()
 
 
-def counts(stream):
-    table = ingest(stream, "jsonl", GROUPS)
+def counts(stream, years=None):
+    table = ingest(stream, "jsonl", GROUPS, years=years)
     return (table.group_names, table.venue_names, table.group.tolist(), table.venue.tolist(),
             table.n_group_venue.tolist(), table.d_venue.tolist(), table.dropped_foreign, table.dedup_merged)
 
@@ -194,6 +195,46 @@ def test_a_duplicate_across_ranges_leaves_no_venue_spelling():
     split, forked, serial = split_and_serial(data, counts)
     assert forked and split == serial
     assert split[1] == ("other", "Sigir", "sigma", "venue") and split[-1] == 2
+
+
+def test_a_year_window_counts_what_a_serial_read_counts(caplog):
+    # on both sides of the cut: records dated in and out of 2003-2007, undated ones, a foreign group, a record
+    # repeated in the window (p004, merged) and one whose first copy lies outside it (p001, kept)
+    lines = {f"line{k}": record(k, GROUPS[k % 2], year=2000 + k % 10) for k in range(1, 21)}
+    lines.update(line2=record(2, "Group C", year=2002), line6=record(6), line8=record(8, "Group C"),
+                 line13=record(13, "Group C", year=2005), line15=record(15, "Group B"),
+                 line17=record(4, year=2004), line19=record(1, "Group B", year=2005))
+    data = records_file(20, **lines)
+    assert range_starts(data) == [1, 12]
+
+    def read(stream):
+        caplog.clear()
+        table = counts(stream, years=(2003, 2007))
+        return table, [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+    split, forked, serial = split_and_serial(data, read)
+    assert forked and split == serial and reaped(forked)
+    assert split[0][-2:] == (1, 1) and split[1] == ["year filter excluded 3 record(s) without a year"]
+
+
+@pytest.mark.parametrize("groups, years, error", [
+    ([], None, DatasetError), ("G1", None, ValidationError),
+    (GROUPS, (2020, 2010), ParameterError), (GROUPS, (2020, "x"), ParameterError),
+], ids=["no-groups", "string-groups", "reversed-years", "text-year"])
+def test_a_bad_argument_is_refused_before_the_file_is_cut_or_read(groups, years, error):
+    data = records_file(20)
+    assert range_starts(data) == [1, 11]
+    with split_reads(2) as forked, binary_file(data) as fh:
+        split = outcome(lambda: ingest(fh, "jsonl", groups, years=years))
+        assert forked == [] and fh.tell() == 0
+    assert split[0] is error and split == outcome(lambda: ingest(io.BytesIO(data), "jsonl", groups, years=years))
+
+
+def test_a_group_iterator_is_read_once_for_every_range():
+    # the failing range sends the file back to a serial read, which must count against the same groups
+    data = records_file(20, line17="{oops")
+    split, forked, serial = split_and_serial(data, lambda fh: ingest(fh, "jsonl", iter(GROUPS)))
+    assert forked and split == serial and (split[0], split[2]) == (ParseError, 17)
 
 
 def test_the_callers_stream_is_left_open_at_eof():
