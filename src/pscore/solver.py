@@ -3,19 +3,23 @@
 Every row of beta is ``d * volume[w] + (1 - d) * breadth``, so gamma = gamma
 @ beta @ alpha solves ``gamma (I - d R) = (1 - d) t`` with t = breadth @ alpha
 and R = volume @ alpha. R is reversible with respect to the group sizes N(w),
-since ``N(w) R(w, w') = sum_j N(w, j) N(w', j) / N(j)`` is symmetric, so:
+since ``N(w) R(w, w') = sum_j N(w, j) N(w', j) / N(j)`` is symmetric, so
+S = D^1/2 R D^-1/2 with D = diag(N) is symmetric, positive semidefinite, and
+has u = sqrt(N) / ||sqrt(N)|| as an eigenvector for eigenvalue 1. Splitting
+gamma along u gives
 
-- at d = 1, gamma = N(w) / sum N exactly (``method="closed_form"``);
-- for d < 1, y = gamma / sqrt(N(w)) solves a symmetric system whose spectrum
-  lies in [1 - d, 1]. Chebyshev iteration on that interval (Golub and Varga
-  1961; Saad, *Iterative Methods for Sparse Linear Systems*, section 12)
-  commutes with the diagonal scaling, so it runs on gamma itself
-  (``method="chebyshev"``). From y_0 = 0 the error obeys ||y_k - y*||_2 <=
-  2 rho^k ||y*||_2 with rho = (1 - sqrt(1 - d)) / (1 + sqrt(1 - d)), and
-  ||y*||_2^2 <= 1 / min N(w); Cauchy-Schwarz gives ||gamma_k - gamma*||_1 <=
-  sqrt(sum N) ||y_k - y*||_2. That fixes the step count before the first
-  step (:func:`iteration_count`); it grows like 1 / sqrt(1 - d), and a d
-  that would need more than :data:`MAX_STEPS` is refused.
+    gamma = N / sum N + (1 - d) (z * sqrt(N)),  z (I - d S) = b,
+    b = (t - N / sum N) / sqrt(N),
+
+with b and z orthogonal to u. On u's complement I - d S is symmetric with
+its spectrum in [1 - d lambda_2, 1], so conjugate gradients (Hestenes and
+Stiefel 1952) with u deflated (Nicolaides, SIAM J. Numer. Anal. 24(2), 1987;
+Saad, Yeung, Erhel and Guyomarc'h, SIAM J. Sci. Comput. 21(5), 2000) solve
+it in a number of steps set by the graph's spectral gap, not by 1 - d
+(``method="cg"``). Since ||z_k - z*||_2 <= ||r_k||_2 / (1 - d), the factor
+1 - d cancels and ||gamma_k - gamma*||_1 <= sqrt(sum N) ||r_k||_2 at every d.
+At d = 1 the correction vanishes and no step runs: gamma = N / sum N
+exactly (``method="closed_form"``).
 
 Grassmann-Taksar-Heyman state elimination, :func:`gth_steady_state`, solves
 any dense row-stochastic matrix independently. It only adds, multiplies and
@@ -29,12 +33,12 @@ from dataclasses import dataclass
 
 from . import _np as np
 from .chain import TOL, ReputationChain
-from .errors import ChainError, DisconnectedChainError, ParameterError
+from .errors import ChainError, DisconnectedChainError
 
-# 1-norm error bound on the Chebyshev iterate: ||gamma_k - gamma*||_1 <= EPS
+# 1-norm error aimed at: ||gamma_k - gamma*||_1 <= sqrt(sum N) ||r_k||_2 <= EPS
 EPS = 1e-17
-# Chebyshev steps allowed before a d this close to 1 is refused (about 10 s at T = 1000)
-MAX_STEPS = 100_000
+# CG steps allowed per group, a guard against breakdown: exact arithmetic needs fewer than T
+STEPS_PER_GROUP = 20
 
 
 @dataclass(frozen=True)
@@ -93,55 +97,47 @@ def gth_steady_state(p_reduced) -> StationaryDistribution:
     return StationaryDistribution(gamma=gamma, residual=residual, method="gth")
 
 
-def iteration_count(n_group: np.ndarray, d: float) -> int:
-    """Chebyshev steps k with 2 rho^k sqrt(sum N / min N(w)) <= EPS (d < 1).
-
-    At d = 0 one step gives the exact answer, ``breadth @ alpha``; so does
-    any d for which 1 - d rounds to 1.
-    """
-    root = math.sqrt(1.0 - d)
-    rho = (1.0 - root) / (1.0 + root)
-    if rho == 0.0:
-        return 1
-    scale = 2.0 * math.sqrt(int(n_group.sum()) / int(n_group.min()))
-    return math.ceil(math.log(EPS / scale) / math.log(rho))
-
-
 def steady_state(chain: ReputationChain) -> StationaryDistribution:
     """Stationary group vector of ``chain``, from its counts and its d.
 
     The closed form at d = 1 holds on a connected group-venue graph, which
     :func:`~pscore.chain.check_irreducible` decides; below 1 the chain is
-    always irreducible. A d that needs over :data:`MAX_STEPS` steps raises :class:`ParameterError`.
+    always irreducible. CG stops once ||r||_2 <= EPS / sqrt(sum N), or once
+    ||r||_2 <= 2^-52 ||b||_2, since the first is out of float64's reach on
+    most inputs; it never restarts, and stops after :data:`STEPS_PER_GROUP`
+    steps per group at most. The pipeline holds the result to its
+    fixed-point tolerance either way.
     """
     d, n_group = chain.d, chain.counts.n_group
+    total = int(n_group.sum())
+    root, prior, t = np.sqrt(n_group), n_group / total, chain.to_groups(chain.breadth)
 
     def walk(gamma: np.ndarray) -> np.ndarray:
         """gamma @ volume @ alpha."""
         return chain.to_groups(chain.to_venues(gamma))
 
-    teleport = (1.0 - d) * chain.to_groups(chain.breadth)
-    if d == 1.0:
-        gamma, method = n_group / n_group.sum(), "closed_form"
-    else:
-        steps = iteration_count(n_group, d)
-        if steps > MAX_STEPS:
-            raise ParameterError(f"d = {d!r} needs {steps} Chebyshev steps, more than the cap of "
-                                 f"{MAX_STEPS}; take d further from 1, or d = 1, which has a closed form")
-        # Chebyshev iteration for gamma (I - d R) = teleport from gamma = 0,
-        # on the interval [1 - d, 1]: centre 1 - d/2, half-width d/2
-        centre, half = 1.0 - d / 2, d / 2
-        gamma, residual = np.zeros(len(n_group)), teleport.copy()
-        step, ratio = residual / centre, half / centre
-        for _ in range(steps - 1):
-            gamma += step
-            residual -= step - d * walk(step)
-            denom = 2.0 * centre - half * ratio
-            ratio, previous = half / denom, ratio
-            step = (ratio * previous) * step + (2.0 / denom) * residual
-        gamma += step
-        # one sweep damps the rounding the recurrence leaves in fast-mixing directions
-        gamma = d * walk(gamma / gamma.sum()) + teleport
-        gamma, method = gamma / gamma.sum(), "chebyshev"
-    residual = float(np.max(np.abs(d * walk(gamma) + teleport - gamma)))
+    gamma, method = prior, "closed_form"
+    if d < 1.0:
+        u = root / math.sqrt(total)
+
+        def dot(a: np.ndarray, b: np.ndarray) -> float:
+            """Pairwise sum of a * b: BLAS's ddot sums in an order set by the CPU."""
+            return float(np.add.reduce(a * b))
+
+        def deflate(x: np.ndarray) -> np.ndarray:
+            return x - dot(x, u) * u
+
+        r = deflate((t - prior) / root)
+        z, p, rr = np.zeros_like(r), r, dot(r, r)
+        stop = max(EPS / math.sqrt(total), 2.0**-52 * math.sqrt(rr)) ** 2
+        for _ in range(STEPS_PER_GROUP * len(n_group)):
+            if rr <= stop:
+                break
+            q = (1.0 - d) * p + d * (p - walk(p * root) / root)  # p (I - d S); 1 - d survives d near 1
+            step = rr / dot(p, q)
+            z, r = z + step * p, deflate(r - step * q)  # rounding puts u back into r, where I - d S cannot see it
+            rr, previous = dot(r, r), rr
+            p = r + (rr / previous) * p
+        gamma, method = prior + (1.0 - d) * (z * root), "cg"
+    residual = float(np.max(np.abs(d * walk(gamma) + (1.0 - d) * t - gamma)))
     return StationaryDistribution(gamma=gamma, residual=residual, method=method)

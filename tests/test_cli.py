@@ -106,11 +106,12 @@ class TestVenuesCommand:
             expected = (DATA_DIR / "debug_matrices" / f"{dataset}.{block}.tsv").read_bytes()
             assert f"# {comment}\n{rows}".encode() == expected
 
-    def test_d_too_close_to_one_fails_fast(self, capsys):
-        args = GOLDEN_ARGS[:-1] + ["0.999999999999"]
-        assert main(["venues", *args]) == 1
-        err = capsys.readouterr().err
-        assert "Chebyshev steps, more than the cap of 100000" in err and "d = 1" in err
+    def test_d_next_to_one_ranks_as_d_one(self, capsys):
+        reports = {}
+        for d in ("0.999999999999", "1"):
+            assert main(["groups", *GOLDEN_ARGS[:-1], d]) == 0
+            reports[d] = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("# d = ")]
+        assert reports["0.999999999999"] == reports["1"]
 
     def test_bad_d_rejected(self, capsys):
         args = GOLDEN_ARGS[:-1] + ["1.5"]

@@ -37,7 +37,7 @@ def test_largest_component_indexes_the_solved_axes():
 
 def test_nan_from_the_solver_is_an_internal_error(monkeypatch):
     """A NaN fails the fixed-point check as a bug; it never reaches ScoreVector, where it would read as bad input."""
-    nan = StationaryDistribution(gamma=np.full(2, np.nan), residual=np.nan, method="chebyshev")
+    nan = StationaryDistribution(gamma=np.full(2, np.nan), residual=np.nan, method="cg")
     monkeypatch.setattr(pipeline, "steady_state", lambda chain: nan)
     with pytest.raises(InternalError, match=r"^group/venue fixed point violated: residual nan exceeds 1e-10$"):
         solve_pipeline(DISJOINT, 0.5)
@@ -74,7 +74,7 @@ def dataset_table(prefix: str) -> CountsTable:
 @pytest.mark.parametrize("d", [0.0, 0.5, 1.0])
 def test_solve_path_stays_off_gth(no_dense_solve, prefix, d, capsys):
     result = solve_pipeline(dataset_table(prefix), d, allow_largest_component=True)
-    assert result.gamma.method == ("closed_form" if d == 1.0 else "chebyshev")
+    assert result.gamma.method == ("closed_form" if d == 1.0 else "cg")
     flags = ["--input", str(DATA_DIR / f"{prefix}_records.jsonl"),
              "--groups-file", str(DATA_DIR / f"{prefix}_groups.txt"),
              "--d", str(d), "--allow-largest-component"]

@@ -20,10 +20,10 @@ def test_library_example_matches_cli(tmp_path, monkeypatch, capsys):
     shutil.copy(DATA_DIR / "golden_records.jsonl", tmp_path / "records.jsonl")
     monkeypatch.chdir(tmp_path)
     example = library_example()
-    assert '# "chebyshev" or "closed_form"' in example  # the two solver paths
+    assert '# "cg" or "closed_form"' in example  # the two solver paths
     exec(compile(example, str(README), "exec"), {})
     method, *printed = capsys.readouterr().out.splitlines()
-    assert method == "chebyshev"  # d = 0.5
+    assert method == "cg"  # d = 0.5
 
     flags = ["--input", "records.jsonl", "--group", "Group 1", "--group", "Group 2",
              "--years", "2010:", "--d", "0.5"]
