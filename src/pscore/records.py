@@ -20,7 +20,6 @@ import math
 import numbers
 import os
 from array import array
-from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -700,17 +699,19 @@ def parse_records(stream: IO[bytes] | IO[str], format: str) -> list[PublicationR
 
 
 _BLANK = -1  # author memo entry for a name that normalizes to nothing
+_BLOCK = 4096  # keys gathered into one array, or entries rewritten or compared, at a time
 
 
 class _Tally:
     """The one counting core: folds records into integer ids as they arrive.
 
     Every distinct raw group, venue and author string is normalized and
-    case-folded once and interned. A record that lies in the year window,
-    belongs to a reference group and is new to it is kept: it leaves one
-    (venue spelling, group) cell, one (author, record) pair per author, all
-    as integers, and its id, else its folded title, in the group's seen-set
-    and in the list of kept records' keys.
+    case-folded once and interned. A record in the year window and a
+    reference group is a candidate: it leaves one (venue spelling, group)
+    cell and one (author, record) pair per author, as integers, and a key,
+    its row with its id, else its folded title, else empty, in the key
+    column, numpy strings written a block at a time. :meth:`dataset` finds
+    the repeated papers once, after the read, by sorting the keys.
 
     A tally can :meth:`merge` the tally of the input that follows; pickled,
     as a worker sends it, it carries only what a merge reads.
@@ -726,13 +727,11 @@ class _Tally:
         self._spelling: dict[str, int] = {}   # normalized venue -> spelling id
         self._author_of: dict[str, int] = {}  # raw author -> author id, or _BLANK
         self._author_id: dict[str, int] = {}  # folded author -> author id
-        # row -> keys counted: an id as itself, a folded title as a 1-tuple, so the two never meet; a dict
-        # (values None) as it takes about half the memory of a set of the same size
-        self._seen: defaultdict[int, dict] = defaultdict(dict)
-        self._keys: list = []      # key of each kept record, None if it has neither id nor title
-        self._cells = array("q")  # spelling * T + row, one per kept record
-        self._pairs = array("q")  # author << 32 | kept record, one per author of a kept record
-        self.undated = self.dropped = self.merged = 0
+        self._keys: list = []         # the key column: a string array per full block of candidates
+        self._block: list[str] = []   # the keys of the candidates after the last full block
+        self._cells = array("q")  # spelling * T + row, one per candidate
+        self._pairs = array("q")  # author << 32 | candidate, one per author of a candidate
+        self.undated = self.dropped = 0
 
     def add(self, line: int | None, paper_id: str | None, authors: object,
             group: object, venue: object, title: object, year: object) -> None:
@@ -778,57 +777,53 @@ class _Tally:
         if row < 0:
             self.dropped += 1
             return
+        # the row, then "i" and the id or "t" and the folded title: a key repeats only in its group, never across kinds
         if paper_id is not None:
-            key = paper_id
+            key = f"{row}i{paper_id}"
         elif title and (name := normalize_name(title)):
-            key = (fold(name),)
+            key = f"{row}t{fold(name)}"
         else:
-            key = None
-        if key is not None:
-            seen = self._seen[row]
-            if key in seen:
-                self.merged += 1
-                return
-            seen[key] = None
+            key = ""
+        if not key.isascii():  # numpy stores text as UTF-8, which has no lone surrogate; Latin-1 maps any bytes
+            key = key.encode("utf-8", "surrogatepass").decode("latin-1")
         record = len(self._cells)
-        self._keys.append(key)
+        self._block.append(key)
+        if len(self._block) == _BLOCK:
+            self._flush()
         self._cells.append(spelling * len(self.groups) + row)
         self._pairs.extend([author << 32 | record for author in ids])
 
+    def _flush(self) -> None:
+        """Move the keys gathered since the last full block to the key column."""
+        if self._block:
+            self._keys.append(np.array(self._block, dtype="T"))
+            self._block = []
+
     def __getstate__(self) -> dict:
-        return {"_spelling": list(self._spelling), "_author_id": list(self._author_id), "_keys": self._keys,
-                "_cells": self._cells, "_pairs": self._pairs,
-                "undated": self.undated, "dropped": self.dropped, "merged": self.merged}
+        # numpy byte arrays and one string per key block, which unpickle with no copy held to the end of the load
+        self._flush()
+        keys = [("".join(block), np.cumsum([*map(len, block)])) for block in map(np.ndarray.tolist, self._keys)]
+        return {"_spelling": list(self._spelling), "_author_id": list(self._author_id), "_keys": keys,
+                "_cells": np.frombuffer(self._cells, np.uint8), "_pairs": np.frombuffer(self._pairs, np.uint8),
+                "undated": self.undated, "dropped": self.dropped}
 
     def merge(self, later: "_Tally") -> bool:
-        """Count ``later``, the tally of the range that follows, after this tally's records; True.
-
-        A record kept there whose key this tally saw in its group is a
-        duplicate: it is merged, and leaves no cell, pair or venue spelling.
-        """
-        t, seen = len(self.groups), self._seen
-        cells = np.frombuffer(later._cells, dtype=np.int64)
-        rows = (cells % t).tolist()
-        keep = np.fromiter((key is None or key not in seen[row] for key, row in zip(later._keys, rows)),
-                           bool, len(rows))
+        """Append, renumbered, the candidates of ``later``, the unpickled tally of the next range, freeing it; True."""
+        t, offset = len(self.groups), len(self._cells)
         spelling = np.array([self._spelling.setdefault(s, len(self._spelling)) for s in later._spelling], np.int64)
         author = np.array([self._author_id.setdefault(a, len(self._author_id)) for a in later._author_id], np.int64)
-        record = np.cumsum(keep) + (len(self._cells) - 1)  # a kept record's index here
-        pairs = np.frombuffer(later._pairs, dtype=np.int64)
-        pairs = pairs[keep[pairs & 0xFFFFFFFF]]
-        self._pairs.frombytes((author[pairs >> 32] << 32 | record[pairs & 0xFFFFFFFF]).tobytes())
-        cells = cells[keep]
-        self._cells.frombytes((spelling[cells // t] * t + cells % t).tobytes())
-        del pairs, cells, record  # before the seen-sets grow, which lowers the peak
-        for key, row in zip(later._keys, rows):
-            if key is not None:
-                seen[row][key] = None
+        _rewrite(np.frombuffer(later._cells, np.int64), lambda cell: spelling[cell // t] * t + cell % t)
+        _rewrite(np.frombuffer(later._pairs, np.int64), lambda pair: author[pair >> 32] << 32 | pair % 2**32 + offset)
+        self._cells.frombytes(vars(later).pop("_cells"))
+        self._pairs.frombytes(vars(later).pop("_pairs"))
+        self._flush()
+        self._keys += [np.array([text[a:b] for a, b in zip([0, *ends], ends)], dtype="T")
+                       for text, ends in ((text, ends.tolist()) for text, ends in later._keys)]
         self.undated, self.dropped = self.undated + later.undated, self.dropped + later.dropped
-        self.merged += later.merged + len(rows) - int(keep.sum())
         return True
 
     def dataset(self) -> CountsTable:
-        """Check the tallies and lay them out as group-major cells; once only, as it sorts them in place."""
+        """Check the tallies, drop repeats and lay the rest out as group-major cells; once only, as it rewrites them."""
         if self.undated:
             log.warning("year filter excluded %d record(s) without a year", self.undated)
         if self.dropped:
@@ -838,32 +833,55 @@ class _Tally:
         cells = np.frombuffer(self._cells, dtype=np.int64)
         pairs = np.frombuffer(self._pairs, dtype=np.int64)
         spellings = list(self._spelling)
-        del self._seen, self._keys, self._group_of, self._venue_of, self._author_of, self._author_id  # spent
-        del self._cells, self._pairs  # sorted in place, so a second call must fail, not count them again
-        t = len(self.groups)
+        self._flush()
+        keys = np.concatenate(self._keys)
+        del self._keys, self._group_of, self._venue_of, self._author_of, self._author_id  # spent
+        del self._cells, self._pairs  # rewritten in place, so a second call must fail, not count them again
+        t, s, n = len(self.groups), len(spellings), len(cells)
+
+        # a stable sort puts each paper's first candidate before its repeats, which move to spelling s, shown nowhere
+        order = np.argsort(keys, kind="stable")
+        again = np.zeros(n, dtype=bool)  # again[i]: sorted key i is sorted key i - 1, not ""
+        for at in range(1, n, _BLOCK):
+            block = keys[order[at - 1:at + _BLOCK]]
+            again[at:at + len(block) - 1] = (block[1:] == block[:-1]) & (block[1:] != "")
+        del keys
+        cells[order[again]] = s * t
 
         # a venue shows the spelling of its first kept record; kept venues in case-folded order
-        used, first = np.unique(cells // t, return_index=True)
+        first = np.full(s + 1, n)  # each spelling's first candidate
+        for at in range(0, n, _BLOCK):
+            np.minimum.at(first, cells[at:at + _BLOCK] // t, np.arange(at, min(at + _BLOCK, n)))
         shown: dict[str, str] = {}  # folded venue -> spelling
-        for s in used[np.argsort(first)].tolist():
-            shown.setdefault(fold(spellings[s]), spellings[s])
+        for spelling in np.argsort(first[:s])[:np.count_nonzero(first[:s] < n)].tolist():
+            shown.setdefault(fold(spellings[spelling]), spellings[spelling])
         keys = sorted(shown)
         index = {key: j for j, key in enumerate(keys)}
-        column = np.array([index.get(fold(name), -1) for name in spellings], dtype=np.int64)
         v = len(keys)
+        column = np.array([index.get(fold(name), -1) for name in spellings] + [v], dtype=np.int64)  # s -> v
 
-        # pairs become author << 32 | venue column before the cells are sorted
-        pairs[:] = pairs >> 32 << 32 | column[cells[pairs & 0xFFFFFFFF] // t]
+        # pairs become author << 32 | venue column before the cells are rewritten; a repeat's go to column v
+        _rewrite(pairs, lambda block: block >> 32 << 32 | column[cells[block & 0xFFFFFFFF] // t])
+        _rewrite(cells, lambda block: block % t * (v + 1) + column[block // t])
         # counts are the run lengths of the sorted codes; a hashed np.unique costs more memory
-        cells[:] = cells % t * v + column[cells // t]
         cells.sort()
-        starts = np.flatnonzero(np.diff(cells, prepend=-1))
+        starts = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1])))
         cell, n_group_venue = cells[starts], np.diff(starts, append=len(cells))
+        kept = cell % (v + 1) < v
         pairs.sort()
-        d_venue = np.bincount(pairs[np.diff(pairs, prepend=-1) != 0] & 0xFFFFFFFF, minlength=v)
+        pairs[1:][pairs[1:] == pairs[:-1]] = v  # a pair met before counts in column v
+        pairs &= 0xFFFFFFFF
+        d_venue = np.bincount(pairs, minlength=v + 1)[:v]
 
-        return CountsTable(cell // v, cell % v, n_group_venue, d_venue, self.groups, tuple(shown[k] for k in keys),
-                           dropped_foreign=self.dropped, dedup_merged=self.merged)
+        return CountsTable(cell[kept] // (v + 1), cell[kept] % (v + 1), n_group_venue[kept], d_venue, self.groups,
+                           tuple(shown[k] for k in keys), dropped_foreign=self.dropped, dedup_merged=int(again.sum()))
+
+
+def _rewrite(values: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> None:
+    """``values[:] = f(values)``, a block at a time, which keeps the temporaries of ``f`` small."""
+    for at in range(0, len(values), _BLOCK):
+        block = values[at:at + _BLOCK]
+        block[:] = f(block)
 
 
 def ingest(

@@ -102,16 +102,18 @@ def make_ranking(names: Iterable[str], scores: Iterable[float]) -> Ranking:
             raise ValidationError(f"score must be finite, got {scores[i]!r}", field="score")
     # negated printed scores for the sort keys and the tie test, unboxed
     printed = array("d", [-round(v, PRINTED_DECIMALS) for v in scores])
-    order = sorted(range(len(names)), key=lambda i: (printed[i], fold(names[i]), names[i]))
+    order = sorted(range(len(names)), key=names.__getitem__)  # three stable sorts, last key first: no key tuples
+    order.sort(key=list(map(fold, names)).__getitem__)
+    order.sort(key=printed.__getitem__)
 
-    def ranked() -> Iterator[RankEntry]:  # the entries in order, read straight into the ranking's tuple
+    def ranked() -> Iterator[tuple[int, str, float]]:  # the entries' fields in order, competition ranks first
         rank, prev = 0, None
         for position, i in enumerate(order, start=1):
             if printed[i] != prev:
                 rank, prev = position, printed[i]
-            yield RankEntry(rank, names[i], scores[i])
+            yield rank, names[i], scores[i]
 
-    return Ranking(entries=tuple(ranked()))
+    return Ranking(tuple(map(RankEntry._make, ranked())))
 
 
 def venue_scores(gamma: StationaryDistribution, chain: ReputationChain) -> np.ndarray:

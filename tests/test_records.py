@@ -1,10 +1,11 @@
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pscore import DatasetError, ParseError, ValidationError
+from pscore import DatasetError, ParseError, ValidationError, ingest
 from pscore.records import PublicationRecord, build_dataset, normalize_name, parse_records
 
 from conftest import DATA_DIR
@@ -240,6 +241,43 @@ class TestBuildDataset:
         ds = build_dataset(recs, ["G1", "g2"])
         assert ds.venue_names == ("v1", "v2")
         assert dense_counts(ds).tolist() == [[1, 1], [0, 1]]
+
+
+# (paper id, title) of a first and a second record, and whether the second repeats the first
+REPEAT_KEYS = {
+    "same-id": (("x", None), ("x", None), True),
+    "nul-is-kept": (("a\u0000", None), ("a", None), False),
+    "trailing-nuls-differ": (("a\u0000", None), ("a\u0000\u0000", None), False),
+    "lone-surrogate-twice": (("\ud800", None), ("\ud800", None), True),
+    "two-lone-surrogates": (("\ud800", None), ("\udc00", None), False),
+    "surrogate-bytes-or-latin-1": (("\ud800", None), ("\u00ed\u00a0\u0080", None), False),
+    "long-id-twice": (("x" * 40, None), ("x" * 40, None), True),
+    "long-ids-differ-at-the-end": (("x" * 40, None), ("x" * 39 + "y", None), False),
+    "long-non-ascii-id-twice": (("\u00e9" * 20, None), ("\u00e9" * 20, None), True),
+    "long-title-twice": ((None, "A Title " * 5), (None, " a  title " * 5), True),
+    "id-equal-to-a-folded-title": ((None, "On Things"), ("on things", None), False),
+    "title-after-its-id": (("on things", None), (None, "On Things"), False),
+    "no-key": ((None, None), (None, " "), False),
+}
+
+
+@pytest.mark.parametrize("first, second, repeat", REPEAT_KEYS.values(), ids=REPEAT_KEYS.keys())
+def test_a_repeat_is_an_exact_key_match(first, second, repeat):
+    # one path for records and for JSONL: the second record counts only if its key differs from the first's
+    recs = [make(paper_id=paper_id, title=title, venue=venue)
+            for (paper_id, title), venue in ((first, "v1"), (second, "v2"))]
+    lines = "".join(json.dumps({"id": r.paper_id, "title": r.title, "group": r.group, "authors": list(r.authors),
+                                "venue": r.venue}) + "\n" for r in recs)
+    for table in (build_dataset(recs, ["G1"]), ingest(jsonl(lines), "jsonl", ["G1"])):
+        assert (table.dedup_merged, table.venue_names) == ((1, ("v1",)) if repeat else (0, ("v1", "v2")))
+
+
+def test_a_repeat_is_per_group_whatever_the_row():
+    # rows 1 and 11, with ids that would meet if a key were the row's digits and the id run together
+    groups = [f"G{w}" for w in range(12)]
+    recs = [make(group=group, paper_id=paper_id) for group in groups for paper_id in ("1x", "x")]
+    table = build_dataset(recs + recs[::-1], groups)
+    assert table.dedup_merged == len(recs) and table.n_group.tolist() == [2] * 12
 
 
 class TestFilterByYear:

@@ -197,6 +197,31 @@ def test_a_duplicate_across_ranges_leaves_no_venue_spelling():
     assert split[1] == ("other", "Sigir", "sigma", "venue") and split[-1] == 2
 
 
+@pytest.mark.parametrize("first, second, repeat", [
+    ("a\u0000", "a", False), ("\ud800", "\ud800", True), ("\ud800", "\udc00", False),
+    ("x" * 40, "x" * 40, True), ("\u00e9" * 20, "\u00e9" * 20, True), ("x" * 40, "x" * 39 + "y", False),
+], ids=["nul", "surrogate", "two-surrogates", "long", "long-non-ascii", "long-different"])
+def test_a_repeat_across_ranges_is_an_exact_key_match(first, second, repeat):
+    data = records_file(20, line3=record(3, id=first, venue="first"), line17=record(17, id=second, venue="second"))
+    assert 3 < range_starts(data)[1] <= 17
+    split, forked, serial = split_and_serial(data, counts)
+    assert forked and split == serial
+    assert (split[-1], "second" in split[1]) == ((1, False) if repeat else (0, True))
+
+
+def test_a_repeat_over_three_ranges_keeps_its_first_occurrence_and_spelling():
+    # p015 first in the second range at "Sigma", then again in the third and fourth, where "SIGMA" and "sigma"
+    # are merged; its copy in the other group, and the title-keyed paper with the same text as an id, are kept
+    lines = {"line15": record(15, venue="Sigma"), "line25": record(15, venue="SIGMA"),
+             "line35": record(15, venue="sigma"), "line36": record(15, "Group B", venue="sigma"),
+             "line5": record(5, id=None, title="P015", venue="other")}
+    data = records_file(40, **lines)
+    assert range_starts(data, 4) == [1, 11, 21, 31]
+    split, forked, serial = split_and_serial(data, counts, cpus=4)
+    assert len(forked) == 3 and split == serial and reaped(forked)
+    assert split[1] == ("other", "Sigma", "venue") and split[4] == [1, 1, 19, 1, 16] and split[-1] == 2
+
+
 def test_a_year_window_counts_what_a_serial_read_counts(caplog):
     # on both sides of the cut: records dated in and out of 2003-2007, undated ones, a foreign group, a record
     # repeated in the window (p004, merged) and one whose first copy lies outside it (p001, kept)
