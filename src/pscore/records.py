@@ -698,70 +698,67 @@ def parse_records(stream: IO[bytes] | IO[str], format: str) -> list[PublicationR
         ]
 
 
-_BLANK = -1  # author memo entry for a name that normalizes to nothing
 _BLOCK = 4096  # keys gathered into one array, or entries rewritten or compared, at a time
+_key_hash = hash  # of a key, for the codes that find repeats: any function finds the same ones, only slower
 
 
 class _Tally:
     """The one counting core: folds records into integer ids as they arrive.
 
-    Every distinct raw group, venue and author string is normalized and
-    case-folded once and interned. A record in the year window and a
-    reference group is a candidate: it leaves one (venue spelling, group)
-    cell and one (author, record) pair per author, as integers, and a key,
-    its row with its id, else its folded title, else empty, in the key
-    column, numpy strings written a block at a time. :meth:`dataset` finds
-    the repeated papers once, after the read, by sorting the keys.
+    Groups and authors are interned by folded name, venues by normalized
+    spelling. A venue is looked up as it stands, a group or author
+    case-folded: folding neither makes nor removes whitespace or a lone
+    surrogate, so a hit needs no name rule or normalizing, and only a miss
+    runs them. A record in the year window and a reference group is a
+    candidate: it leaves one (venue spelling, group) cell and one (author,
+    record) pair per author, as integers, a key (its row with its id, else
+    its folded title, else empty) in a column of numpy strings, and, if the
+    key is not empty, a code: its hash above the record. :meth:`dataset`
+    finds the repeated papers once, after the read, comparing keys only
+    where the sorted codes repeat a hash.
 
-    A tally can :meth:`merge` the tally of the input that follows; pickled,
-    as a worker sends it, it carries only what a merge reads.
+    A tally can :meth:`merge` that of the input that follows, read by a
+    forked worker, whose hashes are this process's; pickled, it carries only
+    what a merge reads.
     """
 
     def __init__(self, groups: tuple[str, ...], years: tuple[int | None, int | None] | None):
         """``groups`` and ``years`` as :func:`check_groups` and :func:`check_years` return them."""
         self.groups, self._years = groups, years
-        self._group_index = {fold(group): row for row, group in enumerate(groups)}
-
-        self._group_of: dict[str, int] = {}   # raw group -> row, -1 outside the reference set
-        self._venue_of: dict[str, int] = {}   # raw venue -> spelling id
+        self._row: dict[str, int] = {fold(group): row for row, group in enumerate(groups)}  # -1: not a reference
         self._spelling: dict[str, int] = {}   # normalized venue -> spelling id
-        self._author_of: dict[str, int] = {}  # raw author -> author id, or _BLANK
         self._author_id: dict[str, int] = {}  # folded author -> author id
         self._keys: list = []         # the key column: a string array per full block of candidates
         self._block: list[str] = []   # the keys of the candidates after the last full block
         self._cells = array("q")  # spelling * T + row, one per candidate
         self._pairs = array("q")  # author << 32 | candidate, one per author of a candidate
+        self._codes = array("q")  # hash(key) << 32 | candidate, one per candidate whose key is not empty
         self.undated = self.dropped = 0
 
     def add(self, line: int | None, paper_id: str | None, authors: object,
             group: object, venue: object, title: object, year: object) -> None:
         """Validate one record's fields in order, then count it if it survives."""
-        # the author memo stands in for author_names, called only when a guard fails, to raise its error if it has one
+        # a known name skips the rules author_names and required_name apply, which run only on a miss, in order
         if authors.__class__ is not list:
             author_names(authors, line)
-        author_of, author_id = self._author_of, self._author_id
+        author_id = self._author_id
         ids = []
         for raw in authors:
-            try:
-                author = author_of[raw]
-            except (KeyError, TypeError):
-                if not isinstance(raw, str) or not raw.isascii():
-                    author_names(authors, line)
-                name = normalize_name(raw)
-                author = author_of[raw] = author_id.setdefault(fold(name), len(author_id)) if name else _BLANK
-            if author != _BLANK:
-                ids.append(author)
+            if raw.__class__ is not str or (author := author_id.get(raw.casefold())) is None:
+                if not isinstance(raw, str):
+                    author_names(authors, line)  # raises, as raw is no string
+                if not raw.isascii():
+                    _check_text(raw, "authors", line)
+                if not (name := normalize_name(raw)):
+                    continue
+                author = author_id.setdefault(fold(name), len(author_id))
+            ids.append(author)
         if not ids:
             author_names(authors, line)
-        try:
-            row = self._group_of[group]
-        except (KeyError, TypeError):
-            row = self._group_of[group] = self._group_index.get(fold(required_name(group, "group", line)), -1)
-        try:
-            spelling = self._venue_of[venue]
-        except (KeyError, TypeError):
-            name = required_name(venue, "venue", line)
-            spelling = self._venue_of[venue] = self._spelling.setdefault(name, len(self._spelling))
+        if group.__class__ is not str or (row := self._row.get(group.casefold())) is None:
+            row = self._row.setdefault(fold(required_name(group, "group", line)), -1)
+        if venue.__class__ is not str or (spelling := self._spelling.get(venue)) is None:
+            spelling = self._spelling.setdefault(required_name(venue, "venue", line), len(self._spelling))
         if title is not None and not isinstance(title, str):
             raise ValidationError("field 'title' must be a string", line=line, field="title")
         if year is not None and year.__class__ is not int:
@@ -787,6 +784,8 @@ class _Tally:
         if not key.isascii():  # numpy stores text as UTF-8, which has no lone surrogate; Latin-1 maps any bytes
             key = key.encode("utf-8", "surrogatepass").decode("latin-1")
         record = len(self._cells)
+        if key:
+            self._codes.append((_key_hash(key) & 0x7FFFFFFF) << 32 | record)
         self._block.append(key)
         if len(self._block) == _BLOCK:
             self._flush()
@@ -800,25 +799,25 @@ class _Tally:
             self._block = []
 
     def __getstate__(self) -> dict:
-        # numpy byte arrays and one string per key block, which unpickle with no copy held to the end of the load
+        # numpy byte arrays, and strings joined with their ends, which unpickle with no copy held to the end of the load
         self._flush()
-        keys = [("".join(block), np.cumsum([*map(len, block)])) for block in map(np.ndarray.tolist, self._keys)]
-        return {"_spelling": list(self._spelling), "_author_id": list(self._author_id), "_keys": keys,
+        return {"_spelling": list(self._spelling), "_author_id": _joined(list(self._author_id)),
+                "_keys": [_joined(block) for block in map(np.ndarray.tolist, self._keys)],
                 "_cells": np.frombuffer(self._cells, np.uint8), "_pairs": np.frombuffer(self._pairs, np.uint8),
-                "undated": self.undated, "dropped": self.dropped}
+                "_codes": np.frombuffer(self._codes, np.uint8), "undated": self.undated, "dropped": self.dropped}
 
     def merge(self, later: "_Tally") -> bool:
         """Append, renumbered, the candidates of ``later``, the unpickled tally of the next range, freeing it; True."""
         t, offset = len(self.groups), len(self._cells)
         spelling = np.array([self._spelling.setdefault(s, len(self._spelling)) for s in later._spelling], np.int64)
-        author = np.array([self._author_id.setdefault(a, len(self._author_id)) for a in later._author_id], np.int64)
+        author = np.array([self._author_id.setdefault(a, len(self._author_id)) for a in _split(*later._author_id)])
         _rewrite(np.frombuffer(later._cells, np.int64), lambda cell: spelling[cell // t] * t + cell % t)
         _rewrite(np.frombuffer(later._pairs, np.int64), lambda pair: author[pair >> 32] << 32 | pair % 2**32 + offset)
-        self._cells.frombytes(vars(later).pop("_cells"))
-        self._pairs.frombytes(vars(later).pop("_pairs"))
+        np.frombuffer(later._codes, np.int64)[:] += offset
+        for name in ("_cells", "_pairs", "_codes"):
+            getattr(self, name).frombytes(vars(later).pop(name))
         self._flush()
-        self._keys += [np.array([text[a:b] for a, b in zip([0, *ends], ends)], dtype="T")
-                       for text, ends in ((text, ends.tolist()) for text, ends in later._keys)]
+        self._keys += [np.array([*_split(text, ends)], dtype="T") for text, ends in later._keys]
         self.undated, self.dropped = self.undated + later.undated, self.dropped + later.dropped
         return True
 
@@ -830,23 +829,14 @@ class _Tally:
             log.info("dropped %d record(s) from groups outside the reference set", self.dropped)
         if not self._cells:
             raise DatasetError("empty dataset: no records remain for the reference groups")
-        cells = np.frombuffer(self._cells, dtype=np.int64)
-        pairs = np.frombuffer(self._pairs, dtype=np.int64)
+        cells, pairs = np.frombuffer(self._cells, dtype=np.int64), np.frombuffer(self._pairs, dtype=np.int64)
         spellings = list(self._spelling)
         self._flush()
-        keys = np.concatenate(self._keys)
-        del self._keys, self._group_of, self._venue_of, self._author_of, self._author_id  # spent
-        del self._cells, self._pairs  # rewritten in place, so a second call must fail, not count them again
+        # spent, and the tallies are rewritten in place, so a second call must fail, not count them again
+        del self._row, self._author_id, self._spelling, self._cells, self._pairs
+        repeats = _repeats(np.frombuffer(vars(self).pop("_codes"), dtype=np.int64), vars(self).pop("_keys"))
         t, s, n = len(self.groups), len(spellings), len(cells)
-
-        # a stable sort puts each paper's first candidate before its repeats, which move to spelling s, shown nowhere
-        order = np.argsort(keys, kind="stable")
-        again = np.zeros(n, dtype=bool)  # again[i]: sorted key i is sorted key i - 1, not ""
-        for at in range(1, n, _BLOCK):
-            block = keys[order[at - 1:at + _BLOCK]]
-            again[at:at + len(block) - 1] = (block[1:] == block[:-1]) & (block[1:] != "")
-        del keys
-        cells[order[again]] = s * t
+        cells[repeats] = s * t  # a repeat moves to spelling s, shown nowhere
 
         # a venue shows the spelling of its first kept record; kept venues in case-folded order
         first = np.full(s + 1, n)  # each spelling's first candidate
@@ -866,15 +856,45 @@ class _Tally:
         # counts are the run lengths of the sorted codes; a hashed np.unique costs more memory
         cells.sort()
         starts = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1])))
-        cell, n_group_venue = cells[starts], np.diff(starts, append=len(cells))
+        cell, n_group_venue = cells[starts], np.diff(starts, append=n)
+        del cells, starts  # the last use: this frees the tally's cells
         kept = cell % (v + 1) < v
         pairs.sort()
         pairs[1:][pairs[1:] == pairs[:-1]] = v  # a pair met before counts in column v
         pairs &= 0xFFFFFFFF
         d_venue = np.bincount(pairs, minlength=v + 1)[:v]
+        del pairs
 
         return CountsTable(cell[kept] // (v + 1), cell[kept] % (v + 1), n_group_venue[kept], d_venue, self.groups,
-                           tuple(shown[k] for k in keys), dropped_foreign=self.dropped, dedup_merged=int(again.sum()))
+                           tuple(shown[k] for k in keys), dropped_foreign=self.dropped, dedup_merged=repeats.size)
+
+
+def _repeats(codes: np.ndarray, keys: list[np.ndarray]) -> np.ndarray:
+    """The candidates whose key an earlier one has. Equal keys have equal hashes: only keys whose hash ``codes``,
+    sorted here in place, repeat are sorted, stably, so each key keeps its first candidate in file order."""
+    codes.sort()
+    twin = np.zeros(len(codes), dtype=bool)  # twin[i]: code i has the hash of the code before or after it
+    for at in range(1, len(codes), _BLOCK):
+        same = np.diff(codes[at - 1:at + _BLOCK] >> 32) == 0
+        twin[at - 1:at - 1 + len(same)] |= same
+        twin[at:at + len(same)] |= same
+    twins = np.sort(codes[twin] & 0xFFFFFFFF)
+    starts = np.cumsum([0, *map(len, keys)])  # each key block's first candidate
+    bounds = np.searchsorted(twins, starts)
+    found = np.concatenate([block[twins[a:b] - start] for block, a, b, start in zip(keys, bounds, bounds[1:], starts)])
+    order = np.argsort(found, kind="stable")
+    return twins[order[1:][found[order[1:]] == found[order[:-1]]]]
+
+
+def _joined(strings: list[str]) -> tuple[str, np.ndarray]:
+    """``strings`` as one string and the end of each in it, which unpickle as two objects, not one per string."""
+    text = "".join(strings)
+    return text, np.cumsum([*map(len, strings)], dtype=np.int32 if len(text) < 2**31 else np.int64)
+
+
+def _split(text: str, ends: np.ndarray) -> Iterator[str]:
+    """The strings :func:`_joined` joined into ``text``, made one at a time, with no list of them or of their ends."""
+    return (text[a:b] for a, b in zip(np.concatenate(([0], ends[:-1])), ends))
 
 
 def _rewrite(values: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> None:

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import logging
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -204,3 +205,25 @@ def test_tally_counts_once():
     assert tally.dataset().n_group.sum() == 2
     with pytest.raises(AttributeError):
         tally.dataset()
+
+
+def cased(name: str, i: int) -> str:
+    """``name`` with character k upper-cased where bit k of ``i`` is set: a casing of its own for each ``i``."""
+    return "".join(c.upper() if i >> k & 1 else c.lower() for k, c in enumerate(name))
+
+
+def test_ingest_memory_grows_with_the_names_not_their_spellings():
+    # 50 groups and 50 authors, whose first 15 characters are letters, each line in a casing not seen before:
+    # 80,000 raw spellings of 100 names, which a table of raw spellings would hold as some 80,000 strings
+    groups, authors = [f"Memorytestgroup {k:02d}" for k in range(50)], [f"Memorytestauthor {k:02d}" for k in range(50)]
+    data = "".join(json.dumps({"id": f"p{i}", "group": cased(groups[i % 50], i), "venue": f"v{i % 7}",
+                               "authors": [cased(authors[(i + k) % 50], i) for k in range(3)]}) + "\n"
+                   for i in range(20_000)).encode()
+    tracemalloc.start()
+    try:
+        table = ingest(io.BytesIO(data), "jsonl", groups)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"ingest peaked at {peak / 2**20:.1f} MiB"
+    assert (table.n_group.sum(), table.d_venue.tolist()) == (20_000, [50] * 7)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pscore import DatasetError, ParseError, ValidationError, ingest
+from pscore import DatasetError, ParseError, ValidationError, ingest, records
 from pscore.records import PublicationRecord, build_dataset, normalize_name, parse_records
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, binary_file, split_reads
 from oracles import dense_counts, filter_by_year, serialize_records
 
 
@@ -51,6 +51,13 @@ class TestParseJsonl:
     def test_authors_must_be_strings(self):
         with pytest.raises(ValidationError):
             parse_records(jsonl('{"group":"G","authors":[1],"venue":"v"}'), "jsonl")
+        # a known first author is found with no rule run, yet the number after it fails before the blank group
+        lines = '{"group":"G","authors":["a"],"venue":"v"}\n{"group":" ","authors":["a",1],"venue":"v"}\n'
+        for read, line in ((lambda: ingest(jsonl(lines), "jsonl", ["G"]), 2),
+                           (lambda: build_dataset([make(group="G"), make(group=" ", authors=["a", 1])], ["G"]), None)):
+            with pytest.raises(ValidationError, match="must be an array of strings") as exc:
+                read()
+            assert (exc.value.field, exc.value.line) == ("authors", line)
 
     def test_non_object_line(self):
         with pytest.raises(ParseError):
@@ -222,6 +229,21 @@ class TestBuildDataset:
         # "g1" is the reference group "G1": both records count in its row
         assert ds.group_names == ("G1",)
         assert dense_counts(ds).tolist() == [[2]]
+        # each spelling of one name, each first in turn: an author or group is found by its case fold, a venue as
+        # written, and a spelling that needs normalizing by its normalized fold; "STRASSE" folds as "Straße" does
+        for field, spellings in (("authors", ("Ana  Costa", "ANA COSTA", "ana costa", " Ana\tCosta")),
+                                 ("authors", ("José", "JOSÉ", "\u00a0José")),
+                                 ("group", ("STRASSE", "straße", "Straße")),
+                                 ("venue", ("SIGIR", "sigir", " SIGIR "))):
+            for k in range(len(spellings)):
+                turn = spellings[k:] + spellings[:k]
+                recs = [make(**{"group": "Straße", "venue": "v1", "authors": ["Ana Costa"],
+                                field: [name] if field == "authors" else name}) for name in turn]
+                for table in (build_dataset(recs, ["Straße"]),
+                              ingest(jsonl(serialize_records(recs, "jsonl")), "jsonl", ["Straße"])):
+                    assert (table.group_names, table.venue_names) == (
+                        ("Straße",), (normalize_name(turn[0]) if field == "venue" else "v1",))
+                    assert (dense_counts(table).tolist(), table.d_venue.tolist()) == ([[len(turn)]], [1])
 
     def test_idempotent(self):
         survivors = [make(paper_id="a"), make(venue="v2", paper_id="b")]
@@ -262,14 +284,21 @@ REPEAT_KEYS = {
 
 
 @pytest.mark.parametrize("first, second, repeat", REPEAT_KEYS.values(), ids=REPEAT_KEYS.keys())
-def test_a_repeat_is_an_exact_key_match(first, second, repeat):
-    # one path for records and for JSONL: the second record counts only if its key differs from the first's
+def test_a_repeat_is_an_exact_key_match(monkeypatch, first, second, repeat):
+    # one path for records and for JSONL, read serially and in two ranges: the second record counts only if its key
+    # differs from the first's, whatever the hash that brings keys together, even one giving every key one code
     recs = [make(paper_id=paper_id, title=title, venue=venue)
             for (paper_id, title), venue in ((first, "v1"), (second, "v2"))]
-    lines = "".join(json.dumps({"id": r.paper_id, "title": r.title, "group": r.group, "authors": list(r.authors),
-                                "venue": r.venue}) + "\n" for r in recs)
-    for table in (build_dataset(recs, ["G1"]), ingest(jsonl(lines), "jsonl", ["G1"])):
-        assert (table.dedup_merged, table.venue_names) == ((1, ("v1",)) if repeat else (0, ("v1", "v2")))
+    line1, line2 = (json.dumps({"id": r.paper_id, "title": r.title, "group": r.group, "authors": list(r.authors),
+                                "venue": r.venue}) for r in recs)
+    lines = f"{line1:{len(line2)}}\n{line2}\n"  # padded to be no shorter than line 2, line 1 ends the first range
+    for key_hash in (hash, lambda key: 0):
+        monkeypatch.setattr(records, "_key_hash", key_hash)
+        with split_reads(2) as forked, binary_file(lines.encode()) as fh:
+            tables = [build_dataset(recs, ["G1"]), ingest(jsonl(lines), "jsonl", ["G1"]), ingest(fh, "jsonl", ["G1"])]
+        assert forked
+        for table in tables:
+            assert (table.dedup_merged, table.venue_names) == ((1, ("v1",)) if repeat else (0, ("v1", "v2")))
 
 
 def test_a_repeat_is_per_group_whatever_the_row():
