@@ -698,7 +698,7 @@ def parse_records(stream: IO[bytes] | IO[str], format: str) -> list[PublicationR
         ]
 
 
-_BLOCK = 4096  # keys gathered into one array, or entries rewritten or compared, at a time
+_BLOCK = 4096  # entries rewritten or compared at a time
 _key_hash = hash  # of a key, for the codes that find repeats: any function finds the same ones, only slower
 
 
@@ -712,10 +712,10 @@ class _Tally:
     runs them. A record in the year window and a reference group is a
     candidate: it leaves one (venue spelling, group) cell and one (author,
     record) pair per author, as integers, a key (its row with its id, else
-    its folded title, else empty) in a column of numpy strings, and, if the
-    key is not empty, a code: its hash above the record. :meth:`dataset`
-    finds the repeated papers once, after the read, comparing keys only
-    where the sorted codes repeat a hash.
+    its folded title, else empty) in one UTF-8 buffer, and, if the key is
+    not empty, a code: its hash above the record. :meth:`dataset` finds the
+    repeated papers once, after the read, comparing keys only where the
+    sorted codes repeat a hash.
 
     A tally can :meth:`merge` that of the input that follows, read by a
     forked worker, whose hashes are this process's; pickled, it carries only
@@ -728,8 +728,8 @@ class _Tally:
         self._row: dict[str, int] = {fold(group): row for row, group in enumerate(groups)}  # -1: not a reference
         self._spelling: dict[str, int] = {}   # normalized venue -> spelling id
         self._author_id: dict[str, int] = {}  # folded author -> author id
-        self._keys: list = []         # the key column: a string array per full block of candidates
-        self._block: list[str] = []   # the keys of the candidates after the last full block
+        self._text = bytearray()  # the keys, one after another
+        self._ends = array("q")   # the end of its key in _text, one per candidate
         self._cells = array("q")  # spelling * T + row, one per candidate
         self._pairs = array("q")  # author << 32 | candidate, one per author of a candidate
         self._codes = array("q")  # hash(key) << 32 | candidate, one per candidate whose key is not empty
@@ -781,28 +781,19 @@ class _Tally:
             key = f"{row}t{fold(name)}"
         else:
             key = ""
-        if not key.isascii():  # numpy stores text as UTF-8, which has no lone surrogate; Latin-1 maps any bytes
-            key = key.encode("utf-8", "surrogatepass").decode("latin-1")
         record = len(self._cells)
         if key:
+            key = key.encode("utf-8", "surrogatepass")  # an id may hold a lone surrogate, which strict UTF-8 refuses
             self._codes.append((_key_hash(key) & 0x7FFFFFFF) << 32 | record)
-        self._block.append(key)
-        if len(self._block) == _BLOCK:
-            self._flush()
+            self._text += key
+        self._ends.append(len(self._text))
         self._cells.append(spelling * len(self.groups) + row)
         self._pairs.extend([author << 32 | record for author in ids])
 
-    def _flush(self) -> None:
-        """Move the keys gathered since the last full block to the key column."""
-        if self._block:
-            self._keys.append(np.array(self._block, dtype="T"))
-            self._block = []
-
     def __getstate__(self) -> dict:
-        # numpy byte arrays, and strings joined with their ends, which unpickle with no copy held to the end of the load
-        self._flush()
+        # numpy byte arrays, which pickle and unpickle in place, where an array is copied to bytes and back
         return {"_spelling": list(self._spelling), "_author_id": _joined(list(self._author_id)),
-                "_keys": [_joined(block) for block in map(np.ndarray.tolist, self._keys)],
+                "_text": np.frombuffer(self._text, np.uint8), "_ends": np.frombuffer(self._ends, np.uint8),
                 "_cells": np.frombuffer(self._cells, np.uint8), "_pairs": np.frombuffer(self._pairs, np.uint8),
                 "_codes": np.frombuffer(self._codes, np.uint8), "undated": self.undated, "dropped": self.dropped}
 
@@ -810,14 +801,18 @@ class _Tally:
         """Append, renumbered, the candidates of ``later``, the unpickled tally of the next range, freeing it; True."""
         t, offset = len(self.groups), len(self._cells)
         spelling = np.array([self._spelling.setdefault(s, len(self._spelling)) for s in later._spelling], np.int64)
-        author = np.array([self._author_id.setdefault(a, len(self._author_id)) for a in _split(*later._author_id)])
+        names, ends = later._author_id  # cut out one at a time, with no list of the names, their ends or their ids
+        author = np.fromiter((self._author_id.setdefault(names[a:b], len(self._author_id))
+                              for a, b in zip(np.concatenate(([0], ends[:-1])), ends)), np.int64, len(ends))
         _rewrite(np.frombuffer(later._cells, np.int64), lambda cell: spelling[cell // t] * t + cell % t)
         _rewrite(np.frombuffer(later._pairs, np.int64), lambda pair: author[pair >> 32] << 32 | pair % 2**32 + offset)
         np.frombuffer(later._codes, np.int64)[:] += offset
-        for name in ("_cells", "_pairs", "_codes"):
+        np.frombuffer(later._ends, np.int64)[:] += len(self._text)
+        # the largest as a rule, the pairs and then the keys, grow first, so the blocks they free can hold the rest
+        self._pairs.frombytes(vars(later).pop("_pairs"))
+        self._text += memoryview(vars(later).pop("_text"))  # += of an array would add it element-wise
+        for name in ("_cells", "_ends", "_codes"):
             getattr(self, name).frombytes(vars(later).pop(name))
-        self._flush()
-        self._keys += [np.array([*_split(text, ends)], dtype="T") for text, ends in later._keys]
         self.undated, self.dropped = self.undated + later.undated, self.dropped + later.dropped
         return True
 
@@ -831,10 +826,10 @@ class _Tally:
             raise DatasetError("empty dataset: no records remain for the reference groups")
         cells, pairs = np.frombuffer(self._cells, dtype=np.int64), np.frombuffer(self._pairs, dtype=np.int64)
         spellings = list(self._spelling)
-        self._flush()
         # spent, and the tallies are rewritten in place, so a second call must fail, not count them again
         del self._row, self._author_id, self._spelling, self._cells, self._pairs
-        repeats = _repeats(np.frombuffer(vars(self).pop("_codes"), dtype=np.int64), vars(self).pop("_keys"))
+        repeats = _repeats(np.frombuffer(vars(self).pop("_codes"), dtype=np.int64), vars(self).pop("_text"),
+                           vars(self).pop("_ends"))
         t, s, n = len(self.groups), len(spellings), len(cells)
         cells[repeats] = s * t  # a repeat moves to spelling s, shown nowhere
 
@@ -869,32 +864,29 @@ class _Tally:
                            tuple(shown[k] for k in keys), dropped_foreign=self.dropped, dedup_merged=repeats.size)
 
 
-def _repeats(codes: np.ndarray, keys: list[np.ndarray]) -> np.ndarray:
-    """The candidates whose key an earlier one has. Equal keys have equal hashes: only keys whose hash ``codes``,
-    sorted here in place, repeat are sorted, stably, so each key keeps its first candidate in file order."""
+def _repeats(codes: np.ndarray, text: bytearray, ends: array) -> np.ndarray:
+    """The candidates whose key an earlier one has, sought only in runs of equal hash in ``codes``, sorted in place."""
     codes.sort()
     twin = np.zeros(len(codes), dtype=bool)  # twin[i]: code i has the hash of the code before or after it
     for at in range(1, len(codes), _BLOCK):
         same = np.diff(codes[at - 1:at + _BLOCK] >> 32) == 0
         twin[at - 1:at - 1 + len(same)] |= same
         twin[at:at + len(same)] |= same
-    twins = np.sort(codes[twin] & 0xFFFFFFFF)
-    starts = np.cumsum([0, *map(len, keys)])  # each key block's first candidate
-    bounds = np.searchsorted(twins, starts)
-    found = np.concatenate([block[twins[a:b] - start] for block, a, b, start in zip(keys, bounds, bounds[1:], starts)])
-    order = np.argsort(found, kind="stable")
-    return twins[order[1:][found[order[1:]] == found[order[:-1]]]]
+    repeats, first, run = array("q"), {}, None  # first: key -> its first candidate, in the run of one hash
+    for code in array("q", codes[twin].tobytes()):  # ints made one at a time, not a list of them
+        if code >> 32 != run:
+            first, run = {}, code >> 32
+        record = code & 0xFFFFFFFF
+        if first.setdefault(bytes(text[ends[record - 1] if record else 0:ends[record]]), record) != record:
+            repeats.append(record)
+    return np.frombuffer(repeats, np.int64)
 
 
 def _joined(strings: list[str]) -> tuple[str, np.ndarray]:
-    """``strings`` as one string and the end of each in it, which unpickle as two objects, not one per string."""
+    """``strings`` as one string and the end of each in it, which unpickle as two objects, not one per string. The
+    ends are int32 while they fit: int64 ends raised the peak of an ``ingest`` worker by 0.55 MiB."""
     text = "".join(strings)
     return text, np.cumsum([*map(len, strings)], dtype=np.int32 if len(text) < 2**31 else np.int64)
-
-
-def _split(text: str, ends: np.ndarray) -> Iterator[str]:
-    """The strings :func:`_joined` joined into ``text``, made one at a time, with no list of them or of their ends."""
-    return (text[a:b] for a, b in zip(np.concatenate(([0], ends[:-1])), ends))
 
 
 def _rewrite(values: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> None:

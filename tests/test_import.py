@@ -71,6 +71,20 @@ for report in ("tsv", "json"):
     print(main(["authors", "--venue-scores", sys.argv[1], "--author-pubs", sys.argv[2],
                 "--format", report, "-o", os.devnull]))
 print(numpy_loaded())
+# the author file again, cut in two ranges on two CPUs, the second read by a forked worker
+from pscore import records
+forked, fork = [], os.fork
+
+def counted_fork():
+    pid = fork()
+    if pid:
+        forked.append(pid)
+    return pid
+
+records.MIN_RANGE, os.sched_getaffinity, os.fork = 1, lambda pid: {{0, 1}}, counted_fork
+print(main(["authors", "--venue-scores", sys.argv[1], "--author-pubs", sys.argv[2], "-o", os.devnull]))
+print(len(forked))
+print(numpy_loaded())
 print(main({venues!r}))
 print(numpy_loaded())
 """.format(venues=VENUES)
@@ -140,8 +154,9 @@ def test_numpy_loads_only_for_a_solve(tmp_path):
     scores = tmp_path / "scores.tsv"
     assert main([*VENUES[:-1], str(scores)]) == 0
     out = run(MODULES, str(scores), str(DATA_DIR / "golden_author_pubs.jsonl"))
-    # loaded after the import, after a module scan, the two authors runs (exit codes), and the venues run
-    assert out == ["False", "False", "0", "0", "False", "0", "True"]
+    # loaded after the import, after a module scan, the two authors runs (exit codes), the authors run that forked
+    # one worker, and the venues run
+    assert out == ["False", "False", "0", "0", "False", "0", "1", "False", "0", "True"]
 
 
 def test_first_use_from_many_threads_loads_numpy_once_with_one_thread():

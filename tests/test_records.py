@@ -276,6 +276,8 @@ REPEAT_KEYS = {
     "long-id-twice": (("x" * 40, None), ("x" * 40, None), True),
     "long-ids-differ-at-the-end": (("x" * 40, None), ("x" * 39 + "y", None), False),
     "long-non-ascii-id-twice": (("\u00e9" * 20, None), ("\u00e9" * 20, None), True),
+    "astral-id-twice": (("\U0001f600" * 5, None), ("\U0001f600" * 5, None), True),
+    "astral-ids-differ": (("\U0001f600" * 5, None), ("\U0001f600" * 4 + "\U0001f601", None), False),
     "long-title-twice": ((None, "A Title " * 5), (None, " a  title " * 5), True),
     "id-equal-to-a-folded-title": ((None, "On Things"), ("on things", None), False),
     "title-after-its-id": (("on things", None), (None, "On Things"), False),
