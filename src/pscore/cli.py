@@ -16,7 +16,6 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import IO, Callable, Iterator
 
-from . import _np as np
 from .chain import build_chain, check_d, check_irreducible
 from .counts import aggregate, parse_author_counts
 from .errors import ParameterError, PScoreError
@@ -80,7 +79,6 @@ def _load_counts(args: argparse.Namespace) -> CountsTable:
     if args.author_counts:
         with _file_context(args.author_counts) as fh:
             overrides = parse_author_counts(fh, _sniff_format(args.author_counts, fh))
-    np.ndarray  # load numpy now: loaded after the records, it leaves a larger peak
     with _file_context(args.input) as fh:
         table = ingest(fh, args.input_format or _sniff_format(args.input, fh), groups, years=years)
     return aggregate(table, overrides)

@@ -22,6 +22,7 @@ import os
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, islice
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import _np as np
@@ -557,6 +558,20 @@ def _read_forked(fd: int, cuts: list[int], read: Callable[[IO[str]], object]):
             os.waitpid(pid, 0)
 
 
+def _sent(strings: list[str], *columns) -> tuple:
+    """``strings`` as one string and an ``array("q")`` of their ends, which unpickle as two objects, not one per string,
+    then ``columns``: each buffer as a ``pickle.PickleBuffer``, which protocol 5 writes with no copy and reads back
+    straight into a ``bytearray``."""
+    import pickle  # only a worker sends: a serial read loads no pickle
+    return ("".join(strings), *map(pickle.PickleBuffer, (array("q", accumulate(map(len, strings))), *columns)))
+
+
+def _received(text: str, ends: bytearray) -> Iterator[str]:
+    """The strings :func:`_sent` joined into ``text``, cut out one at a time at their unpickled ``ends``."""
+    ends = memoryview(ends).cast("q")
+    return (text[start:end] for start, end in zip(chain((0,), ends), ends))
+
+
 def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
     """Read author publication lists (JSONL).
 
@@ -578,10 +593,10 @@ def load_author_pubs(stream: IO[bytes] | IO[str]) -> dict[str, dict[str, int]]:
 class _Credits:
     """The counts :func:`load_author_pubs` reads from one range: author -> venue -> count.
 
-    Pickled, as a worker sends them, they are ``sent`` flat: the authors
-    and venues in first-seen order and an (author, venue, count) triple per
-    count, which unpickle far smaller than nested dicts. An unpickled one
-    holds only that, for :meth:`merge`.
+    Pickled, as a worker sends them, they are ``sent`` flat by
+    :func:`_sent`: the venues and then the authors in first-seen order, and
+    an (author, venue, count) triple per count, which unpickle far smaller
+    than nested dicts. An unpickled one holds only that, for :meth:`merge`.
     """
 
     def __init__(self):
@@ -636,14 +651,14 @@ class _Credits:
         for a, per_author in enumerate(self.pubs.values()):
             for venue, count in per_author.items():
                 triples.extend((a, venues[venue], count))
-        return {"sent": (list(self.pubs), list(venues), triples)}
+        return {"sent": _sent([*venues, *self.pubs], triples), "sent_venues": len(venues)}
 
     def merge(self, later: "_Credits") -> bool:
         """Add the sent counts of the next range; False if a total passes 2**53, at a line a serial read knows."""
-        authors, venues, triples = later.sent
-        venues = [self.venues.setdefault(fold(v), v) for v in venues]  # its spellings -> ours
-        rows = [self.pubs.setdefault(self.authors.setdefault(fold(a), a), {}) for a in authors]
-        it = iter(triples)
+        names = _received(*later.sent[:2])
+        venues = [self.venues.setdefault(fold(v), v) for v in islice(names, later.sent_venues)]  # its spellings -> ours
+        rows = [self.pubs.setdefault(self.authors.setdefault(fold(a), a), {}) for a in names]
+        it = iter(memoryview(later.sent[2]).cast("q"))  # the triples
         for a, v, count in zip(it, it, it):
             per_author, venue = rows[a], venues[v]
             total = per_author[venue] = per_author.get(venue, 0) + count
@@ -718,8 +733,7 @@ class _Tally:
     sorted codes repeat a hash.
 
     A tally can :meth:`merge` that of the input that follows, read by a
-    forked worker, whose hashes are this process's; pickled, it carries only
-    what a merge reads.
+    forked worker with this process's hashes and sent by :func:`_sent`.
     """
 
     def __init__(self, groups: tuple[str, ...], years: tuple[int | None, int | None] | None):
@@ -791,28 +805,27 @@ class _Tally:
         self._pairs.extend([author << 32 | record for author in ids])
 
     def __getstate__(self) -> dict:
-        # numpy byte arrays, which pickle and unpickle in place, where an array is copied to bytes and back
-        return {"_spelling": list(self._spelling), "_author_id": _joined(list(self._author_id)),
-                "_text": np.frombuffer(self._text, np.uint8), "_ends": np.frombuffer(self._ends, np.uint8),
-                "_cells": np.frombuffer(self._cells, np.uint8), "_pairs": np.frombuffer(self._pairs, np.uint8),
-                "_codes": np.frombuffer(self._codes, np.uint8), "undated": self.undated, "dropped": self.dropped}
+        sent = _sent([*self._spelling, *self._author_id], self._text, self._ends, self._cells, self._pairs, self._codes)
+        return {"sent": sent, "sent_spellings": len(self._spelling), "undated": self.undated, "dropped": self.dropped}
 
     def merge(self, later: "_Tally") -> bool:
         """Append, renumbered, the candidates of ``later``, the unpickled tally of the next range, freeing it; True."""
-        t, offset = len(self.groups), len(self._cells)
-        spelling = np.array([self._spelling.setdefault(s, len(self._spelling)) for s in later._spelling], np.int64)
-        names, ends = later._author_id  # cut out one at a time, with no list of the names, their ends or their ids
-        author = np.fromiter((self._author_id.setdefault(names[a:b], len(self._author_id))
-                              for a, b in zip(np.concatenate(([0], ends[:-1])), ends)), np.int64, len(ends))
-        _rewrite(np.frombuffer(later._cells, np.int64), lambda cell: spelling[cell // t] * t + cell % t)
-        _rewrite(np.frombuffer(later._pairs, np.int64), lambda pair: author[pair >> 32] << 32 | pair % 2**32 + offset)
-        np.frombuffer(later._codes, np.int64)[:] += offset
-        np.frombuffer(later._ends, np.int64)[:] += len(self._text)
+        t, offset, s = len(self.groups), len(self._cells), later.sent_spellings
+        joined, ends, text, key_ends, cells, pairs, codes = vars(later).pop("sent")
+        names = _received(joined, ends)  # with no list of the names or of their ids
+        spelling = np.fromiter((self._spelling.setdefault(n, len(self._spelling)) for n in islice(names, s)), np.int64)
+        author = np.fromiter((self._author_id.setdefault(n, len(self._author_id)) for n in names), np.int64)
+        _rewrite(np.frombuffer(cells, np.int64), lambda cell: spelling[cell // t] * t + cell % t)
+        _rewrite(np.frombuffer(pairs, np.int64), lambda pair: author[pair >> 32] << 32 | pair % 2**32 + offset)
+        np.frombuffer(codes, np.int64)[:] += offset
+        np.frombuffer(key_ends, np.int64)[:] += len(self._text)
         # the largest as a rule, the pairs and then the keys, grow first, so the blocks they free can hold the rest
-        self._pairs.frombytes(vars(later).pop("_pairs"))
-        self._text += memoryview(vars(later).pop("_text"))  # += of an array would add it element-wise
-        for name in ("_cells", "_ends", "_codes"):
-            getattr(self, name).frombytes(vars(later).pop(name))
+        self._pairs.frombytes(pairs)
+        del pairs
+        self._text += text
+        del text
+        for column, values in (self._cells, cells), (self._ends, key_ends), (self._codes, codes):
+            column.frombytes(values)
         self.undated, self.dropped = self.undated + later.undated, self.dropped + later.dropped
         return True
 
@@ -880,13 +893,6 @@ def _repeats(codes: np.ndarray, text: bytearray, ends: array) -> np.ndarray:
         if first.setdefault(bytes(text[ends[record - 1] if record else 0:ends[record]]), record) != record:
             repeats.append(record)
     return np.frombuffer(repeats, np.int64)
-
-
-def _joined(strings: list[str]) -> tuple[str, np.ndarray]:
-    """``strings`` as one string and the end of each in it, which unpickle as two objects, not one per string. The
-    ends are int32 while they fit: int64 ends raised the peak of an ``ingest`` worker by 0.55 MiB."""
-    text = "".join(strings)
-    return text, np.cumsum([*map(len, strings)], dtype=np.int32 if len(text) < 2**31 else np.int64)
 
 
 def _rewrite(values: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> None:

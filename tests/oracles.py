@@ -6,7 +6,8 @@ replaces one equation of gamma (I - P) = 0 by sum(gamma) = 1, and
 ``stationary_extended`` eliminates states in ``np.longdouble``. ``dense_blocks``
 forms alpha and beta as dense matrices from a counts table's cells, and
 ``dense_reduced`` their product, for the sparse chain to be checked
-against; ``components`` finds the connected components of the
+against, and ``exact_reduced`` that product in exact rational
+arithmetic; ``components`` finds the connected components of the
 group-venue graph by breadth-first search. ``count_records``
 counts a list of parsed records the way ingestion did before it became a
 single pass over integer ids, sharing no code with ``pscore.records``;
@@ -31,7 +32,9 @@ import csv
 import io
 import json
 import logging
+import math
 from collections.abc import Mapping
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -122,6 +125,22 @@ def dense_reduced(counts, d: float) -> np.ndarray:
     """The reduced chain beta @ alpha (T x T) in float64, from :func:`dense_blocks`."""
     alpha, beta = dense_blocks(counts, d)
     return beta @ alpha
+
+
+def exact_reduced(counts, d: float) -> list[list[Fraction]]:
+    """The reduced chain beta @ alpha (T x T) as exact fractions, from the integer counts and the float ``d`` as it is.
+
+    Every quotient n(w, j) / n(j) is scaled to an integer by the common
+    multiple of the venue totals, so each entry sums integers and is made a
+    fraction once.
+    """
+    n = dense_counts(counts).tolist()
+    n_venue, d_venue, d = [sum(column) for column in zip(*n)], counts.d_venue.tolist(), Fraction(d)
+    common = math.lcm(*n_venue)
+    alpha = [[count * (common // total) for count, total in zip(row, n_venue)] for row in n]  # column w, times common
+    breadth = [Fraction(sum(map(int.__mul__, d_venue, column)), sum(d_venue) * common) for column in alpha]
+    return [[d * Fraction(sum(map(int.__mul__, row, column)), sum(row) * common) + (1 - d) * share
+             for column, share in zip(alpha, breadth)] for row in n]
 
 
 def components(counts) -> tuple[frozenset[int], ...]:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from conftest import (
     random_counts_table,
     table_from_matrix,
 )
-from oracles import components, dense_blocks, dense_reduced
+from oracles import components, dense_blocks, exact_reduced
 
 
 def counts(matrix, d_venue):
@@ -141,8 +142,15 @@ class TestBuildReduced:
     @settings(max_examples=200, deadline=None)
     @given(count_tables(), st.floats(0.0, 1.0))
     def test_matches_the_dense_product(self, table, d):
-        # the two sum in different orders; 5,000 random tables came within 2 units in the last place of 1
-        assert_allclose(build_reduced(build_chain(table, d)), dense_reduced(table, d), rtol=0, atol=4.5e-16)
+        # the product taken exactly: a float beta @ alpha sums in another order and strays by itself, up to 6
+        # units in the last place of 1 on one-group tables. An entry sums one term per venue of a group, each
+        # term two quotients and their product, so three roundings, then at most V - 1 roundings of the sum in
+        # any order, and three of the blend with d. Every term is nonnegative, so the entry lies within
+        # (V + 5) u / (1 - (V + 5) u), below (V + 6) u, of the exact one, relatively, where u = 2**-53
+        bound = Fraction(table.num_venues + 6, 2**53)
+        for row, exact_row in zip(build_reduced(build_chain(table, d)).tolist(), exact_reduced(table, d)):
+            for value, exact in zip(row, exact_row):
+                assert abs(Fraction(value) - exact) <= bound * exact
 
 
 class TestChainInvariants:

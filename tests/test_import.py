@@ -89,6 +89,38 @@ print(main({venues!r}))
 print(numpy_loaded())
 """.format(venues=VENUES)
 
+# the author file, then the records, cut in two ranges on two CPUs; the forked worker cannot import numpy
+WORKER_WITHOUT_NUMPY = f"""
+import os
+import sys
+from pscore import _np, records
+from pscore.cli import main
+
+fork, read_forked, seen = os.fork, records._read_forked, []
+
+def fork_without_numpy():
+    loaded = "numpy" in sys.modules
+    pid = fork()
+    if pid == 0:
+        sys.modules["numpy"] = None  # import numpy raises ImportError
+        for name in [name for name in vars(_np) if not name.startswith("_")]:  # the numpy names _np has cached
+            delattr(_np, name)
+    else:
+        seen.append(loaded)
+    return pid
+
+def counted_read_forked(*args):
+    merged = read_forked(*args)
+    seen.append(merged is not None)
+    return merged
+
+records.MIN_RANGE, os.sched_getaffinity, os.fork = 1, lambda pid: {{0, 1}}, fork_without_numpy
+records._read_forked = counted_read_forked
+for argv in (["authors", "--venue-scores", sys.argv[1], "--author-pubs", sys.argv[2], "-o", os.devnull], {VENUES!r}):
+    seen.clear()
+    print(main(argv), *seen)
+"""
+
 # more threads than cores race to the first read, with a short switch interval
 THREADED = f"""
 import os
@@ -157,6 +189,14 @@ def test_numpy_loads_only_for_a_solve(tmp_path):
     # loaded after the import, after a module scan, the two authors runs (exit codes), the authors run that forked
     # one worker, and the venues run
     assert out == ["False", "False", "0", "0", "False", "0", "1", "False", "0", "True"]
+
+
+def test_a_split_read_whose_worker_cannot_import_numpy_still_merges(tmp_path):
+    scores = tmp_path / "scores.tsv"
+    assert main([*VENUES[:-1], str(scores)]) == 0
+    out = run(WORKER_WITHOUT_NUMPY, str(scores), str(DATA_DIR / "golden_author_pubs.jsonl"))
+    # for authors and then venues: the exit code, numpy not loaded when the one worker forked, and a merged result
+    assert out == ["0", "False", "True", "0", "False", "True"]
 
 
 def test_first_use_from_many_threads_loads_numpy_once_with_one_thread():

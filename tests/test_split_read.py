@@ -16,8 +16,11 @@ import os
 import pickle
 import threading
 import time
+from array import array
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import binary_file, split_reads
 from pscore import DatasetError, ParameterError, ParseError, PScoreError, ValidationError, ingest, records
@@ -182,6 +185,18 @@ def test_credits_sent_flat_refuse_a_total_past_2_53():
     assert credits_in_two_ranges(lines, 1) == (True, [("dee", [("kdd", 2**53)])])
     lines.append(json.dumps({"authors": ["DEE"], "venue": "kdd"}))
     assert credits_in_two_ranges(lines, 1)[0] is False
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(min_size=1)), st.lists(st.integers(-2**63, 2**63 - 1)))
+@example(["\U0001d4d0 Lab"], [2**63 - 1, -2**63])  # a single name, with an astral character
+@example(["caf\u00e9", "\U0001f600", "a\U00010000b", "x"], [])
+def test_names_and_columns_sent_by_a_worker_come_back_as_they_were(names, column):
+    sent = records._sent(names, array("q", column), bytearray(b"keys"))
+    text, ends, *columns = pickle.loads(pickle.dumps(sent, pickle.HIGHEST_PROTOCOL))
+    assert list(records._received(text, ends)) == names
+    assert [type(c) for c in columns] == [bytearray, bytearray]  # writable, so a merge rewrites them in place
+    assert array("q", columns[0]).tolist() == column and columns[1] == b"keys"
 
 
 def test_a_duplicate_across_ranges_leaves_no_venue_spelling():
